@@ -53,7 +53,7 @@ def parse_metis(text: str) -> WeightedGraph:
         raise GraphFormatError(f"expected {n} vertex lines, found {len(data) - 1}")
 
     weights = [1] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
+    adj: list[set[int]] = [set() for _ in range(n)]
     for v, (lineno, line) in enumerate(data[1:]):
         toks = _int_tokens(line, lineno)
         if fmt == 10:
@@ -63,22 +63,21 @@ def parse_metis(text: str) -> WeightedGraph:
                 raise GraphFormatError(f"line {lineno}: negative weight {toks[0]}")
             weights[v] = toks[0]
             toks = toks[1:]
-        seen = set()
+        nbrs = adj[v]
         for t in toks:
             if not (1 <= t <= n):
                 raise GraphFormatError(f"line {lineno}: neighbor {t} out of range 1..{n}")
             u = t - 1
             if u == v:
                 raise GraphFormatError(f"line {lineno}: self-loop at vertex {v + 1}")
-            if u in seen:
+            if u in nbrs:
                 raise GraphFormatError(f"line {lineno}: duplicate neighbor {t}")
-            seen.add(u)
-            adj[v].append(u)
+            nbrs.add(u)
 
     entries = 0
     g = WeightedGraph(weights)
     for v in range(n):
-        nbrs = set(adj[v])
+        nbrs = adj[v]
         entries += len(nbrs)
         for u in nbrs:
             if v not in adj[u]:

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Optional
 
 from .graph import WeightedGraph, is_independent
-from .maxflow import FlowNetwork
+from .maxflow import DoubleCoverFlow
 
 
 class Rule(Enum):
@@ -408,7 +408,8 @@ def apply_simplicial_transfer(g: WeightedGraph, v: int,
     return True
 
 
-def critical_set(g: WeightedGraph) -> tuple[set[int], int]:
+def critical_set(g: WeightedGraph,
+                 flow: DoubleCoverFlow | None = None) -> tuple[set[int], int]:
     """Independent set maximizing w(U) - w(N(U)), with that value.
 
     Solved as a max-closure problem on the bipartite double cover: picking
@@ -416,26 +417,17 @@ def critical_set(g: WeightedGraph) -> tuple[set[int], int]:
     (cost w(u)).  After the min cut, U is the set of vertices whose left
     copy stays on the source side while the right copy does not; such a U
     is independent by the closure constraints.
+
+    ``flow`` carries a maximum flow over from an earlier call on the same
+    graph; without it the flow starts from zero.  Every vertex whose weight
+    or adjacency changed since that call must have been passed to
+    ``flow.invalidate``, which drops the flow through it and leaves a
+    feasible flow to augment.  The answer does not depend on where the
+    flow started: the copies reachable from the source in the residual
+    network are the same for every maximum flow (they form the minimal
+    minimum cut), so warm and cold calls return the same U.
     """
-    ids = g.vertices()
-    n = len(ids)
-    if n == 0:
-        return set(), 0
-    index = {v: i for i, v in enumerate(ids)}
-    net = FlowNetwork(2 * n + 2)
-    s, t = 2 * n, 2 * n + 1
-    for v in ids:
-        i = index[v]
-        net.add_edge(s, i, g.weight[v])
-        net.add_edge(n + i, t, g.weight[v])
-    inf = g.total_weight() + 1
-    for v in ids:
-        i = index[v]
-        for u in sorted(g.adj[v]):
-            net.add_edge(i, n + index[u], inf)
-    net.max_flow(s, t)
-    side = net.min_cut_source_side(s)
-    chosen = {v for v in ids if index[v] in side and (n + index[v]) not in side}
+    chosen = (flow if flow is not None else DoubleCoverFlow()).min_cut(g)
     boundary = set()
     for v in chosen:
         boundary.update(g.adj[v])
@@ -445,12 +437,13 @@ def critical_set(g: WeightedGraph) -> tuple[set[int], int]:
 
 
 def apply_cwis(g: WeightedGraph, events: list[ReductionEvent],
-               allow_zero: bool = False) -> bool:
+               allow_zero: bool = False, flow: DoubleCoverFlow | None = None) -> bool:
     """Bank the critical independent set when its surplus is positive.
 
-    ``allow_zero`` additionally fires on a nonempty set of surplus zero.
+    ``allow_zero`` additionally fires on a nonempty set of surplus zero;
+    ``flow`` is passed on to :func:`critical_set`.
     """
-    chosen, value = critical_set(g)
+    chosen, value = critical_set(g, flow)
     if not chosen or value < 0 or (value == 0 and not allow_zero):
         return False
     assert is_independent(g, chosen)
@@ -565,7 +558,8 @@ def ordering_preset(name: str) -> ReductionOrdering:
 
 class _Scheduler:
     """Per-rule dirty queues; a vertex re-enters every queue when anything
-    in its closed neighborhood is touched."""
+    in its closed neighborhood is touched.  Also holds the critical-set
+    flow of one reduce run, told about every touched vertex."""
 
     UNQUEUED = tuple(r for r in ALL_RULES if r is not Rule.CWIS)
 
@@ -575,6 +569,7 @@ class _Scheduler:
         self.queues: dict[Rule, deque[int]] = {r: deque(start) for r in self.UNQUEUED}
         self.inq: dict[Rule, set[int]] = {r: set(start) for r in self.UNQUEUED}
         self.cwis_pending = True
+        self.flow = DoubleCoverFlow()
 
     def push(self, rule: Rule, v: int) -> None:
         if v not in self.inq[rule]:
@@ -583,8 +578,10 @@ class _Scheduler:
 
     def mark_event(self, ev: ReductionEvent) -> None:
         g = self.g
+        touched = ev.touched()
+        self.flow.invalidate(touched)
         dirty = set()
-        for v in ev.touched():
+        for v in touched:
             if g.is_alive(v):
                 dirty.add(v)
                 dirty.update(g.adj[v])
@@ -687,7 +684,7 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
         if rule is Rule.CWIS:
             if sched.cwis_pending:
                 sched.cwis_pending = False
-                fired = apply_cwis(g, events, allow_zero=allow_zero_cwis)
+                fired = apply_cwis(g, events, allow_zero_cwis, sched.flow)
         else:
             queue, inq = sched.queues[rule], sched.inq[rule]
             while queue:

@@ -4,6 +4,7 @@ Frozen expected values were derived from the enumeration oracle; each
 example also re-checks the offset identity against brute force.
 """
 
+import math
 import random
 
 import pytest
@@ -20,7 +21,8 @@ from mwis.reductions import (ALL_RULES, ReductionOrdering,
                              apply_neighborhood_removal,
                              apply_simplicial_transfer, apply_triangle,
                              apply_twin, apply_v_shape, apply_v_shape_min,
-                             critical_set)
+                             critical_set, _attempt)
+from mwis.maxflow import DoubleCoverFlow, FlowNetwork
 from conftest import clique, cycle, path, random_graph, star
 
 
@@ -377,6 +379,100 @@ def test_cwis_zero_surplus_flag():
     if fired:  # zero-surplus firing must still be sound
         alpha_k, _ = brute_force(g)
         assert events[0].offset_delta + alpha_k == 2
+
+
+def cold_critical_set(g):
+    """Reference: a fresh double-cover network solved from zero flow."""
+    ids = g.vertices()
+    n = len(ids)
+    index = {v: i for i, v in enumerate(ids)}
+    net = FlowNetwork(2 * n + 2)
+    s, t = 2 * n, 2 * n + 1
+    for v in ids:
+        net.add_edge(s, index[v], g.weight[v])
+        net.add_edge(n + index[v], t, g.weight[v])
+    for v in ids:
+        for u in sorted(g.adj[v]):
+            net.add_edge(index[v], n + index[u], g.total_weight() + 1)
+    net.max_flow(s, t)
+    side = net.min_cut_source_side(s)
+    chosen = {v for v in ids if index[v] in side and n + index[v] not in side}
+    boundary = set()
+    for v in chosen:
+        boundary |= g.adj[v]
+    boundary -= chosen
+    return chosen, sum(g.weight[v] for v in chosen) - sum(g.weight[v] for v in boundary)
+
+
+def random_test_graph(rng, n, p):
+    """Random graph with some zero weights and some isolated vertices."""
+    g = random_graph(rng, n, p, wlo=0, whi=30)
+    for v in rng.sample(range(n), n // 10):
+        for u in sorted(g.adj[v]):
+            g.remove_edge(v, u)
+    return g
+
+
+def test_critical_set_matches_cold_reference():
+    rng = random.Random(5150)
+    for _ in range(150):
+        g = random_test_graph(rng, rng.randint(0, 40), rng.choice([0.05, 0.1, 0.2, 0.4]))
+        assert critical_set(g) == cold_critical_set(g)
+        flow = DoubleCoverFlow()
+        assert critical_set(g, flow) == cold_critical_set(g)
+        assert critical_set(g, flow) == cold_critical_set(g)  # unchanged graph
+
+
+def test_warm_critical_set_survives_rule_firings():
+    # Every firing reports its touched vertices to the flow, as the reduce
+    # loop does; the warm answer must match a cold solve after each one.
+    queued = [r for r in ALL_RULES if r is not Rule.CWIS]
+    rng = random.Random(8086)
+    for _ in range(25):
+        g = random_test_graph(rng, rng.randint(20, 50), rng.choice([0.06, 0.1, 0.15]))
+        flow = DoubleCoverFlow()
+        events = []
+        assert critical_set(g, flow) == cold_critical_set(g)
+        for _ in range(300):
+            if g.is_empty:
+                break
+            if rng.random() < 0.1:
+                fired = apply_cwis(g, events, rng.random() < 0.5, flow)
+            else:
+                fired = _attempt(g, rng.choice(queued), rng.choice(g.vertices()), events)
+            if fired:
+                flow.invalidate(events[-1].touched())
+                assert critical_set(g, flow) == cold_critical_set(g)
+
+
+def geometric_graph(rng, n, avg_degree):
+    """Uniform points in the unit square joined within a fixed radius."""
+    radius = math.sqrt(avg_degree / (math.pi * n))
+    pts = [(rng.random(), rng.random()) for _ in range(n)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if math.dist(pts[u], pts[v]) < radius]
+    return build_graph(edges, [rng.randint(0, 200) for _ in range(n)])
+
+
+@pytest.mark.parametrize("allow_zero", [False, True])
+@pytest.mark.parametrize("preset", sorted(ORDERING_PRESETS))
+def test_exact_reduce_matches_cold_critical_set(preset, allow_zero, monkeypatch):
+    g = geometric_graph(random.Random(preset), 200, 8)
+    cold_calls = []
+
+    def cold(h, flow=None):
+        cold_calls.append(h.live_count)
+        return cold_critical_set(h)
+
+    runs = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr("mwis.reductions.critical_set", cold)
+        work, events = g.copy(), []
+        exact_reduce(work, ordering_preset(preset), events, allow_zero)
+        runs.append(([(ev.rule, ev.decided, ev.offset_delta) for ev in events],
+                     work.adj, work.weight, work.alive))
+    assert cold_calls and runs[0] == runs[1]
 
 
 # -- neighborhood folding -----------------------------------------------------------
