@@ -16,19 +16,24 @@ from .graph import WeightedGraph
 
 
 class SearchState:
-    """An independent set plus per-vertex solution-neighbor counts.
+    """An independent set plus per-vertex solution-neighbor tallies.
 
-    A vertex is *free* when it is outside the solution and none of its
-    neighbors are inside; free vertices can be added without repair.
+    ``tight[v]`` counts v's solution neighbors and ``nbw[v]`` sums their
+    weights; both are kept up to date by :meth:`add` and :meth:`drop`, so
+    a move test reads them in constant time.  A vertex is *free* when it
+    is outside the solution and none of its neighbors are inside; free
+    vertices can be added without repair.  The graph must not change
+    while a state is in use.
     """
 
-    __slots__ = ("g", "in_sol", "tight", "weight", "free")
+    __slots__ = ("g", "in_sol", "tight", "nbw", "weight", "free")
 
     def __init__(self, g: WeightedGraph, members=()):
         self.g = g
         cap = g.capacity
         self.in_sol = [False] * cap
         self.tight = [0] * cap
+        self.nbw = [0] * cap
         self.weight = 0
         self.free = {v for v in range(cap) if g.alive[v]}
         for v in sorted(set(members)):
@@ -48,22 +53,28 @@ class SearchState:
         if self.in_sol[v] or self.tight[v]:
             raise ValueError(f"vertex {v} is not free")
         self.in_sol[v] = True
-        self.weight += self.g.weight[v]
+        w = self.g.weight[v]
+        self.weight += w
         self.free.discard(v)
+        tight, nbw, free = self.tight, self.nbw, self.free
         for u in self.g.adj[v]:
-            self.tight[u] += 1
-            self.free.discard(u)
+            tight[u] += 1
+            nbw[u] += w
+            free.discard(u)
 
     def drop(self, v: int) -> None:
         if not self.in_sol[v]:
             raise ValueError(f"vertex {v} is not in the solution")
         self.in_sol[v] = False
-        self.weight -= self.g.weight[v]
+        w = self.g.weight[v]
+        self.weight -= w
         if self.tight[v] == 0:
             self.free.add(v)
+        tight, nbw, in_sol = self.tight, self.nbw, self.in_sol
         for u in self.g.adj[v]:
-            self.tight[u] -= 1
-            if self.tight[u] == 0 and not self.in_sol[u]:
+            tight[u] -= 1
+            nbw[u] -= w
+            if tight[u] == 0 and not in_sol[u]:
                 self.free.add(u)
 
     def force_insert(self, v: int) -> None:
@@ -76,7 +87,8 @@ class SearchState:
         self.add(v)
 
     def audit(self) -> None:
-        """Raise when tightness, freeness or the weight cache drifted."""
+        """Raise when tightness, neighbor weight, freeness or the weight
+        cache drifted."""
         g = self.g
         total = 0
         for v in range(g.capacity):
@@ -89,6 +101,9 @@ class SearchState:
             t = sum(1 for u in g.adj[v] if self.in_sol[u])
             if t != self.tight[v]:
                 raise AssertionError(f"tightness drift at {v}: {self.tight[v]} != {t}")
+            w = sum(g.weight[u] for u in g.adj[v] if self.in_sol[u])
+            if w != self.nbw[v]:
+                raise AssertionError(f"neighbor-weight drift at {v}: {self.nbw[v]} != {w}")
             if self.in_sol[v] and t:
                 raise AssertionError(f"solution vertex {v} has solution neighbors")
             if (v in self.free) != (not self.in_sol[v] and t == 0):
@@ -105,9 +120,12 @@ def maximize_greedy(state: SearchState, order: str = "by_weight",
     ``uniform_random`` draws uniformly and needs ``rng``.
     """
     if order == "by_weight":
-        while state.free:
-            v = max(state.free, key=lambda u: (state.g.weight[u], -u))
-            state.add(v)
+        # Adding only ever shrinks the free set, so one pass in heaviest-
+        # first order picks what a fresh maximum at every step would.
+        weight, free = state.g.weight, state.free
+        for v in sorted(free, key=lambda u: (-weight[u], u)):
+            if v in free:
+                state.add(v)
     elif order == "uniform_random":
         if rng is None:
             raise ValueError("uniform_random order needs an rng")
@@ -117,18 +135,20 @@ def maximize_greedy(state: SearchState, order: str = "by_weight",
         raise ValueError(f"unknown order {order!r}")
 
 
-def omega_one_swap(state: SearchState, v: int) -> bool:
-    """Insert v and evict its solution neighbors when strictly improving."""
+def omega_one_swap(state: SearchState, v: int) -> list[int]:
+    """Insert v and evict its solution neighbors when strictly improving.
+
+    Returns the vertices that changed sides, v first; empty when the move
+    does not improve.
+    """
     g = state.g
-    if state.in_sol[v] or not g.alive[v]:
-        return False
-    evicted = [u for u in g.adj[v] if state.in_sol[u]]
-    if g.weight[v] <= sum(g.weight[u] for u in evicted):
-        return False
-    for u in sorted(evicted):
+    if state.in_sol[v] or not g.alive[v] or g.weight[v] <= state.nbw[v]:
+        return []
+    evicted = sorted(u for u in g.adj[v] if state.in_sol[u])
+    for u in evicted:
         state.drop(u)
     state.add(v)
-    return True
+    return [v] + evicted
 
 
 def _find_one_two_pair(state: SearchState, v: int) -> tuple[int, int] | None:
@@ -148,18 +168,22 @@ def _find_one_two_pair(state: SearchState, v: int) -> tuple[int, int] | None:
     return None
 
 
-def one_two_swap(state: SearchState, v: int) -> bool:
-    """Trade v for two of its 1-tight neighbors when strictly improving."""
+def one_two_swap(state: SearchState, v: int) -> list[int]:
+    """Trade v for two of its 1-tight neighbors when strictly improving.
+
+    Returns the vertices that changed sides, v first; empty when the move
+    does not improve.
+    """
     if not state.in_sol[v]:
-        return False
+        return []
     pair = _find_one_two_pair(state, v)
     if pair is None:
-        return False
+        return []
     x, y = pair
     state.drop(v)
     state.add(x)
     state.add(y)
-    return True
+    return [v, x, y]
 
 
 def vnd(state: SearchState, max_iterations: int = 15_000,
@@ -195,9 +219,9 @@ def vnd(state: SearchState, max_iterations: int = 15_000,
             if not g.alive[v] or state.in_sol[v]:
                 continue
             attempts += 1
-            evicted = [u for u in g.adj[v] if state.in_sol[u]]
-            if omega_one_swap(state, v):
-                requeue_around([v] + evicted)
+            flipped = omega_one_swap(state, v)
+            if flipped:
+                requeue_around(flipped)
         if attempts >= max_iterations:
             break
         # Second neighborhood: first improving two-for-one trade.
@@ -206,13 +230,9 @@ def vnd(state: SearchState, max_iterations: int = 15_000,
             if attempts >= max_iterations:
                 break
             attempts += 1
-            pair = _find_one_two_pair(state, v)
-            if pair is not None:
-                x, y = pair
-                state.drop(v)
-                state.add(x)
-                state.add(y)
-                requeue_around([v, x, y])
+            flipped = one_two_swap(state, v)
+            if flipped:
+                requeue_around(flipped)
                 traded = True
                 break
         if not traded and not queue:

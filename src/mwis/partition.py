@@ -169,26 +169,16 @@ def edge_partition(g: WeightedGraph, k: int, epsilon: float,
                      has_separator=False)
 
 
-def _cross_degree(g: WeightedGraph, block_of: dict[int, int], v: int,
-                  as_block: int, swapped: tuple[int, int] | None = None) -> int:
-    """Cut edges at v if it sat in ``as_block``; ``swapped`` simulates one
-    other vertex having traded blocks with v."""
-    count = 0
-    for z in g.adj[v]:
-        bz = block_of[z]
-        if swapped is not None and z == swapped[0]:
-            bz = swapped[1]
-        if bz != as_block:
-            count += 1
-    return count
-
-
 def _refine(g: WeightedGraph, block_of: dict[int, int], sizes: list[int],
             cap: int, k: int, passes: int) -> None:
     """Bounded local refinement: single moves, then cross-block swaps.
 
     Moves respect the size cap; swaps keep sizes unchanged, which matters
-    at epsilon=0 where every block is full.
+    at epsilon=0 where every block is full.  The swap phase tries every
+    pair of boundary vertices in two different blocks, in id order, and
+    takes each pair whose trade shrinks the cut.  It reads per-block
+    neighbor counts of the boundary vertices, built once per pass and
+    updated on every swap, so one pair test costs constant time.
     """
     for _ in range(passes):
         moved = False
@@ -214,18 +204,34 @@ def _refine(g: WeightedGraph, block_of: dict[int, int], sizes: list[int],
 
         boundary = sorted(v for v in block_of
                           if any(block_of[u] != block_of[v] for u in g.adj[v]))
+        nbr_counts: dict[int, list[int]] = {}
+        for x in boundary:
+            cx = nbr_counts[x] = [0] * k
+            for z in g.adj[x]:
+                cx[block_of[z]] += 1
         for i, u in enumerate(boundary):
             bu = block_of[u]
+            cu = nbr_counts[u]
+            adj_u = g.adj[u]
             for v in boundary[i + 1:]:
                 bv = block_of[v]
                 if bu == bv:
                     continue
-                old = (_cross_degree(g, block_of, u, bu)
-                       + _cross_degree(g, block_of, v, bv))
-                new = (_cross_degree(g, block_of, u, bv, swapped=(v, bu))
-                       + _cross_degree(g, block_of, v, bu, swapped=(u, bv)))
-                if new < old:
+                cv = nbr_counts[v]
+                # Change in the cut when u and v trade blocks.  The counts
+                # alone would score an edge u-v as healed at both ends, but
+                # it stays cut.
+                delta = cu[bu] - cu[bv] + cv[bv] - cv[bu]
+                if v in adj_u:
+                    delta += 2
+                if delta < 0:
                     block_of[u], block_of[v] = bv, bu
+                    for x, old, new in ((u, bu, bv), (v, bv, bu)):
+                        for z in g.adj[x]:
+                            cz = nbr_counts.get(z)
+                            if cz is not None:
+                                cz[old] -= 1
+                                cz[new] += 1
                     bu = bv
                     moved = True
         if not moved:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -29,6 +30,15 @@ def enumerate_alpha(g: WeightedGraph) -> tuple[int, set[int]]:
             if w > best_w:
                 best_w, best_set = w, set(combo)
     return best_w, best_set
+
+
+def geometric_graph(rng: random.Random, n: int, avg_degree: float) -> WeightedGraph:
+    """Uniform points in the unit square joined within a fixed radius."""
+    radius = math.sqrt(avg_degree / (math.pi * n))
+    pts = [(rng.random(), rng.random()) for _ in range(n)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if math.dist(pts[u], pts[v]) < radius]
+    return build_graph(edges, [rng.randint(0, 200) for _ in range(n)])
 
 
 def path(weights) -> WeightedGraph:

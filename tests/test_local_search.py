@@ -1,11 +1,13 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 from mwis import (SearchState, brute_force, build_graph, maximize_greedy,
                   omega_one_swap, one_two_swap, perturb, vnd)
-from conftest import clique, cycle, path, random_graph, star
+from mwis.local_search import _find_one_two_pair
+from conftest import clique, cycle, geometric_graph, path, random_graph, star
 
 
 def no_improving_move_exists(state) -> bool:
@@ -170,3 +172,116 @@ def test_tightness_invariants_after_operations(rng):
             state.audit()
         perturb(state, 2, rng)
         state.audit()
+
+
+def rescanning_vnd(state, max_iterations=15_000, rng=None):
+    """Reference: the descent that sums the evicted weights on every attempt."""
+    g = state.g
+    order = [v for v in range(g.capacity) if g.alive[v]]
+    if rng is not None:
+        rng.shuffle(order)
+    queue = deque(order)
+    inq = set(order)
+    attempts = 0
+
+    def requeue_around(flipped):
+        affected = set(flipped)
+        for f in flipped:
+            affected.update(g.adj[f])
+        for u in sorted(affected):
+            if g.alive[u] and u not in inq:
+                inq.add(u)
+                queue.append(u)
+
+    while attempts < max_iterations:
+        while queue and attempts < max_iterations:
+            v = queue.popleft()
+            inq.discard(v)
+            if not g.alive[v] or state.in_sol[v]:
+                continue
+            attempts += 1
+            evicted = [u for u in g.adj[v] if state.in_sol[u]]
+            if g.weight[v] > sum(g.weight[u] for u in evicted):
+                for u in sorted(evicted):
+                    state.drop(u)
+                state.add(v)
+                requeue_around([v] + evicted)
+        if attempts >= max_iterations:
+            break
+        traded = False
+        for v in sorted(state.members()):
+            if attempts >= max_iterations:
+                break
+            attempts += 1
+            pair = _find_one_two_pair(state, v)
+            if pair is not None:
+                x, y = pair
+                state.drop(v)
+                state.add(x)
+                state.add(y)
+                requeue_around([v, x, y])
+                traded = True
+                break
+        if not traded and not queue:
+            break
+    return attempts
+
+
+def max_scan_greedy(state):
+    """Reference: the heaviest free vertex (ties: lower id), found afresh."""
+    while state.free:
+        state.add(max(state.free, key=lambda u: (state.g.weight[u], -u)))
+
+
+def test_vnd_matches_rescanning_reference():
+    rng = random.Random(4242)
+    for trial in range(40):
+        n = rng.randint(5, 120)
+        g = (geometric_graph(rng, n, rng.choice([4, 8, 12])) if trial % 2
+             else random_graph(rng, n, rng.choice([0.05, 0.15, 0.4]), wlo=0, whi=50))
+        for v in rng.sample(range(n), n // 8):
+            g.remove_vertex(v)
+        start = SearchState(g)
+        maximize_greedy(start, "uniform_random", rng)
+        cap = rng.choice([15_000, rng.randint(0, 3 * n)])
+        seed = rng.randrange(1 << 30)
+        kept, ref = SearchState(g, start.members()), SearchState(g, start.members())
+        spent = vnd(kept, cap, random.Random(seed))
+        assert spent == rescanning_vnd(ref, cap, random.Random(seed))
+        assert kept.members() == ref.members()
+        kept.audit()
+
+
+def test_greedy_by_weight_matches_max_scan():
+    rng = random.Random(77)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 60), rng.choice([0.05, 0.2, 0.5]), wlo=0, whi=9)
+        members = [v for v in g.vertices() if rng.random() < 0.1]
+        members = [v for i, v in enumerate(members) if not g.adj[v] & set(members[:i])]
+        kept, ref = SearchState(g, members), SearchState(g, members)
+        maximize_greedy(kept, "by_weight")
+        max_scan_greedy(ref)
+        assert kept.members() == ref.members()
+        assert not kept.free
+
+
+def test_kept_tallies_survive_random_operations():
+    rng = random.Random(1312)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 25), rng.choice([0.1, 0.3, 0.6]), wlo=0, whi=30)
+        state = SearchState(g)
+        state.audit()
+        for _ in range(30):
+            v = rng.choice(g.vertices())
+            op = rng.randrange(5)
+            if op == 0 and state.is_free(v):
+                state.add(v)
+            elif op == 1 and state.in_sol[v]:
+                state.drop(v)
+            elif op == 2:
+                state.force_insert(v)
+            elif op == 3:
+                vnd(state, rng.randint(0, 40), rng)
+            else:
+                perturb(state, rng.randint(1, 3), rng)
+            state.audit()

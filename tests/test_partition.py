@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from mwis import (PartitionPool, build_graph, edge_partition,
                   separator_from, validate_partition, vertex_separator)
 from mwis.partition import max_block_size
-from conftest import clique, path, random_graph
+from conftest import clique, geometric_graph, path, random_graph
 
 
 def min_balanced_bisection_cut(g) -> int:
@@ -149,3 +150,83 @@ def test_dump_lists_block_per_vertex(rng):
     lines = part.dump().splitlines()
     assert len(lines) == 3
     assert lines[1] == "-1"  # the middle sits in the separator
+
+
+def _cross_degree(g, block_of, v, as_block, swapped=None):
+    """Cut edges at v if it sat in ``as_block``; ``swapped`` simulates one
+    other vertex having traded blocks with v."""
+    count = 0
+    for z in g.adj[v]:
+        bz = block_of[z]
+        if swapped is not None and z == swapped[0]:
+            bz = swapped[1]
+        if bz != as_block:
+            count += 1
+    return count
+
+
+def pairwise_refine(g, block_of, sizes, cap, k, passes):
+    """Reference: the refinement that rescans adjacency for every pair."""
+    for _ in range(passes):
+        moved = False
+        for v in sorted(block_of):
+            b = block_of[v]
+            counts = {}
+            for u in g.adj[v]:
+                bu = block_of[u]
+                counts[bu] = counts.get(bu, 0) + 1
+            here = counts.get(b, 0)
+            best_gain, target = 0, None
+            for t in range(k):
+                if t == b or sizes[t] >= cap:
+                    continue
+                gain = counts.get(t, 0) - here
+                if gain > best_gain:
+                    best_gain, target = gain, t
+            if target is not None and sizes[b] > 1:
+                block_of[v] = target
+                sizes[b] -= 1
+                sizes[target] += 1
+                moved = True
+
+        boundary = sorted(v for v in block_of
+                          if any(block_of[u] != block_of[v] for u in g.adj[v]))
+        for i, u in enumerate(boundary):
+            bu = block_of[u]
+            for v in boundary[i + 1:]:
+                bv = block_of[v]
+                if bu == bv:
+                    continue
+                old = (_cross_degree(g, block_of, u, bu)
+                       + _cross_degree(g, block_of, v, bv))
+                new = (_cross_degree(g, block_of, u, bv, swapped=(v, bu))
+                       + _cross_degree(g, block_of, v, bu, swapped=(u, bv)))
+                if new < old:
+                    block_of[u], block_of[v] = bv, bu
+                    bu = bv
+                    moved = True
+        if not moved:
+            break
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.03])
+@pytest.mark.parametrize("k", [2, 4, 8, 16, 32])
+def test_edge_partition_matches_pairwise_refine(k, epsilon, monkeypatch):
+    for seed in range(4):
+        g = geometric_graph(random.Random(seed), 150, 8) if seed % 2 else \
+            random_graph(random.Random(seed), 120, 0.05)
+        kept = edge_partition(g, k, epsilon, random.Random(seed))
+        with monkeypatch.context() as m:
+            m.setattr("mwis.partition._refine", pairwise_refine)
+            ref = edge_partition(g, k, epsilon, random.Random(seed))
+        assert kept.block_of == ref.block_of
+
+
+def test_sixteen_way_partition_of_a_thousand_vertices_is_fast():
+    # On a two-core x86-64 VM under CPython 3.11 this partition takes about
+    # 0.04 s; with every pair test rescanning adjacency it took 0.6 s.
+    g = geometric_graph(random.Random(1), 1000, 8)
+    start = time.perf_counter()
+    part = edge_partition(g, 16, 0.03, random.Random(2))
+    assert time.perf_counter() - start < 0.2
+    assert validate_partition(g, part) == []

@@ -4,7 +4,6 @@ Frozen expected values were derived from the enumeration oracle; each
 example also re-checks the offset identity against brute force.
 """
 
-import math
 import random
 
 import pytest
@@ -23,7 +22,7 @@ from mwis.reductions import (ALL_RULES, ReductionOrdering,
                              apply_twin, apply_v_shape, apply_v_shape_min,
                              critical_set, _attempt)
 from mwis.maxflow import DoubleCoverFlow, FlowNetwork
-from conftest import clique, cycle, path, random_graph, star
+from conftest import clique, cycle, geometric_graph, path, random_graph, star
 
 
 def only(rule: Rule) -> ReductionOrdering:
@@ -375,10 +374,12 @@ def test_cwis_isolated_vertices():
 def test_cwis_zero_surplus_flag():
     g = cycle([1, 1, 1, 1])
     events = []
-    fired = apply_cwis(g, events, allow_zero=True)
-    if fired:  # zero-surplus firing must still be sound
-        alpha_k, _ = brute_force(g)
-        assert events[0].offset_delta + alpha_k == 2
+    # The critical set read from the minimal min cut is empty here, so even
+    # a zero-surplus firing has nothing to bank.
+    assert critical_set(g) == (set(), 0)
+    assert not apply_cwis(g, events, allow_zero=True)
+    assert events == []
+    assert (g.adj, g.weight, g.alive) == (cycle([1, 1, 1, 1]).adj, [1] * 4, [True] * 4)
 
 
 def cold_critical_set(g):
@@ -443,15 +444,6 @@ def test_warm_critical_set_survives_rule_firings():
             if fired:
                 flow.invalidate(events[-1].touched())
                 assert critical_set(g, flow) == cold_critical_set(g)
-
-
-def geometric_graph(rng, n, avg_degree):
-    """Uniform points in the unit square joined within a fixed radius."""
-    radius = math.sqrt(avg_degree / (math.pi * n))
-    pts = [(rng.random(), rng.random()) for _ in range(n)]
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if math.dist(pts[u], pts[v]) < radius]
-    return build_graph(edges, [rng.randint(0, 200) for _ in range(n)])
 
 
 @pytest.mark.parametrize("allow_zero", [False, True])
