@@ -18,9 +18,8 @@ from .reductions import (ALL_RULES, Kernel, ORDERING_PRESETS, OrderingTrial,
                          undo_event)
 from .local_search import (SearchState, maximize_greedy, omega_one_swap,
                            one_two_swap, perturb, vnd)
-from .partition import (Partition, PartitionPool, SEPARATOR,
-                        StalePartitionError, edge_partition, separator_from,
-                        validate_partition, vertex_separator)
+from .partition import (Partition, PartitionPool, SEPARATOR, edge_partition,
+                        separator_from, validate_partition, vertex_separator)
 from .evolution import (EvolveBudget, EvolveParams, Individual, InitStrategy,
                         Population, build_initial, combine_edge_separator,
                         combine_multiway_edge_separator,
@@ -40,9 +39,9 @@ __all__ = [
     "OracleLimits", "OrderingTrial", "Partition", "PartitionPool",
     "Population", "ReductionEvent", "ReductionOrdering", "RoundStats",
     "Rule", "SEPARATOR", "SearchState", "SelectionConfig",
-    "SelectionStrategy", "SolveResult", "SolverConfig",
-    "StalePartitionError", "VerifyReport", "WeightedGraph", "brute_force",
-    "build_graph", "build_initial", "combine_edge_separator",
+    "SelectionStrategy", "SolveResult", "SolverConfig", "VerifyReport",
+    "WeightedGraph", "brute_force", "build_graph", "build_initial",
+    "combine_edge_separator",
     "combine_multiway_edge_separator", "combine_multiway_vertex_separator",
     "combine_vertex_separator", "edge_partition", "evolve", "exact_reduce",
     "format_solution", "heuristic_reduce", "independence_violations",

@@ -25,8 +25,8 @@ from .heuristic import SelectionStrategy
 from .metis_io import (GraphFormatError, compact_ids, format_solution,
                        parse_metis, parse_solution, write_metis)
 from .oracle import OracleBudgetError, OracleLimitError, OracleLimits, brute_force
-from .reductions import (ReductionEvent, exact_reduce, ordering_preset,
-                         run_ordering_experiment)
+from .reductions import (ORDERING_PRESETS, ReductionEvent, exact_reduce,
+                         ordering_preset, run_ordering_experiment)
 from .solver import SolverConfig, solve, verify
 
 EXIT_OK = 0
@@ -70,22 +70,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Maximum-weight independent set solver "
                     "(kernelization + memetic search).")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = SolverConfig()
+    orderings = list(ORDERING_PRESETS)
 
     ps = sub.add_parser("solve", help="run the full solver on an instance")
     ps.add_argument("instance", help="node-weighted METIS graph file")
-    ps.add_argument("--time-limit", type=float, default=36_000.0,
-                    help="wall-clock budget in seconds (default 36000)")
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--population-size", type=int, default=250)
-    ps.add_argument("--pool-size", type=int, default=10)
-    ps.add_argument("--ls-iterations", type=int, default=15_000)
-    ps.add_argument("--max-blocks", type=int, default=64)
-    ps.add_argument("--mutation-prob", type=float, default=0.10)
-    ps.add_argument("--unsuccessful-limit", type=int, default=1000)
-    ps.add_argument("--ordering", default="baseline",
-                    choices=["baseline", "time", "weight", "time_weight", "best_perm"])
-    ps.add_argument("--selection", default="hybrid", choices=sorted(_SELECTION_FLAGS))
-    ps.add_argument("--selection-fraction", type=float, default=None,
+    ps.add_argument("--time-limit", type=float, default=defaults.time_limit,
+                    help="wall-clock budget in seconds (default %(default)s)")
+    ps.add_argument("--seed", type=int, default=defaults.seed)
+    ps.add_argument("--population-size", type=int, default=defaults.population_size)
+    ps.add_argument("--pool-size", type=int, default=defaults.pool_size)
+    ps.add_argument("--ls-iterations", type=int, default=defaults.ls_iterations)
+    ps.add_argument("--max-blocks", type=int, default=defaults.max_blocks)
+    ps.add_argument("--mutation-prob", type=float, default=defaults.mutation_prob)
+    ps.add_argument("--unsuccessful-limit", type=int,
+                    default=defaults.unsuccessful_limit)
+    ps.add_argument("--ordering", default=defaults.ordering, choices=orderings)
+    ps.add_argument("--selection", choices=sorted(_SELECTION_FLAGS),
+                    default=next(flag for flag, kind in _SELECTION_FLAGS.items()
+                                 if kind is defaults.selection))
+    ps.add_argument("--selection-fraction", type=float,
+                    default=defaults.selection_fraction,
                     help="force this fraction of the fittest solution per round "
                          "(default: a single vertex)")
     ps.add_argument("--output", default=None,
@@ -95,8 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("reduce", help="kernelize an instance and emit the kernel")
     pr.add_argument("instance")
-    pr.add_argument("--ordering", default="baseline",
-                    choices=["baseline", "time", "weight", "time_weight", "best_perm"])
+    pr.add_argument("--ordering", default=defaults.ordering, choices=orderings)
     pr.add_argument("--output", default=None,
                     help="kernel graph path (default: <instance>.kernel)")
     pr.add_argument("--sidecar", default=None,

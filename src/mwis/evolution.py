@@ -38,14 +38,13 @@ class Individual:
 
     members: frozenset[int]
     weight: int
-    generation: int
 
     def intersection_size(self, other: "Individual") -> int:
         return len(self.members & other.members)
 
 
 def _individual_from_state(state: SearchState) -> Individual:
-    return Individual(frozenset(state.members()), state.weight, state.g.generation)
+    return Individual(frozenset(state.members()), state.weight)
 
 
 def make_individual(g: WeightedGraph, members) -> Individual:
@@ -53,7 +52,7 @@ def make_individual(g: WeightedGraph, members) -> Individual:
     if not is_independent(g, members):
         raise ValueError("members are not an independent set")
     mem = frozenset(members)
-    return Individual(mem, sum(g.weight[v] for v in mem), g.generation)
+    return Individual(mem, sum(g.weight[v] for v in mem))
 
 
 # -- initial constructors ----------------------------------------------------
@@ -194,7 +193,6 @@ def combine_vertex_separator(g: WeightedGraph, part: Partition,
     With no edges between blocks, both raw offspring are independent before
     any repair; separator vertices only re-enter through maximization.
     """
-    part.check_fresh(g)
     if part.k != 2 or not part.has_separator:
         raise ValueError("needs a 2-way partition with a separator")
     v1, v2 = _split_blocks(part)
@@ -209,7 +207,6 @@ def combine_multiway_vertex_separator(g: WeightedGraph, part: Partition,
                                       ls_iterations: int = 15_000,
                                       rng: random.Random | None = None) -> Individual:
     """Give each separator block to the parent weighing most inside it."""
-    part.check_fresh(g)
     if not part.has_separator:
         raise ValueError("needs a partition with a separator")
     if len(parents) != part.k:
@@ -247,6 +244,12 @@ def _min_weight_bipartite_cover(g: WeightedGraph, edges: list[tuple[int, int]],
     return cover
 
 
+def _uncovered_edges(g: WeightedGraph, free: set[int]) -> list[tuple[int, int]]:
+    """Sorted edges (u, v), u < v, with both ends in ``free``, the alive
+    vertices outside a cover; only their neighborhoods are scanned."""
+    return sorted((u, v) for u in free for v in g.adj[u] if u < v and v in free)
+
+
 def exchanged_covers(g: WeightedGraph, part: Partition,
                      first: Individual, second: Individual) -> list[set[int]]:
     """Both cover exchanges across a 2-way edge partition, repaired.
@@ -255,7 +258,6 @@ def exchanged_covers(g: WeightedGraph, part: Partition,
     uncovered by the exchange induce a bipartite graph, repaired with an
     exact minimum-weight cover.  Each returned set covers every alive edge.
     """
-    part.check_fresh(g)
     if part.k != 2 or part.has_separator:
         raise ValueError("needs a plain 2-way edge partition")
     v1, v2 = _split_blocks(part)
@@ -264,7 +266,7 @@ def exchanged_covers(g: WeightedGraph, part: Partition,
     c2 = alive - second.members
     out = []
     for cover in ((c1 & v1) | (c2 & v2), (c2 & v1) | (c1 & v2)):
-        uncovered = [(u, v) for u, v in g.edges() if u not in cover and v not in cover]
+        uncovered = _uncovered_edges(g, alive - cover)
         if uncovered:
             cover = cover | _min_weight_bipartite_cover(g, uncovered, v1)
         out.append(cover)
@@ -293,7 +295,6 @@ def combine_multiway_edge_separator(g: WeightedGraph, part: Partition,
     and take the endpoint with the smaller weight per still-uncovered
     incident edge.
     """
-    part.check_fresh(g)
     if part.has_separator:
         raise ValueError("needs an edge partition, not a separator")
     if len(parents) != part.k:
@@ -308,7 +309,7 @@ def combine_multiway_edge_separator(g: WeightedGraph, part: Partition,
         winner = min(range(len(parents)), key=lambda i: (scores[i], i))
         cover |= block - parents[winner].members
 
-    uncovered = [(u, v) for u, v in g.edges() if u not in cover and v not in cover]
+    uncovered = _uncovered_edges(g, alive - cover)
     if uncovered:
         udeg: dict[int, int] = {}
         for u, v in uncovered:
@@ -395,7 +396,6 @@ class EvolveParams:
 def evolve(g: WeightedGraph, pop: Population, rng: random.Random,
            budget: EvolveBudget | None = None,
            params: EvolveParams | None = None,
-           pool: PartitionPool | None = None,
            on_improve: Callable[[int, int], None] | None = None) -> Population:
     """Run combine/mutate/replace rounds until the budget is exhausted.
 
@@ -407,9 +407,8 @@ def evolve(g: WeightedGraph, pop: Population, rng: random.Random,
     params = params or EvolveParams()
     if g.live_count < 2:
         return pop
-    if pool is None:
-        pool = PartitionPool(g, capacity=params.pool_size,
-                             epsilon=params.epsilon, max_blocks=params.max_blocks)
+    pool = PartitionPool(g, capacity=params.pool_size,
+                         epsilon=params.epsilon, max_blocks=params.max_blocks)
 
     best_weight = pop.best().weight
     unsuccessful = 0

@@ -1,10 +1,10 @@
 """Mutable vertex-weighted undirected graph with removal/restore support.
 
-All solver stages rewrite one shared graph: reductions delete or reweight
+The solver works on one shared graph: reductions delete or reweight
 vertices, fold groups into fresh vertices, and occasionally rewire a
-neighborhood.  Every mutation is cheap to undo (the kernelizer keeps
-snapshots), vertex ids stay stable for the lifetime of the graph, and a
-generation counter lets downstream caches detect staleness.
+neighborhood; forcing deletes vertices; the evolutionary search only
+reads it.  Every mutation is cheap to undo (the kernelizer keeps
+snapshots), and vertex ids stay stable for the lifetime of the graph.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class WeightedGraph:
     """
 
     __slots__ = ("n_original", "adj", "weight", "alive", "live_count",
-                 "live_edges", "generation")
+                 "live_edges")
 
     def __init__(self, weights: Sequence[int]):
         for w in weights:
@@ -38,7 +38,6 @@ class WeightedGraph:
         self.alive: list[bool] = [True] * len(weights)
         self.live_count = len(weights)
         self.live_edges = 0
-        self.generation = 0
 
     # -- queries ---------------------------------------------------------
 
@@ -102,7 +101,6 @@ class WeightedGraph:
         self.alive[v] = False
         self.live_count -= 1
         self.live_edges -= len(snapshot)
-        self.generation += 1
         return snapshot
 
     def restore_vertex(self, v: int, neighbors: Iterable[int]) -> None:
@@ -116,14 +114,12 @@ class WeightedGraph:
         self.alive[v] = True
         self.live_count += 1
         self.live_edges += len(nbrs)
-        self.generation += 1
 
     def set_vertex_weight(self, v: int, w: int) -> None:
         self._check_alive(v)
         if w < 0:
             raise GraphError(f"negative weight {w} for vertex {v}")
         self.weight[v] = w
-        self.generation += 1
 
     def add_edge(self, u: int, v: int) -> None:
         self._check_alive(u)
@@ -135,7 +131,6 @@ class WeightedGraph:
         self.adj[u].add(v)
         self.adj[v].add(u)
         self.live_edges += 1
-        self.generation += 1
 
     def remove_edge(self, u: int, v: int) -> None:
         self._check_alive(u)
@@ -145,7 +140,6 @@ class WeightedGraph:
         self.adj[u].discard(v)
         self.adj[v].discard(u)
         self.live_edges -= 1
-        self.generation += 1
 
     def add_vertex(self, w: int) -> int:
         """Append a fresh isolated vertex (used for fold products)."""
@@ -156,7 +150,6 @@ class WeightedGraph:
         self.weight.append(w)
         self.alive.append(True)
         self.live_count += 1
-        self.generation += 1
         return v
 
     def pop_last_vertex(self) -> None:
@@ -169,7 +162,6 @@ class WeightedGraph:
         self.adj.pop()
         self.weight.pop()
         self.alive.pop()
-        self.generation += 1
 
     def copy(self) -> "WeightedGraph":
         g = WeightedGraph.__new__(WeightedGraph)
@@ -179,7 +171,6 @@ class WeightedGraph:
         g.alive = list(self.alive)
         g.live_count = self.live_count
         g.live_edges = self.live_edges
-        g.generation = self.generation
         return g
 
     # -- validation ------------------------------------------------------

@@ -45,8 +45,12 @@ class SelectionConfig:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
 
 
-def _participation_count(pop: Population, v: int) -> int:
-    return sum(1 for ind in pop.individuals if v in ind.members)
+def _participation(count: int, w: int, pop: Population) -> Fraction:
+    """Participation ``count`` with ties broken toward heavier vertices; a
+    zero-weight vertex ranks below every positive-weight one."""
+    if w == 0:
+        return Fraction(count) - (len(pop.individuals) + 2)
+    return Fraction(count) - Fraction(1, w)
 
 
 def rate(kind: SelectionStrategy, g: WeightedGraph, pop: Population,
@@ -68,10 +72,8 @@ def rate(kind: SelectionStrategy, g: WeightedGraph, pop: Population,
     if kind is SelectionStrategy.HYBRID:
         return Fraction(g.weight[v] - g.neighborhood_weight(v))
     if kind is SelectionStrategy.SOLUTION_PARTICIPATION:
-        count = _participation_count(pop, v)
-        if g.weight[v] == 0:
-            return Fraction(count) - (len(pop.individuals) + 2)
-        return Fraction(count) - Fraction(1, g.weight[v])
+        count = sum(1 for ind in pop.individuals if v in ind.members)
+        return _participation(count, g.weight[v], pop)
     raise ValueError(f"unknown strategy {kind}")
 
 
@@ -86,33 +88,29 @@ def heuristic_reduce(g: WeightedGraph, pop: Population,
     """
     if not pop.individuals:
         raise ValueError("population is empty")
-    fittest = pop.best()
     if selection.kind is SelectionStrategy.SOLUTION_PARTICIPATION:
         candidates = g.vertices()
         take = 1
-    else:
-        candidates = sorted(fittest.members)
-        if selection.fraction is None:
-            take = 1
-        else:
-            take = max(1, int(selection.fraction * len(candidates)))
-    if not candidates:
-        return set()
-
-    counts = None
-    if selection.kind is SelectionStrategy.SOLUTION_PARTICIPATION:
-        counts = {v: 0 for v in candidates}
+        # One pass over the population instead of one per candidate.
+        counts = dict.fromkeys(candidates, 0)
         for ind in pop.individuals:
             for v in ind.members:
                 if v in counts:
                     counts[v] += 1
 
-    def score(v: int) -> Fraction:
-        if counts is not None:
-            if g.weight[v] == 0:
-                return Fraction(counts[v]) - (len(pop.individuals) + 2)
-            return Fraction(counts[v]) - Fraction(1, g.weight[v])
-        return rate(selection.kind, g, pop, v)
+        def score(v: int) -> Fraction:
+            return _participation(counts[v], g.weight[v], pop)
+    else:
+        candidates = sorted(pop.best().members)
+        if selection.fraction is None:
+            take = 1
+        else:
+            take = max(1, int(selection.fraction * len(candidates)))
+
+        def score(v: int) -> Fraction:
+            return rate(selection.kind, g, pop, v)
+    if not candidates:
+        return set()
 
     ranked = sorted(candidates, key=lambda v: (-score(v), v))
     forced = set(ranked[:take])

@@ -4,8 +4,8 @@ Blocks are grown by multi-source BFS from random seeds under a hard size
 cap, then polished by a bounded boundary-refinement sweep.  A vertex
 separator is extracted from an edge partition by covering every cut edge;
 separator vertices are exempt from the balance bound.  A small pool keeps
-partitions of assorted block counts ready for the combine operators and
-invalidates itself whenever the graph mutates.
+partitions of assorted block counts ready for the combine operators; it
+lives for one evolve call, during which the graph does not change.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ SEPARATOR = -1
 POOL_BLOCK_CHOICES = (2, 4, 8, 16, 32, 64)
 
 
-class StalePartitionError(RuntimeError):
-    """Partition used against a graph that mutated since it was built."""
-
-
 @dataclass(frozen=True)
 class Partition:
     """Immutable block assignment over the alive vertices of one graph state.
@@ -38,7 +34,6 @@ class Partition:
     k: int
     epsilon: float
     block_of: dict[int, int]
-    generation: int
     max_block_size: int
     has_separator: bool
 
@@ -60,18 +55,12 @@ class Partition:
 
     def cut_edges(self, g: WeightedGraph) -> list[tuple[int, int]]:
         """Alive edges joining two distinct non-separator blocks."""
-        self.check_fresh(g)
         out = []
         for u, v in g.edges():
             bu, bv = self.block_of[u], self.block_of[v]
             if bu != bv and bu != SEPARATOR and bv != SEPARATOR:
                 out.append((u, v))
         return out
-
-    def check_fresh(self, g: WeightedGraph) -> None:
-        if g.generation != self.generation:
-            raise StalePartitionError(
-                f"partition built at generation {self.generation}, graph is at {g.generation}")
 
 
 def max_block_size(n: int, k: int, epsilon: float) -> int:
@@ -165,8 +154,7 @@ def edge_partition(g: WeightedGraph, k: int, epsilon: float,
 
     _refine(g, block_of, sizes, cap, k, passes=2)
     return Partition(k=k, epsilon=epsilon, block_of=block_of,
-                     generation=g.generation, max_block_size=cap,
-                     has_separator=False)
+                     max_block_size=cap, has_separator=False)
 
 
 def _refine(g: WeightedGraph, block_of: dict[int, int], sizes: list[int],
@@ -245,7 +233,6 @@ def separator_from(g: WeightedGraph, part: Partition) -> Partition:
     the endpoint with the higher remaining cut degree wins, with graph
     degree and then lower id breaking ties (hubs make better separators).
     """
-    part.check_fresh(g)
     block_of = dict(part.block_of)
     cut = part.cut_edges(g)
     incident: dict[int, set[tuple[int, int]]] = {}
@@ -261,7 +248,6 @@ def separator_from(g: WeightedGraph, part: Partition) -> Partition:
         block_of[pick] = SEPARATOR
         remaining -= incident[pick]
     return Partition(k=part.k, epsilon=part.epsilon, block_of=block_of,
-                     generation=part.generation,
                      max_block_size=part.max_block_size, has_separator=True)
 
 
@@ -280,14 +266,13 @@ class _PoolEntry:
 
 @dataclass
 class PartitionPool:
-    """Capacity-bounded cache of partitions over the current graph state."""
+    """Capacity-bounded cache of partitions of one unchanging graph."""
 
     g: WeightedGraph
     capacity: int = 10
     epsilon: float = 0.03
     max_blocks: int = 64
     _entries: list[_PoolEntry] = field(default_factory=list)
-    _generation: int = -1
 
     def _block_choices(self) -> list[int]:
         live = self.g.live_count
@@ -302,16 +287,15 @@ class PartitionPool:
             _PoolEntry(k=k, edge=edge_partition(self.g, k, self.epsilon, rng))
             for k in (rng.choice(choices) for _ in range(self.capacity))
         ]
-        self._generation = self.g.generation
 
     def fetch(self, want_separator: bool, rng: random.Random,
               k: int | None = None) -> Partition:
         """Uniformly random pool entry matching the request.
 
-        A stale or empty pool refills first; a missing block count is built
-        on demand and replaces a random entry.
+        An empty pool fills first; a missing block count is built on demand
+        and replaces a random entry.
         """
-        if self._generation != self.g.generation or not self._entries:
+        if not self._entries:
             self._fill(rng)
         matching = [e for e in self._entries if k is None or e.k == k]
         if not matching:

@@ -437,16 +437,18 @@ def critical_set(g: WeightedGraph,
 
 
 def apply_cwis(g: WeightedGraph, events: list[ReductionEvent],
-               allow_zero: bool = False, flow: DoubleCoverFlow | None = None) -> bool:
-    """Bank the critical independent set when its surplus is positive.
+               flow: DoubleCoverFlow | None = None) -> bool:
+    """Bank the critical independent set when it is nonempty.
 
-    ``allow_zero`` additionally fires on a nonempty set of surplus zero;
-    ``flow`` is passed on to :func:`critical_set`.
+    The minimal min cut yields the smallest set of best surplus.  When the
+    best surplus is zero the empty set attains it, so a nonempty set
+    always has a positive surplus.  ``flow`` is passed on to
+    :func:`critical_set`.
     """
     chosen, value = critical_set(g, flow)
-    if not chosen or value < 0 or (value == 0 and not allow_zero):
+    if not chosen:
         return False
-    assert is_independent(g, chosen)
+    assert value > 0 and is_independent(g, chosen)
     doomed = set()
     for v in chosen:
         doomed.update(g.adj[v])
@@ -664,8 +666,7 @@ class Kernel:
 
 
 def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
-                 events: list[ReductionEvent] | None = None,
-                 allow_zero_cwis: bool = False) -> Kernel:
+                 events: list[ReductionEvent] | None = None) -> Kernel:
     """Apply the rules exhaustively in the given ordering.
 
     Each rule drains its dirty-candidate queue; after any firing the rule
@@ -684,7 +685,7 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
         if rule is Rule.CWIS:
             if sched.cwis_pending:
                 sched.cwis_pending = False
-                fired = apply_cwis(g, events, allow_zero_cwis, sched.flow)
+                fired = apply_cwis(g, events, sched.flow)
         else:
             queue, inq = sched.queues[rule], sched.inq[rule]
             while queue:
@@ -764,8 +765,7 @@ class OrderingTrial:
     kernel_ratio: float
 
 
-def run_ordering_experiment(g: WeightedGraph, mode: str,
-                            allow_zero_cwis: bool = False) -> list[OrderingTrial]:
+def run_ordering_experiment(g: WeightedGraph, mode: str) -> list[OrderingTrial]:
     """Reduce copies of ``g`` under a family of orderings.
 
     Modes: ``disable_one`` drops each baseline rule in turn (13 rows);
@@ -775,8 +775,7 @@ def run_ordering_experiment(g: WeightedGraph, mode: str,
         base = ordering_preset("baseline")
         orderings = [base.without(rule) for rule in base.sequence]
     elif mode == "preset_sweep":
-        orderings = [ordering_preset(name) for name in
-                     ("baseline", "time", "weight", "time_weight", "best_perm")]
+        orderings = [ordering_preset(name) for name in ORDERING_PRESETS]
     else:
         raise ValueError(f"unknown mode {mode!r}; use disable_one or preset_sweep")
 
@@ -785,7 +784,7 @@ def run_ordering_experiment(g: WeightedGraph, mode: str,
     for ordering in orderings:
         work = g.copy()
         start = time.perf_counter()
-        kernel = exact_reduce(work, ordering, allow_zero_cwis=allow_zero_cwis)
+        kernel = exact_reduce(work, ordering)
         elapsed = time.perf_counter() - start
         rows.append(OrderingTrial(
             label=ordering.name,

@@ -37,7 +37,6 @@ class SolverConfig:
     selection: SelectionStrategy = SelectionStrategy.HYBRID
     selection_fraction: Optional[float] = None
     epsilon: float = 0.03
-    cwis_at_zero: bool = False
 
     def __post_init__(self):
         for name in ("population_size", "pool_size", "ls_iterations",
@@ -116,7 +115,7 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
         return time.monotonic() >= deadline or (should_stop is not None and should_stop())
 
     while True:
-        exact_reduce(g, ordering, events, allow_zero_cwis=config.cwis_at_zero)
+        exact_reduce(g, ordering, events)
         if g.live_count == 0:
             break
         offset = sum(ev.offset_delta for ev in events)

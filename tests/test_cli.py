@@ -1,8 +1,11 @@
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from mwis.cli import main
+from mwis import ORDERING_PRESETS, SolverConfig
+from mwis.cli import _SELECTION_FLAGS, _build_parser, main
 
 P3 = "3 2 10\n5 2\n1 1 3\n5 2\n"
 SOLVE_FAST = ["--population-size", "30", "--unsuccessful-limit", "40",
@@ -14,6 +17,24 @@ def instance(tmp_path):
     p = tmp_path / "p3.graph"
     p.write_text(P3, encoding="utf-8")
     return p
+
+
+def _choices(parser, command, dest):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
+
+
+def test_solve_flags_default_to_the_solver_config():
+    parser = _build_parser()
+    args = vars(parser.parse_args(["solve", "g.graph"]))
+    defaults = dataclasses.asdict(SolverConfig())
+    shared = sorted(defaults.keys() & args.keys())
+    assert sorted(defaults.keys() - args.keys()) == ["epsilon", "force_after"]
+    args["selection"] = _SELECTION_FLAGS[args["selection"]]
+    assert {k: args[k] for k in shared} == {k: defaults[k] for k in shared}
+    assert parser.parse_args(["reduce", "g.graph"]).ordering == SolverConfig().ordering
+    for command in ("solve", "reduce"):
+        assert _choices(parser, command, "ordering") == list(ORDERING_PRESETS)
 
 
 def test_solve_writes_solution_and_record(instance, tmp_path, capsys):

@@ -1,23 +1,23 @@
 import random
+from collections import Counter
 
 import pytest
 
+from mwis import evolution
 from mwis import (EvolveBudget, EvolveParams, Individual, InitStrategy,
-                  Partition, Population, SEPARATOR, SearchState,
-                  StalePartitionError, brute_force, build_graph,
-                  build_initial, combine_edge_separator,
+                  Partition, Population, SEPARATOR, SearchState, brute_force,
+                  build_graph, build_initial, combine_edge_separator,
                   combine_multiway_edge_separator,
                   combine_multiway_vertex_separator, combine_vertex_separator,
-                  evolve, initial_population, is_independent, make_individual,
-                  mutate, replace, tournament_select)
-from conftest import path, random_graph, star
+                  evolve, exact_reduce, initial_population, is_independent,
+                  make_individual, mutate, replace, tournament_select)
+from conftest import geometric_graph, path, random_graph, star
 
 
 def manual_partition(g, block_of, k=2, has_separator=False):
     cap = g.live_count  # loose bound; balance is not under test here
     return Partition(k=k, epsilon=1.0, block_of=dict(block_of),
-                     generation=g.generation, max_block_size=cap,
-                     has_separator=has_separator)
+                     max_block_size=cap, has_separator=has_separator)
 
 
 def assert_maximal(g, ind):
@@ -105,18 +105,9 @@ def test_vertex_separator_identical_parents(rng):
 def test_vertex_separator_empty_parents(rng):
     g = path([5, 1, 5])
     part = manual_partition(g, {0: 0, 1: SEPARATOR, 2: 1}, has_separator=True)
-    empty = Individual(frozenset(), 0, g.generation)
+    empty = Individual(frozenset(), 0)
     o1, _ = combine_vertex_separator(g, part, empty, empty, 200, rng)
     assert_maximal(g, o1)  # maximization alone fills the offspring
-
-
-def test_stale_partition_rejected(rng):
-    g = path([5, 1, 5])
-    part = manual_partition(g, {0: 0, 1: SEPARATOR, 2: 1}, has_separator=True)
-    ind = make_individual(g, {0, 2})
-    g.set_vertex_weight(1, 2)
-    with pytest.raises(StalePartitionError):
-        combine_vertex_separator(g, part, ind, ind, 200, rng)
 
 
 def test_multiway_vertex_separator_blockwise_winners(rng):
@@ -304,3 +295,42 @@ def test_evolve_emits_improvements(rng):
            EvolveParams(ls_iterations=300),
            on_improve=lambda it, w: seen.append((it, w)))
     assert all(w2 > w1 for (_, w1), (_, w2) in zip(seen, seen[1:]))
+
+
+def _kernels():
+    """Reduced random graphs (dead ids, fold ids past n) and geometric
+    graphs with dead ids, as solve hands kernels to evolve."""
+    for seed in range(3):
+        g = random_graph(random.Random(seed), 70, 0.08, wlo=0)
+        exact_reduce(g)
+        yield g
+        rng = random.Random(100 + seed)
+        g = geometric_graph(rng, 120, 8)
+        for v in rng.sample(range(120), 12):
+            g.remove_vertex(v)
+        yield g
+
+
+def test_evolve_only_reads_the_kernel(monkeypatch):
+    # Partitions and individuals carry no graph state of their own; this is
+    # the invariant that makes that safe.
+    calls = Counter()
+    for name in ("combine_vertex_separator", "combine_multiway_vertex_separator",
+                 "combine_edge_separator", "combine_multiway_edge_separator",
+                 "mutate"):
+        def counted(*args, _name=name, _fn=getattr(evolution, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(evolution, name, counted)
+    for g in _kernels():
+        assert g.live_count > 20
+        before = ([set(a) for a in g.adj], list(g.weight), list(g.alive),
+                  g.live_count, g.live_edges)
+        rng = random.Random(g.live_count)
+        pop = initial_population(g, 12, rng)
+        evolve(g, pop, rng, EvolveBudget(unsuccessful_limit=10**6, max_rounds=40),
+               EvolveParams(ls_iterations=300, mutation_prob=0.5, pool_size=4))
+        after = ([set(a) for a in g.adj], list(g.weight), list(g.alive),
+                 g.live_count, g.live_edges)
+        assert after == before
+    assert len(calls) == 5 and min(calls.values()) >= 10

@@ -122,9 +122,3 @@ def test_audit_catches_random_mutation_sequences():
                     g.add_edge(v, rng.choice(others))
             g.audit()
 
-
-def test_generation_bumps_on_mutation():
-    g = path([1, 1, 1])
-    g0 = g.generation
-    g.set_vertex_weight(0, 2)
-    assert g.generation > g0

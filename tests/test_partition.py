@@ -111,16 +111,6 @@ def test_pool_fills_to_capacity(rng):
     assert len(pool._entries) == 10
 
 
-def test_pool_discards_stale_entries(rng):
-    g = random_graph(random.Random(3), 20, 0.25)
-    pool = PartitionPool(g, capacity=4)
-    first = pool.fetch(want_separator=False, rng=rng)
-    g.remove_vertex(g.vertices()[0])
-    second = pool.fetch(want_separator=False, rng=rng)
-    assert second.generation == g.generation
-    assert all(e.edge.generation == g.generation for e in pool._entries)
-
-
 def test_pool_builds_separator_on_demand(rng):
     g = random_graph(random.Random(4), 16, 0.3)
     pool = PartitionPool(g, capacity=3)

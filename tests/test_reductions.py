@@ -4,13 +4,14 @@ Frozen expected values were derived from the enumeration oracle; each
 example also re-checks the offset identity against brute force.
 """
 
+import itertools
 import random
 
 import pytest
 
 from mwis import (Kernel, ORDERING_PRESETS, Rule, brute_force, build_graph,
                   exact_reduce, is_independent, ordering_preset, reconstruct,
-                  run_ordering_experiment, undo_event)
+                  run_ordering_experiment, set_weight, undo_event)
 from mwis.reductions import (ALL_RULES, ReductionOrdering,
                              apply_basic_single_edge, apply_cwis,
                              apply_degree_one, apply_domination,
@@ -374,10 +375,10 @@ def test_cwis_isolated_vertices():
 def test_cwis_zero_surplus_flag():
     g = cycle([1, 1, 1, 1])
     events = []
-    # The critical set read from the minimal min cut is empty here, so even
-    # a zero-surplus firing has nothing to bank.
+    # Nonempty independent sets of surplus zero exist here ({0, 2}), but the
+    # critical set read from the minimal min cut is empty, so nothing fires.
     assert critical_set(g) == (set(), 0)
-    assert not apply_cwis(g, events, allow_zero=True)
+    assert not apply_cwis(g, events)
     assert events == []
     assert (g.adj, g.weight, g.alive) == (cycle([1, 1, 1, 1]).adj, [1] * 4, [True] * 4)
 
@@ -424,6 +425,29 @@ def test_critical_set_matches_cold_reference():
         assert critical_set(g, flow) == cold_critical_set(g)  # unchanged graph
 
 
+def test_nonempty_critical_set_has_positive_surplus():
+    # The minimal min cut is the smallest set of best surplus, and the empty
+    # set already reaches surplus zero, so no zero-surplus set comes back
+    # and CWIS fires exactly when the set is nonempty.  Count the graphs
+    # where a nonempty independent set ties the empty one at surplus zero,
+    # so the check is known to meet that case.
+    rng = random.Random(2718)
+    ties = 0
+    for _ in range(1500):
+        g = random_graph(rng, rng.randint(1, 8), rng.choice([0.1, 0.25, 0.4, 0.6]),
+                         wlo=0, whi=rng.choice([1, 2, 4]))
+        chosen, value = critical_set(g)
+        assert (not chosen and value == 0) or (chosen and value > 0)
+        surpluses = []
+        for r in range(1, g.live_count + 1):
+            for combo in itertools.combinations(g.vertices(), r):
+                if is_independent(g, combo):
+                    outside = set().union(*(g.adj[v] for v in combo))
+                    surpluses.append(set_weight(g, combo) - set_weight(g, outside))
+        ties += max(surpluses) == 0
+    assert ties >= 50
+
+
 def test_warm_critical_set_survives_rule_firings():
     # Every firing reports its touched vertices to the flow, as the reduce
     # loop does; the warm answer must match a cold solve after each one.
@@ -438,7 +462,7 @@ def test_warm_critical_set_survives_rule_firings():
             if g.is_empty:
                 break
             if rng.random() < 0.1:
-                fired = apply_cwis(g, events, rng.random() < 0.5, flow)
+                fired = apply_cwis(g, events, flow)
             else:
                 fired = _attempt(g, rng.choice(queued), rng.choice(g.vertices()), events)
             if fired:
@@ -446,10 +470,15 @@ def test_warm_critical_set_survives_rule_firings():
                 assert critical_set(g, flow) == cold_critical_set(g)
 
 
-@pytest.mark.parametrize("allow_zero", [False, True])
+@pytest.mark.parametrize("tied_weights", [False, True])
 @pytest.mark.parametrize("preset", sorted(ORDERING_PRESETS))
-def test_exact_reduce_matches_cold_critical_set(preset, allow_zero, monkeypatch):
-    g = geometric_graph(random.Random(preset), 200, 8)
+def test_exact_reduce_matches_cold_critical_set(preset, tied_weights, monkeypatch):
+    # Weights in 0-2 make many independent sets tie at surplus zero, where
+    # the minimal min cut must still come back empty on both paths.
+    rng = random.Random(preset)
+    g = geometric_graph(rng, 200, 8)
+    if tied_weights:
+        g = build_graph(g.edges(), [rng.randint(0, 2) for _ in range(g.n_original)])
     cold_calls = []
 
     def cold(h, flow=None):
@@ -461,7 +490,7 @@ def test_exact_reduce_matches_cold_critical_set(preset, allow_zero, monkeypatch)
         if patched:
             monkeypatch.setattr("mwis.reductions.critical_set", cold)
         work, events = g.copy(), []
-        exact_reduce(work, ordering_preset(preset), events, allow_zero)
+        exact_reduce(work, ordering_preset(preset), events)
         runs.append(([(ev.rule, ev.decided, ev.offset_delta) for ev in events],
                      work.adj, work.weight, work.alive))
     assert cold_calls and runs[0] == runs[1]
