@@ -175,6 +175,17 @@ def _finish(g: WeightedGraph, members: set[int], ls_iterations: int,
     return _individual_from_state(state)
 
 
+def _block_weights(g: WeightedGraph, part: Partition, vertices) -> list[int]:
+    """Weight of ``vertices`` inside each block of ``part`` (one pass)."""
+    out = [0] * part.k
+    block_of, weight = part.block_of, g.weight
+    for v in vertices:
+        b = block_of.get(v, SEPARATOR)
+        if b != SEPARATOR:
+            out[b] += weight[v]
+    return out
+
+
 def _split_blocks(part: Partition) -> list[set[int]]:
     out: list[set[int]] = [set() for _ in range(part.k)]
     for v, b in part.block_of.items():
@@ -211,11 +222,12 @@ def combine_multiway_vertex_separator(g: WeightedGraph, part: Partition,
         raise ValueError("needs a partition with a separator")
     if len(parents) != part.k:
         raise ValueError(f"need {part.k} parents, got {len(parents)}")
-    raw: set[int] = set()
-    for block in _split_blocks(part):
-        scores = [sum(g.weight[v] for v in parent.members & block) for parent in parents]
-        winner = max(range(len(parents)), key=lambda i: (scores[i], -i))
-        raw |= parents[winner].members & block
+    inside = [_block_weights(g, part, parent.members) for parent in parents]
+    winners = [max(range(len(parents)), key=lambda i: (inside[i][b], -i))
+               for b in range(part.k)]
+    block_of = part.block_of
+    raw = {v for b, i in enumerate(winners) for v in parents[i].members
+           if block_of.get(v, SEPARATOR) == b}
     return _finish(g, raw, ls_iterations, rng)
 
 
@@ -300,14 +312,13 @@ def combine_multiway_edge_separator(g: WeightedGraph, part: Partition,
     if len(parents) != part.k:
         raise ValueError(f"need {part.k} parents, got {len(parents)}")
     alive = set(g.vertices())
-    cover: set[int] = set()
-    for block in _split_blocks(part):
-        scores = []
-        for parent in parents:
-            block_cover = block - parent.members
-            scores.append(sum(g.weight[v] for v in block_cover))
-        winner = min(range(len(parents)), key=lambda i: (scores[i], i))
-        cover |= block - parents[winner].members
+    # A parent's cover inside a block weighs the block less its members there.
+    block_w = _block_weights(g, part, part.block_of)
+    inside = [_block_weights(g, part, parent.members) for parent in parents]
+    winners = [min(range(len(parents)), key=lambda i: (block_w[b] - inside[i][b], i))
+               for b in range(part.k)]
+    cover = {v for v, b in part.block_of.items()
+             if b != SEPARATOR and v not in parents[winners[b]].members}
 
     uncovered = _uncovered_edges(g, alive - cover)
     if uncovered:

@@ -5,8 +5,11 @@ Two solver stages need them.  The edge-separator combine repair
 :class:`FlowNetwork`.  The critical-set reduction runs many times on one
 slowly shrinking kernel, so :class:`DoubleCoverFlow` keeps its flow on
 the bipartite double cover between calls and reads the arcs straight from
-the graph's adjacency instead of building a network.  Capacities are plain
-Python ints, so weights never overflow.
+the graph's adjacency instead of building a network.  Each call repairs
+the flow where the graph changed, re-augments from the copies the repair
+freed (every new augmenting path starts or ends at one), and runs Dinic
+phases from there, whose first search mostly just proves the flow
+maximum.  Capacities are plain Python ints, so weights never overflow.
 """
 
 from __future__ import annotations
@@ -37,14 +40,13 @@ class FlowNetwork:
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
-        limit = sum(self.cap[e] for e in self.head[s]) + 1
         while True:
             level = self._bfs_levels(s, t)
             if level[t] < 0:
                 return flow
             it = [0] * self.n
             while True:
-                pushed = self._dfs(s, t, limit, level, it)
+                pushed = self._dfs(s, t, level, it)
                 if pushed == 0:
                     break
                 flow += pushed
@@ -62,21 +64,34 @@ class FlowNetwork:
                     q.append(v)
         return level
 
-    def _dfs(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.head[u]):
-            e = self.head[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs(v, t, min(limit, self.cap[e]), level, it)
-                if pushed > 0:
-                    self.cap[e] -= pushed
-                    self.cap[e ^ 1] += pushed
-                    return pushed
+    def _dfs(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push one path of the level graph; 0 when none is left.
+
+        Iterative, with current arcs: ``it[u]`` is the next arc of u to
+        try, and a dead-end node gets level -1.
+        """
+        head, to, cap = self.head, self.to, self.cap
+        path: list[int] = []  # arcs from s to u
+        u = s
+        while u != t:
+            arcs, i, want = head[u], it[u], level[u] + 1
+            while i < len(arcs) and (cap[arcs[i]] <= 0 or level[to[arcs[i]]] != want):
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+                continue
+            level[u] = -1
+            if not path:
+                return 0
+            u = to[path.pop() ^ 1]
             it[u] += 1
-        level[u] = -1
-        return 0
+        pushed = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= pushed
+            cap[e ^ 1] += pushed
+        return pushed
 
     def min_cut_source_side(self, s: int) -> set[int]:
         """Vertices reachable from ``s`` in the residual network.
@@ -108,10 +123,32 @@ class DoubleCoverFlow:
 
     The owner reports every vertex whose weight or adjacency changed,
     removed and new vertices included, through :meth:`invalidate`.  The
-    next :meth:`min_cut` first drops every flow entry at such a vertex.
-    What is left runs along unchanged edges between unchanged vertices and
-    still respects every capacity, so it is a feasible flow, and Dinic
-    augments from there instead of from zero.
+    next :meth:`min_cut` works in three steps:
+
+    1. Repair: drop every flow entry at a stale vertex.  What is left runs
+       along unchanged edges between unchanged vertices and still respects
+       every capacity, so it is a feasible flow.  The repair notes the
+       copies it freed: L_x and R_x of each stale x, the left copies whose
+       ``sent`` and the right copies whose ``received`` it lowered.
+    2. Targeted re-augmentation: search shortest augmenting paths forward
+       from each freed left copy with spare source capacity and backward
+       from each freed right copy with spare sink capacity, and augment
+       until neither search finds one.
+    3. Dinic check: the usual Dinic phases run from there; the first BFS
+       mostly finds no path to the sink, which proves the flow maximum,
+       and also labels the minimal minimum cut.
+
+    Why new paths start or end at freed copies: after the first call the
+    flow was maximum before the repair, so the residual network held no
+    s-t path.  Arcs between unchanged copies are as they were, less the
+    back arcs of the dropped flow, and losing arcs only removes paths.
+    What the repair adds are source arcs into freed left copies, sink arcs
+    out of freed right copies, and the arcs of stale vertices; a stale L_x
+    carries no flow, so only the source enters it, and a stale R_x only
+    drains to the sink.  Every new path therefore begins at a freed left
+    copy or ends at a freed right copy.  Augmenting can open paths between
+    other copies again, which step 3 catches; it is the only termination
+    check, so the result never rests on this argument.
     """
 
     __slots__ = ("out", "into", "sent", "received", "stale")
@@ -134,14 +171,40 @@ class DoubleCoverFlow:
         the minimal minimum cut (the copies reachable from the source in
         the residual network) while their right copy does not.
         """
-        self._repair(g)
+        self._reaugment(g, *self._repair(g))
         while True:
             lev_l, lev_r, t_level = self._levels(g)
             if t_level < 0:
                 return {v for v, lv in enumerate(lev_l) if lv >= 0 and lev_r[v] < 0}
             self._blocking_flow(g, lev_l, lev_r, t_level)
 
-    def _repair(self, g: WeightedGraph) -> None:
+    def audit(self, g: WeightedGraph) -> None:
+        """Raise when the flow maps disagree or break a capacity of ``g``.
+
+        ``out`` and ``into`` must mirror each other with positive entries
+        on alive edges only, and ``sent`` and ``received`` must equal the
+        row sums, at most the weight.  Holds right after :meth:`min_cut`.
+        """
+        alive, weight = g.alive, g.weight
+        for v in range(g.capacity):
+            for u, f in self.out[v].items():
+                if f <= 0 or self.into[u].get(v) != f:
+                    raise AssertionError(f"arc L{v} -> R{u}: out {f}, into {self.into[u].get(v)}")
+                if not (alive[v] and u in g.adj[v]):
+                    raise AssertionError(f"flow {f} on L{v} -> R{u}, not an alive edge")
+            for u, f in self.into[v].items():
+                if self.out[u].get(v) != f:
+                    raise AssertionError(f"arc L{u} -> R{v}: into {f}, out {self.out[u].get(v)}")
+            sent, received = sum(self.out[v].values()), sum(self.into[v].values())
+            if (sent, received) != (self.sent[v], self.received[v]):
+                raise AssertionError(f"vertex {v}: sent/received {self.sent[v]}/"
+                                     f"{self.received[v]}, arcs carry {sent}/{received}")
+            if max(sent, received) > weight[v]:
+                raise AssertionError(f"vertex {v}: flow {sent}/{received} over weight {weight[v]}")
+
+    def _repair(self, g: WeightedGraph) -> tuple[set[int], set[int]]:
+        """Drop the flow at stale vertices; return the freed left and right
+        copies."""
         grow = g.capacity - len(self.sent)
         if grow > 0:
             self.out.extend({} for _ in range(grow))
@@ -149,17 +212,88 @@ class DoubleCoverFlow:
             self.sent.extend([0] * grow)
             self.received.extend([0] * grow)
         out, into, sent, received = self.out, self.into, self.sent, self.received
-        for x in self.stale:
+        stale = self.stale
+        lefts, rights = set(stale), set(stale)
+        for x in stale:
             for u, f in out[x].items():
                 received[u] -= f
                 del into[u][x]
+                rights.add(u)
             for v, f in into[x].items():
                 sent[v] -= f
                 del out[v][x]
+                lefts.add(v)
             out[x].clear()
             into[x].clear()
             sent[x] = received[x] = 0
-        self.stale.clear()
+        self.stale = set()
+        return lefts, rights
+
+    def _reaugment(self, g: WeightedGraph, lefts: set[int], rights: set[int]) -> None:
+        """Augment from the freed left copies and into the freed right copies
+        until each is saturated or known to lie on no augmenting path.
+
+        A copy that a failed search reached lies on no augmenting path,
+        and augmenting never changes that: what it reaches (forward
+        search) or what reaches it (backward search) is disjoint from the
+        augmented path, the only place where arcs change.  Every later
+        search of this call skips such copies.
+        """
+        alive, weight = g.alive, g.weight
+        dead_l: set[int] = set()
+        dead_r: set[int] = set()
+        for roots, forward, used, dead in ((lefts, True, self.sent, dead_l),
+                                           (rights, False, self.received, dead_r)):
+            for x in roots:
+                while alive[x] and used[x] < weight[x] and x not in dead:
+                    path = self._search(g, x, forward, dead_l, dead_r)
+                    if path is None:
+                        break
+                    self._augment(path, weight)
+
+    def _search(self, g: WeightedGraph, root: int, forward: bool,
+                dead_l: set[int], dead_r: set[int]) -> list[int] | None:
+        """Shortest augmenting path from L_root (forward) or into R_root
+        (backward) as L, R, ..., R copies, or None after marking every copy
+        the search reached dead.
+
+        Copies alternate between the root's side ("near") and the other
+        side ("far"): a near copy reaches the far copies of its neighbours,
+        a far copy the near copies it shares flow with (the back arcs).  A
+        far copy with spare capacity ends the path.
+        """
+        adj, weight = g.adj, g.weight
+        if forward:
+            far_used, flows, dead_near, dead_far = self.received, self.into, dead_l, dead_r
+        else:
+            far_used, flows, dead_near, dead_far = self.sent, self.out, dead_r, dead_l
+        from_near = {root: -1}  # near copy -> the far copy it was reached from
+        from_far: dict[int, int] = {}  # far copy -> the near copy before it
+        layer = [root]
+        while layer:
+            fars = []
+            for a in layer:
+                for b in adj[a]:
+                    if b in from_far or b in dead_far:
+                        continue
+                    from_far[b] = a
+                    if far_used[b] < weight[b]:
+                        path = [b, a]  # far end, ..., root
+                        while a != root:
+                            b = from_near[a]
+                            a = from_far[b]
+                            path += (b, a)
+                        return path[::-1] if forward else path
+                    fars.append(b)
+            layer = []
+            for b in fars:
+                for a in flows[b]:
+                    if a not in from_near and a not in dead_near:
+                        from_near[a] = b
+                        layer.append(a)
+        dead_near.update(from_near)
+        dead_far.update(from_far)
+        return None
 
     def _levels(self, g: WeightedGraph) -> tuple[list[int], list[int], int]:
         """BFS levels of the residual network (-1: not reached) and the

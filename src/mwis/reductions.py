@@ -304,9 +304,17 @@ def apply_basic_single_edge(g: WeightedGraph, u: int, v: int,
     """
     if v not in g.adj[u]:
         return False
-    exclusive = sum(g.weight[z] for z in g.adj[u] if z != v and z not in g.adj[v])
-    if g.weight[v] + exclusive > g.weight[u]:
+    # Weights are non-negative, so the room left only shrinks: stop as
+    # soon as it is negative.
+    weight, adj_v = g.weight, g.adj[v]
+    room = weight[u] - weight[v]
+    if room < 0:
         return False
+    for z in g.adj[u]:
+        if z != v and z not in adj_v:
+            room -= weight[z]
+            if room < 0:
+                return False
     ops: list[tuple] = []
     _rm(g, v, ops)
     events.append(ReductionEvent(Rule.BASIC_SINGLE_EDGE, ops))

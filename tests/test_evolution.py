@@ -9,8 +9,9 @@ from mwis import (EvolveBudget, EvolveParams, Individual, InitStrategy,
                   build_graph, build_initial, combine_edge_separator,
                   combine_multiway_edge_separator,
                   combine_multiway_vertex_separator, combine_vertex_separator,
-                  evolve, exact_reduce, initial_population, is_independent,
-                  make_individual, mutate, replace, tournament_select)
+                  edge_partition, evolve, exact_reduce, initial_population, is_independent,
+                  make_individual, mutate, replace, separator_from,
+                  tournament_select)
 from conftest import geometric_graph, path, random_graph, star
 
 
@@ -182,6 +183,56 @@ def test_multiway_edge_separator_greedy_repair_triangle(rng):
     off = combine_multiway_edge_separator(g, part, parents, 200, rng)
     assert_maximal(g, off)
     assert off.members == frozenset({2})  # repair covers with {0, 1}
+
+
+def kxk_vertex_separator(g, part, parents, ls_iterations, rng):
+    """Reference: score every block against every parent by set intersection."""
+    raw = set()
+    for block in evolution._split_blocks(part):
+        scores = [sum(g.weight[v] for v in parent.members & block) for parent in parents]
+        winner = max(range(len(parents)), key=lambda i: (scores[i], -i))
+        raw |= parents[winner].members & block
+    return evolution._finish(g, raw, ls_iterations, rng)
+
+
+def kxk_edge_separator(g, part, parents, ls_iterations, rng):
+    """Reference: score every block against every parent by set difference,
+    then the same greedy repair."""
+    alive = set(g.vertices())
+    cover = set()
+    for block in evolution._split_blocks(part):
+        scores = [sum(g.weight[v] for v in block - parent.members) for parent in parents]
+        winner = min(range(len(parents)), key=lambda i: (scores[i], i))
+        cover |= block - parents[winner].members
+    uncovered = evolution._uncovered_edges(g, alive - cover)
+    udeg = Counter(x for e in uncovered for x in e)
+    for u, v in uncovered:
+        if u not in cover and v not in cover:
+            cover.add(u if (g.weight[u] * udeg[v], u) <= (g.weight[v] * udeg[u], v) else v)
+    return evolution._finish(g, alive - cover, ls_iterations, rng)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_multiway_combines_match_kxk_scoring(k):
+    # Narrow weights make parents tie inside blocks, so the tie-breaks count.
+    rng = random.Random(k)
+    for trial in range(12):
+        g = geometric_graph(rng, rng.randint(40, 90), 6)
+        if trial % 2:
+            g = build_graph(g.edges(), [rng.randint(0, 3) for _ in range(g.n_original)])
+        for v in rng.sample(g.vertices(), 5):
+            g.remove_vertex(v)
+        parents = initial_population(g, k, rng).individuals
+        if trial % 3 == 0:
+            parents[-1] = parents[0]
+        edge_part = edge_partition(g, k, 0.03, rng)
+        sep_part = separator_from(g, edge_part)
+        for combine, reference, part in (
+                (combine_multiway_edge_separator, kxk_edge_separator, edge_part),
+                (combine_multiway_vertex_separator, kxk_vertex_separator, sep_part)):
+            seed = rng.random()
+            got = combine(g, part, parents, 200, random.Random(seed))
+            assert got == reference(g, part, parents, 200, random.Random(seed))
 
 
 def test_combine_refuses_wrong_partition_kind(rng):

@@ -238,6 +238,25 @@ def test_basic_single_edge_refuses_heavier_target():
     assert not apply_basic_single_edge(g, 0, 1, [])
 
 
+def test_basic_single_edge_matches_full_sum():
+    # The early exits must fire exactly when the whole exclusive
+    # neighbourhood sum allows it; weights 0-3 make ties common.
+    rng = random.Random(4242)
+    firings = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(2, 14), rng.choice([0.2, 0.4, 0.7]),
+                         wlo=0, whi=rng.choice([3, 50]))
+        for u, v in g.edges():
+            for a, b in ((u, v), (v, u)):
+                exclusive = sum(g.weight[z] for z in g.adj[a] if z != b and z not in g.adj[b])
+                expected = g.weight[b] + exclusive <= g.weight[a]
+                work = g.copy()
+                assert apply_basic_single_edge(work, a, b, []) == expected
+                assert work.is_alive(b) != expected
+                firings += expected
+    assert firings >= 200
+
+
 def test_extended_single_edge_removes_common_neighborhood():
     g = triangle_graph(1, 3, 2)  # u=0, v=1, z=2
     original = g.copy()
@@ -458,6 +477,7 @@ def test_warm_critical_set_survives_rule_firings():
         flow = DoubleCoverFlow()
         events = []
         assert critical_set(g, flow) == cold_critical_set(g)
+        flow.audit(g)
         for _ in range(300):
             if g.is_empty:
                 break
@@ -468,6 +488,7 @@ def test_warm_critical_set_survives_rule_firings():
             if fired:
                 flow.invalidate(events[-1].touched())
                 assert critical_set(g, flow) == cold_critical_set(g)
+                flow.audit(g)
 
 
 @pytest.mark.parametrize("tied_weights", [False, True])
