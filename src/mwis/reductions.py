@@ -79,6 +79,18 @@ class ReductionEvent:
                 out.add(op[1])
         return out
 
+    def changed(self) -> set[int]:
+        """Vertices whose own weight or arcs this event changed: removed,
+        reweighted and appended vertices and both ends of each added or
+        removed edge.  A removed vertex's neighbours are not among them;
+        all they lost is the edge to it."""
+        out = set()
+        for op in self.undo_ops:
+            out.add(op[1])
+            if op[0] in ("ea", "er"):
+                out.add(op[2])
+        return out
+
 
 def undo_event(g: WeightedGraph, ev: ReductionEvent) -> None:
     """Restore the graph to its exact state before ``ev``."""
@@ -428,12 +440,15 @@ def critical_set(g: WeightedGraph,
 
     ``flow`` carries a maximum flow over from an earlier call on the same
     graph; without it the flow starts from zero.  Every vertex whose weight
-    or adjacency changed since that call must have been passed to
-    ``flow.invalidate``, which drops the flow through it and leaves a
-    feasible flow to augment.  The answer does not depend on where the
-    flow started: the copies reachable from the source in the residual
-    network are the same for every maximum flow (they form the minimal
-    minimum cut), so warm and cold calls return the same U.
+    or own arcs changed since that call must have been passed to
+    ``flow.invalidate``: removed, reweighted and appended vertices and both
+    ends of every added or removed edge (:meth:`ReductionEvent.changed`).
+    A removed vertex's neighbours need not be, because the flow on their
+    edges to it goes with the removed vertex's own.  Dropping the flow at
+    those vertices leaves a feasible flow to augment.  The answer does not
+    depend on where the flow started: the copies reachable from the source
+    in the residual network are the same for every maximum flow (they form
+    the minimal minimum cut), so warm and cold calls return the same U.
     """
     chosen = (flow if flow is not None else DoubleCoverFlow()).min_cut(g)
     boundary = set()
@@ -567,37 +582,37 @@ def ordering_preset(name: str) -> ReductionOrdering:
 # -- the reduce loop ---------------------------------------------------------
 
 class _Scheduler:
-    """Per-rule dirty queues; a vertex re-enters every queue when anything
-    in its closed neighborhood is touched.  Also holds the critical-set
-    flow of one reduce run, told about every touched vertex."""
+    """Dirty queues of the queued rules, in ordering position, each with a
+    ``bytearray`` of queued flags by vertex id; a vertex re-enters every
+    queue when anything in its closed neighborhood is touched.  Also holds
+    the critical-set flow of one reduce run, told about every vertex whose
+    own weight or arcs changed."""
 
-    UNQUEUED = tuple(r for r in ALL_RULES if r is not Rule.CWIS)
-
-    def __init__(self, g: WeightedGraph):
+    def __init__(self, g: WeightedGraph, rules: int):
         self.g = g
         start = g.vertices()
-        self.queues: dict[Rule, deque[int]] = {r: deque(start) for r in self.UNQUEUED}
-        self.inq: dict[Rule, set[int]] = {r: set(start) for r in self.UNQUEUED}
+        self.queues: list[deque[int]] = [deque(start) for _ in range(rules)]
+        self.queued: list[bytearray] = [bytearray(g.alive) for _ in range(rules)]
         self.cwis_pending = True
         self.flow = DoubleCoverFlow()
 
-    def push(self, rule: Rule, v: int) -> None:
-        if v not in self.inq[rule]:
-            self.inq[rule].add(v)
-            self.queues[rule].append(v)
-
     def mark_event(self, ev: ReductionEvent) -> None:
         g = self.g
-        touched = ev.touched()
-        self.flow.invalidate(touched)
+        alive, adj = g.alive, g.adj
+        self.flow.invalidate(ev.changed())
         dirty = set()
-        for v in touched:
-            if g.is_alive(v):
+        for v in ev.touched():
+            if alive[v]:
                 dirty.add(v)
-                dirty.update(g.adj[v])
-        for v in sorted(dirty):
-            for rule in self.UNQUEUED:
-                self.push(rule, v)
+                dirty.update(adj[v])
+        dirty = sorted(dirty)
+        for queue, flags in zip(self.queues, self.queued):
+            if len(flags) < len(alive):
+                flags.extend(bytes(len(alive) - len(flags)))
+            new = [v for v in dirty if not flags[v]]
+            for v in new:
+                flags[v] = 1
+            queue.extend(new)
         self.cwis_pending = True
 
 
@@ -684,8 +699,11 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
     ordering = ordering or ordering_preset("baseline")
     if events is None:
         events = []
-    sched = _Scheduler(g)
     seq = ordering.sequence
+    queued = [rule for rule in seq if rule is not Rule.CWIS]
+    slot = [queued.index(rule) if rule is not Rule.CWIS else -1 for rule in seq]
+    sched = _Scheduler(g, len(queued))
+    alive = g.alive
     i = 0
     while i < len(seq):
         rule = seq[i]
@@ -695,11 +713,11 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
                 sched.cwis_pending = False
                 fired = apply_cwis(g, events, sched.flow)
         else:
-            queue, inq = sched.queues[rule], sched.inq[rule]
+            queue, flags = sched.queues[slot[i]], sched.queued[slot[i]]
             while queue:
                 c = queue.popleft()
-                inq.discard(c)
-                if g.is_alive(c) and _attempt(g, rule, c, events):
+                flags[c] = 0
+                if alive[c] and _attempt(g, rule, c, events):
                     fired = True
                     break
         if fired:
