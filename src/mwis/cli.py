@@ -124,15 +124,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
+    try:
+        config = SolverConfig(
+            time_limit=args.time_limit, seed=args.seed,
+            population_size=args.population_size, pool_size=args.pool_size,
+            ls_iterations=args.ls_iterations, max_blocks=args.max_blocks,
+            mutation_prob=args.mutation_prob,
+            unsuccessful_limit=args.unsuccessful_limit, ordering=args.ordering,
+            selection=_SELECTION_FLAGS[args.selection],
+            selection_fraction=args.selection_fraction)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     g = _load_instance(args.instance)
-    config = SolverConfig(
-        time_limit=args.time_limit, seed=args.seed,
-        population_size=args.population_size, pool_size=args.pool_size,
-        ls_iterations=args.ls_iterations, max_blocks=args.max_blocks,
-        mutation_prob=args.mutation_prob,
-        unsuccessful_limit=args.unsuccessful_limit, ordering=args.ordering,
-        selection=_SELECTION_FLAGS[args.selection],
-        selection_fraction=args.selection_fraction)
 
     def progress(kind: str, payload: dict) -> None:
         print(f"[{time.strftime('%H:%M:%S')}] {kind} "

@@ -63,9 +63,6 @@ class WeightedGraph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def neighborhood_weight(self, v: int) -> int:
         return sum(self.weight[u] for u in self.adj[v])
 

@@ -130,8 +130,9 @@ class DoubleCoverFlow:
 
     The owner reports, through :meth:`invalidate`, every vertex whose own
     arcs or weight changed: removed, reweighted and appended vertices and
-    both ends of every added or removed edge.  The next :meth:`min_cut`
-    works in three steps:
+    at least one end of every added or removed edge (dropping all flow at
+    one end drops the flow on that edge).  The next :meth:`min_cut` works
+    in three steps:
 
     1. Repair: drop every flow entry at a stale vertex.  What is left runs
        along unchanged edges between unchanged vertices and still respects
@@ -162,7 +163,8 @@ class DoubleCoverFlow:
     a removed vertex's neighbours keep their other arcs and need no
     invalidation, since all they lose are the arcs to it.  What the repair
     adds are source arcs into freed left copies, sink arcs out of freed
-    right copies, and the arcs of stale vertices; a stale L_x carries no
+    right copies, and the arcs of stale vertices, among them both arcs of
+    every added edge, since one of its ends is stale; a stale L_x carries no
     flow, so only the source enters it, and a stale R_x only drains to the
     sink.  Every new path therefore begins at a freed left copy or ends at
     a freed right copy; its other end is one of the spare copies the

@@ -9,6 +9,20 @@ Each firing appends one :class:`ReductionEvent` holding (a) low-level undo
 primitives that restore the graph exactly and (b) a small rebuild script
 that, replayed in reverse over a kernel solution, produces an independent
 set of the original graph.
+
+Most rules are a guard in front of one of three shared moves:
+
+* take (bank an independent set, delete its closed neighborhood):
+  neighborhood removal, isolated clique, critical set (CWIS), and the
+  take cases of v-shape and twin;
+* simplicial cash-in (bank w(v) for a vertex whose neighborhood is a
+  clique, delete the mates no heavier than v, discount the rest):
+  degree one, triangle and simplicial transfer;
+* fold (merge an independent neighborhood and its centers into one
+  vertex): neighborhood folding and the fold cases of v-shape and twin.
+
+The v-shape rewiring, v-shape min and the three edge rules (basic and
+extended single edge, domination) write their own mutations.
 """
 
 from __future__ import annotations
@@ -17,7 +31,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from .graph import WeightedGraph, is_independent
 from .maxflow import DoubleCoverFlow
@@ -62,8 +75,6 @@ class ReductionEvent:
     offset_delta: int = 0
     decided: tuple[int, ...] = ()
     rebuild: tuple = ()
-    fold_vertex: Optional[int] = None
-    fold_members: tuple[int, ...] = ()
 
     def touched(self) -> set[int]:
         """Vertices whose adjacency or weight this event changed."""
@@ -80,16 +91,12 @@ class ReductionEvent:
         return out
 
     def changed(self) -> set[int]:
-        """Vertices whose own weight or arcs this event changed: removed,
-        reweighted and appended vertices and both ends of each added or
-        removed edge.  A removed vertex's neighbours are not among them;
-        all they lost is the edge to it."""
-        out = set()
-        for op in self.undo_ops:
-            out.add(op[1])
-            if op[0] in ("ea", "er"):
-                out.add(op[2])
-        return out
+        """Vertices the critical-set flow must drop: removed, reweighted and
+        appended vertices and one end of each added or removed edge.  Once
+        all flow at that end is dropped, none is left on the edge, and the
+        edge's new arcs touch only freed copies.  A removed vertex's
+        neighbours are not among them; all they lost is the edge to it."""
+        return {op[1] for op in self.undo_ops}
 
 
 def undo_event(g: WeightedGraph, ev: ReductionEvent) -> None:
@@ -147,6 +154,75 @@ def _is_clique(g: WeightedGraph, vertices) -> bool:
     return True
 
 
+# -- the three shared moves -------------------------------------------------
+# Each banks weight by one identity of Lamm et al. (ALENEX 2019), journals
+# its mutations and appends one event.
+
+def _take(g: WeightedGraph, rule: Rule, chosen, events: list[ReductionEvent]) -> bool:
+    """Bank the independent set ``chosen`` and delete its closed neighborhood."""
+    chosen = sorted(chosen)
+    doomed = set()
+    for v in chosen:
+        doomed.update(g.adj[v])
+    doomed.difference_update(chosen)
+    ops: list[tuple] = []
+    for u in sorted(doomed):
+        _rm(g, u, ops)
+    for v in chosen:
+        _rm(g, v, ops)
+    events.append(ReductionEvent(rule, ops, offset_delta=sum(g.weight[v] for v in chosen),
+                                 decided=tuple(chosen)))
+    return True
+
+
+def _cash_simplicial(g: WeightedGraph, rule: Rule, v: int,
+                     events: list[ReductionEvent]) -> bool:
+    """Bank w(v) for a vertex whose neighborhood is a clique.
+
+    Some maximum set holds v or one clique mate.  Mates no heavier than v
+    go with v; the heavier ones are discounted by w(v) and v is taken back
+    when none of them ends up in the solution.
+    """
+    wv = g.weight[v]
+    heavy = sorted(u for u in g.adj[v] if g.weight[u] > wv)
+    if not heavy:
+        return _take(g, rule, (v,), events)
+    ops: list[tuple] = []
+    for u in sorted(u for u in g.adj[v] if g.weight[u] <= wv):
+        _rm(g, u, ops)
+    _rm(g, v, ops)
+    for u in heavy:
+        _set_w(g, u, g.weight[u] - wv, ops)
+    events.append(ReductionEvent(rule, ops, offset_delta=wv,
+                                 rebuild=("if_absent_take", tuple(heavy), v)))
+    return True
+
+
+def _fold(g: WeightedGraph, rule: Rule, centers, members,
+          events: list[ReductionEvent]) -> bool:
+    """Fold the independent ``members`` and the ``centers`` whose whole
+    neighborhood they are into one vertex of weight w(members) - w(centers).
+
+    Banks w(centers): a solution holding the fold vertex takes the members
+    instead, and one without it takes the centers.
+    """
+    members, centers = tuple(sorted(members)), tuple(sorted(centers))
+    outside = set()
+    for u in members:
+        outside.update(g.adj[u])
+    outside.difference_update(members, centers)
+    ops: list[tuple] = []
+    for u in members + centers:
+        _rm(g, u, ops)
+    w_centers = sum(g.weight[v] for v in centers)
+    fold = _new_vertex(g, sum(g.weight[u] for u in members) - w_centers, ops)
+    for u in sorted(outside):
+        _add_edge(g, fold, u, ops)
+    events.append(ReductionEvent(rule, ops, offset_delta=w_centers,
+                                 rebuild=("fold", fold, members, centers)))
+    return True
+
+
 # -- the thirteen rules ----------------------------------------------------
 # Every apply_* takes alive arguments, returns True iff it fired, and on
 # True appends exactly one event to ``events``.
@@ -155,32 +231,14 @@ def apply_neighborhood_removal(g: WeightedGraph, v: int, events: list[ReductionE
     """Take v outright when it outweighs its whole neighborhood."""
     if g.weight[v] < g.neighborhood_weight(v):
         return False
-    ops: list[tuple] = []
-    for u in sorted(g.adj[v]):
-        _rm(g, u, ops)
-    _rm(g, v, ops)
-    events.append(ReductionEvent(Rule.NEIGHBORHOOD_REMOVAL, ops,
-                                 offset_delta=g.weight[v], decided=(v,)))
-    return True
+    return _take(g, Rule.NEIGHBORHOOD_REMOVAL, (v,), events)
 
 
 def apply_degree_one(g: WeightedGraph, v: int, events: list[ReductionEvent]) -> bool:
     """Resolve a pendant vertex against its single neighbor."""
     if g.degree(v) != 1:
         return False
-    (u,) = g.adj[v]
-    wv = g.weight[v]
-    ops: list[tuple] = []
-    if wv >= g.weight[u]:
-        _rm(g, v, ops)
-        _rm(g, u, ops)
-        events.append(ReductionEvent(Rule.DEGREE_ONE, ops, offset_delta=wv, decided=(v,)))
-    else:
-        _rm(g, v, ops)
-        _set_w(g, u, g.weight[u] - wv, ops)
-        events.append(ReductionEvent(Rule.DEGREE_ONE, ops, offset_delta=wv,
-                                     rebuild=("if_absent_take", (u,), v)))
-    return True
+    return _cash_simplicial(g, Rule.DEGREE_ONE, v, events)
 
 
 def _two_neighbors(g: WeightedGraph, v: int) -> tuple[int, int]:
@@ -195,29 +253,10 @@ def apply_triangle(g: WeightedGraph, v: int, events: list[ReductionEvent]) -> bo
     """Resolve a degree-two vertex whose neighbors are adjacent."""
     if g.degree(v) != 2:
         return False
-    x, y = _two_neighbors(g, v)
+    x, y = g.adj[v]
     if y not in g.adj[x]:
         return False
-    wv, wx, wy = g.weight[v], g.weight[x], g.weight[y]
-    ops: list[tuple] = []
-    if wv >= wy:
-        _rm(g, v, ops)
-        _rm(g, x, ops)
-        _rm(g, y, ops)
-        events.append(ReductionEvent(Rule.TRIANGLE, ops, offset_delta=wv, decided=(v,)))
-    elif wv >= wx:
-        _rm(g, v, ops)
-        _rm(g, x, ops)
-        _set_w(g, y, wy - wv, ops)
-        events.append(ReductionEvent(Rule.TRIANGLE, ops, offset_delta=wv,
-                                     rebuild=("if_absent_take", (y,), v)))
-    else:
-        _rm(g, v, ops)
-        _set_w(g, x, wx - wv, ops)
-        _set_w(g, y, wy - wv, ops)
-        events.append(ReductionEvent(Rule.TRIANGLE, ops, offset_delta=wv,
-                                     rebuild=("if_absent_take", (x, y), v)))
-    return True
+    return _cash_simplicial(g, Rule.TRIANGLE, v, events)
 
 
 def apply_v_shape(g: WeightedGraph, v: int, events: list[ReductionEvent]) -> bool:
@@ -234,32 +273,18 @@ def apply_v_shape(g: WeightedGraph, v: int, events: list[ReductionEvent]) -> boo
     wv, wx, wy = g.weight[v], g.weight[x], g.weight[y]
     if wv < wx:
         return False
-    ops: list[tuple] = []
+    if wv >= wx + wy:
+        return _take(g, Rule.V_SHAPE, (v,), events)
     if wv >= wy:
-        if wv >= wx + wy:
-            _rm(g, v, ops)
-            _rm(g, x, ops)
-            _rm(g, y, ops)
-            events.append(ReductionEvent(Rule.V_SHAPE, ops, offset_delta=wv, decided=(v,)))
-        else:
-            outside = sorted((g.adj[x] | g.adj[y]) - {v, x, y})
-            _rm(g, v, ops)
-            _rm(g, x, ops)
-            _rm(g, y, ops)
-            fold = _new_vertex(g, wx + wy - wv, ops)
-            for u in outside:
-                _add_edge(g, fold, u, ops)
-            events.append(ReductionEvent(Rule.V_SHAPE, ops, offset_delta=wv,
-                                         rebuild=("fold", fold, (x, y), (v,)),
-                                         fold_vertex=fold, fold_members=(x, y)))
-    else:
-        gained = sorted(g.adj[y] - g.adj[x] - {v, x})
-        _rm(g, v, ops)
-        for u in gained:
-            _add_edge(g, x, u, ops)
-        _set_w(g, y, wy - wv, ops)
-        events.append(ReductionEvent(Rule.V_SHAPE, ops, offset_delta=wv,
-                                     rebuild=("if_absent_take", (x, y), v)))
+        return _fold(g, Rule.V_SHAPE, (v,), (x, y), events)
+    ops: list[tuple] = []
+    gained = sorted(g.adj[y] - g.adj[x] - {v, x})
+    _rm(g, v, ops)
+    for u in gained:
+        _add_edge(g, x, u, ops)
+    _set_w(g, y, wy - wv, ops)
+    events.append(ReductionEvent(Rule.V_SHAPE, ops, offset_delta=wv,
+                                 rebuild=("if_absent_take", (x, y), v)))
     return True
 
 
@@ -298,13 +323,7 @@ def apply_isolated_clique(g: WeightedGraph, v: int, events: list[ReductionEvent]
         return False
     if not _is_clique(g, nbrs):
         return False
-    ops: list[tuple] = []
-    for u in sorted(nbrs):
-        _rm(g, u, ops)
-    _rm(g, v, ops)
-    events.append(ReductionEvent(Rule.ISOLATED_CLIQUE, ops,
-                                 offset_delta=g.weight[v], decided=(v,)))
-    return True
+    return _take(g, Rule.ISOLATED_CLIQUE, (v,), events)
 
 
 def apply_basic_single_edge(g: WeightedGraph, u: int, v: int,
@@ -370,62 +389,24 @@ def apply_twin(g: WeightedGraph, u: int, v: int, events: list[ReductionEvent]) -
     """Resolve two degree-three vertices sharing their whole neighborhood."""
     if u == v or g.degree(u) != 3 or g.degree(v) != 3 or g.adj[u] != g.adj[v]:
         return False
-    p, q, r = sorted(g.adj[u])
+    nbrs = g.adj[u]
     w_pair = g.weight[u] + g.weight[v]
-    w_nbrs = g.weight[p] + g.weight[q] + g.weight[r]
-    ops: list[tuple] = []
+    w_nbrs = sum(g.weight[z] for z in nbrs)
     if w_pair >= w_nbrs:
-        for z in (p, q, r):
-            _rm(g, z, ops)
-        _rm(g, u, ops)
-        _rm(g, v, ops)
-        events.append(ReductionEvent(Rule.TWIN, ops, offset_delta=w_pair,
-                                     decided=tuple(sorted((u, v)))))
-        return True
-    if w_pair <= w_nbrs - min(g.weight[p], g.weight[q], g.weight[r]):
+        return _take(g, Rule.TWIN, (u, v), events)
+    if w_pair <= w_nbrs - min(g.weight[z] for z in nbrs):
         return False
-    if not is_independent(g, (p, q, r)):
+    if not is_independent(g, nbrs):
         return False
-    outside = sorted((g.adj[p] | g.adj[q] | g.adj[r]) - {u, v, p, q, r})
-    for z in (p, q, r):
-        _rm(g, z, ops)
-    _rm(g, u, ops)
-    _rm(g, v, ops)
-    fold = _new_vertex(g, w_nbrs - w_pair, ops)
-    for z in outside:
-        _add_edge(g, fold, z, ops)
-    events.append(ReductionEvent(Rule.TWIN, ops, offset_delta=w_pair,
-                                 rebuild=("fold", fold, (p, q, r), tuple(sorted((u, v)))),
-                                 fold_vertex=fold, fold_members=(p, q, r)))
-    return True
+    return _fold(g, Rule.TWIN, (u, v), nbrs, events)
 
 
 def apply_simplicial_transfer(g: WeightedGraph, v: int,
                               events: list[ReductionEvent]) -> bool:
-    """Cash in a simplicial vertex, discounting its heavier clique mates.
-
-    Neighbors no heavier than v are deleted with it; the survivors keep
-    competing with v's banked weight subtracted from theirs.
-    """
-    nbrs = g.adj[v]
-    if not _is_clique(g, nbrs):
+    """Cash in a simplicial vertex, discounting its heavier clique mates."""
+    if not _is_clique(g, g.adj[v]):
         return False
-    wv = g.weight[v]
-    light = sorted(u for u in nbrs if g.weight[u] <= wv)
-    heavy = sorted(u for u in nbrs if g.weight[u] > wv)
-    ops: list[tuple] = []
-    for u in light:
-        _rm(g, u, ops)
-    _rm(g, v, ops)
-    for u in heavy:
-        _set_w(g, u, g.weight[u] - wv, ops)
-    if heavy:
-        ev = ReductionEvent(Rule.SIMPLICIAL_TRANSFER, ops, offset_delta=wv,
-                            rebuild=("if_absent_take", tuple(heavy), v))
-    else:
-        ev = ReductionEvent(Rule.SIMPLICIAL_TRANSFER, ops, offset_delta=wv, decided=(v,))
-    events.append(ev)
-    return True
+    return _cash_simplicial(g, Rule.SIMPLICIAL_TRANSFER, v, events)
 
 
 def critical_set(g: WeightedGraph,
@@ -441,8 +422,8 @@ def critical_set(g: WeightedGraph,
     ``flow`` carries a maximum flow over from an earlier call on the same
     graph; without it the flow starts from zero.  Every vertex whose weight
     or own arcs changed since that call must have been passed to
-    ``flow.invalidate``: removed, reweighted and appended vertices and both
-    ends of every added or removed edge (:meth:`ReductionEvent.changed`).
+    ``flow.invalidate``: removed, reweighted and appended vertices and one
+    end of every added or removed edge (:meth:`ReductionEvent.changed`).
     A removed vertex's neighbours need not be, because the flow on their
     edges to it goes with the removed vertex's own.  Dropping the flow at
     those vertices leaves a feasible flow to augment.  The answer does not
@@ -472,19 +453,7 @@ def apply_cwis(g: WeightedGraph, events: list[ReductionEvent],
     if not chosen:
         return False
     assert value > 0 and is_independent(g, chosen)
-    doomed = set()
-    for v in chosen:
-        doomed.update(g.adj[v])
-    doomed -= chosen
-    total = sum(g.weight[v] for v in chosen)
-    ops: list[tuple] = []
-    for u in sorted(doomed):
-        _rm(g, u, ops)
-    for v in sorted(chosen):
-        _rm(g, v, ops)
-    events.append(ReductionEvent(Rule.CWIS, ops, offset_delta=total,
-                                 decided=tuple(sorted(chosen))))
-    return True
+    return _take(g, Rule.CWIS, chosen, events)
 
 
 def apply_neighborhood_folding(g: WeightedGraph, v: int,
@@ -497,22 +466,7 @@ def apply_neighborhood_folding(g: WeightedGraph, v: int,
     w_nbrs = sum(g.weight[u] for u in nbrs)
     if w_nbrs <= wv or w_nbrs - min(g.weight[u] for u in nbrs) >= wv:
         return False
-    outside = set()
-    for u in nbrs:
-        outside.update(g.adj[u])
-    outside -= set(nbrs)
-    outside.discard(v)
-    ops: list[tuple] = []
-    for u in nbrs:
-        _rm(g, u, ops)
-    _rm(g, v, ops)
-    fold = _new_vertex(g, w_nbrs - wv, ops)
-    for u in sorted(outside):
-        _add_edge(g, fold, u, ops)
-    events.append(ReductionEvent(Rule.NEIGHBORHOOD_FOLDING, ops, offset_delta=wv,
-                                 rebuild=("fold", fold, tuple(nbrs), (v,)),
-                                 fold_vertex=fold, fold_members=tuple(nbrs)))
-    return True
+    return _fold(g, Rule.NEIGHBORHOOD_FOLDING, (v,), nbrs, events)
 
 
 # -- orderings --------------------------------------------------------------
@@ -683,9 +637,6 @@ class Kernel:
     def decided_in(self) -> set[int]:
         """Original vertices already forced into the solution."""
         return replay_events(self.events, set(), decided_only=True)
-
-    def reconstruct(self, kernel_solution) -> set[int]:
-        return reconstruct(self, kernel_solution)
 
 
 def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,

@@ -136,3 +136,14 @@ def test_usage_errors_exit_2(capsys):
     assert main(["solve"]) == 2
     assert main(["solve", "x", "--bogus-flag"]) == 2
     assert main(["ordering-bench", "x", "--mode", "nope"]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--population-size", "0"), ("--time-limit", "-1"),
+    ("--mutation-prob", "1.5"), ("--selection-fraction", "2")])
+def test_invalid_solver_config_exits_2(instance, tmp_path, capsys, flag, value):
+    out = tmp_path / "p3.sol"
+    assert main(["solve", str(instance), flag, value, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -105,9 +105,10 @@ class CountingList(list):
 
 def test_warm_flow_searches_stay_local():
     # Re-augmentation works where the event changed the graph: on the graph
-    # of the test above, its searches read 9.6 neighbour sets of g.adj per
-    # min_cut.  Invalidating every neighbour of a removed vertex raises that
-    # to 23.8, a one-ended search to 17.5, and the two together to 30.4.
+    # of the test above, its searches read 8.0 neighbour sets of g.adj per
+    # min_cut (9.6 when both ends of each added or removed edge are
+    # invalidated).  Invalidating every neighbour of a removed vertex raised
+    # that to 23.8, a one-ended search to 17.5, and the two together to 30.4.
     g = geometric_graph(random.Random(1), 200, 8)
     counts = {"min_cut": 0, "adj": 0}
     min_cut, search = DoubleCoverFlow.min_cut, DoubleCoverFlow._search

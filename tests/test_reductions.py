@@ -4,6 +4,7 @@ Frozen expected values were derived from the enumeration oracle; each
 example also re-checks the offset identity against brute force.
 """
 
+import collections
 import itertools
 import random
 
@@ -12,7 +13,8 @@ import pytest
 from mwis import (Kernel, ORDERING_PRESETS, Rule, brute_force, build_graph,
                   exact_reduce, is_independent, ordering_preset, reconstruct,
                   run_ordering_experiment, set_weight, undo_event)
-from mwis.reductions import (ALL_RULES, ReductionOrdering,
+from mwis.reductions import (ALL_RULES, ReductionEvent, ReductionOrdering,
+                             _add_edge, _is_clique, _new_vertex, _rm, _set_w,
                              apply_basic_single_edge, apply_cwis,
                              apply_degree_one, apply_domination,
                              apply_extended_single_edge,
@@ -153,7 +155,7 @@ def test_v_shape_case1b_folds():
     original = g.copy()
     events = []
     assert apply_v_shape(g, 1, events)
-    fold = events[0].fold_vertex
+    fold = events[0].rebuild[1]
     assert fold is not None and g.vertices() == [fold]
     assert g.weight[fold] == 1
     assert g.degree(fold) == 0
@@ -321,7 +323,7 @@ def test_twin_case2_folds():
     original = g.copy()
     events = []
     assert apply_twin(g, 0, 1, events)
-    fold = events[0].fold_vertex
+    fold = events[0].rebuild[1]
     assert g.vertices() == [fold]
     assert g.weight[fold] == 1
     assert events[0].offset_delta == 5
@@ -524,7 +526,7 @@ def test_neighborhood_folding_path():
     original = g.copy()
     events = []
     assert apply_neighborhood_folding(g, 1, events)
-    fold = events[0].fold_vertex
+    fold = events[0].rebuild[1]
     assert g.vertices() == [fold]
     assert g.weight[fold] == 1
     assert events[0].offset_delta == 3
@@ -633,6 +635,309 @@ def test_termination_measure_decreases():
             if removed - added <= 0:
                 assert ev.rule is Rule.V_SHAPE_MIN
                 assert ev.offset_delta >= 1
+
+
+# -- shared moves against the per-rule bodies ------------------------------------
+# The rule bodies as they were before take, simplicial cash-in and fold were
+# shared, kept as the reference for the rules now routed through them.
+
+def _old_two_neighbors(g, v):
+    a, b = sorted(g.adj[v])
+    if (g.weight[a], a) <= (g.weight[b], b):
+        return a, b
+    return b, a
+
+
+def old_neighborhood_removal(g, v, events):
+    if g.weight[v] < g.neighborhood_weight(v):
+        return False
+    ops = []
+    for u in sorted(g.adj[v]):
+        _rm(g, u, ops)
+    _rm(g, v, ops)
+    events.append(ReductionEvent(Rule.NEIGHBORHOOD_REMOVAL, ops,
+                                 offset_delta=g.weight[v], decided=(v,)))
+    return True
+
+
+def old_degree_one(g, v, events):
+    if g.degree(v) != 1:
+        return False
+    (u,) = g.adj[v]
+    wv = g.weight[v]
+    ops = []
+    if wv >= g.weight[u]:
+        _rm(g, v, ops)
+        _rm(g, u, ops)
+        events.append(ReductionEvent(Rule.DEGREE_ONE, ops, offset_delta=wv, decided=(v,)))
+    else:
+        _rm(g, v, ops)
+        _set_w(g, u, g.weight[u] - wv, ops)
+        events.append(ReductionEvent(Rule.DEGREE_ONE, ops, offset_delta=wv,
+                                     rebuild=("if_absent_take", (u,), v)))
+    return True
+
+
+def old_triangle(g, v, events):
+    if g.degree(v) != 2:
+        return False
+    x, y = _old_two_neighbors(g, v)
+    if y not in g.adj[x]:
+        return False
+    wv, wx, wy = g.weight[v], g.weight[x], g.weight[y]
+    ops = []
+    if wv >= wy:
+        _rm(g, v, ops)
+        _rm(g, x, ops)
+        _rm(g, y, ops)
+        events.append(ReductionEvent(Rule.TRIANGLE, ops, offset_delta=wv, decided=(v,)))
+    elif wv >= wx:
+        _rm(g, v, ops)
+        _rm(g, x, ops)
+        _set_w(g, y, wy - wv, ops)
+        events.append(ReductionEvent(Rule.TRIANGLE, ops, offset_delta=wv,
+                                     rebuild=("if_absent_take", (y,), v)))
+    else:
+        _rm(g, v, ops)
+        _set_w(g, x, wx - wv, ops)
+        _set_w(g, y, wy - wv, ops)
+        events.append(ReductionEvent(Rule.TRIANGLE, ops, offset_delta=wv,
+                                     rebuild=("if_absent_take", (x, y), v)))
+    return True
+
+
+def old_v_shape(g, v, events):
+    if g.degree(v) != 2:
+        return False
+    x, y = _old_two_neighbors(g, v)
+    if y in g.adj[x]:
+        return False
+    wv, wx, wy = g.weight[v], g.weight[x], g.weight[y]
+    if wv < wx:
+        return False
+    ops = []
+    if wv >= wy:
+        if wv >= wx + wy:
+            _rm(g, v, ops)
+            _rm(g, x, ops)
+            _rm(g, y, ops)
+            events.append(ReductionEvent(Rule.V_SHAPE, ops, offset_delta=wv, decided=(v,)))
+        else:
+            outside = sorted((g.adj[x] | g.adj[y]) - {v, x, y})
+            _rm(g, v, ops)
+            _rm(g, x, ops)
+            _rm(g, y, ops)
+            fold = _new_vertex(g, wx + wy - wv, ops)
+            for u in outside:
+                _add_edge(g, fold, u, ops)
+            events.append(ReductionEvent(Rule.V_SHAPE, ops, offset_delta=wv,
+                                         rebuild=("fold", fold, (x, y), (v,))))
+    else:
+        gained = sorted(g.adj[y] - g.adj[x] - {v, x})
+        _rm(g, v, ops)
+        for u in gained:
+            _add_edge(g, x, u, ops)
+        _set_w(g, y, wy - wv, ops)
+        events.append(ReductionEvent(Rule.V_SHAPE, ops, offset_delta=wv,
+                                     rebuild=("if_absent_take", (x, y), v)))
+    return True
+
+
+def old_isolated_clique(g, v, events):
+    nbrs = g.adj[v]
+    if nbrs and g.weight[v] < max(g.weight[u] for u in nbrs):
+        return False
+    if not _is_clique(g, nbrs):
+        return False
+    ops = []
+    for u in sorted(nbrs):
+        _rm(g, u, ops)
+    _rm(g, v, ops)
+    events.append(ReductionEvent(Rule.ISOLATED_CLIQUE, ops,
+                                 offset_delta=g.weight[v], decided=(v,)))
+    return True
+
+
+def old_twin(g, u, v, events):
+    if u == v or g.degree(u) != 3 or g.degree(v) != 3 or g.adj[u] != g.adj[v]:
+        return False
+    p, q, r = sorted(g.adj[u])
+    w_pair = g.weight[u] + g.weight[v]
+    w_nbrs = g.weight[p] + g.weight[q] + g.weight[r]
+    ops = []
+    if w_pair >= w_nbrs:
+        for z in (p, q, r):
+            _rm(g, z, ops)
+        _rm(g, u, ops)
+        _rm(g, v, ops)
+        events.append(ReductionEvent(Rule.TWIN, ops, offset_delta=w_pair,
+                                     decided=tuple(sorted((u, v)))))
+        return True
+    if w_pair <= w_nbrs - min(g.weight[p], g.weight[q], g.weight[r]):
+        return False
+    if not is_independent(g, (p, q, r)):
+        return False
+    outside = sorted((g.adj[p] | g.adj[q] | g.adj[r]) - {u, v, p, q, r})
+    for z in (p, q, r):
+        _rm(g, z, ops)
+    _rm(g, u, ops)
+    _rm(g, v, ops)
+    fold = _new_vertex(g, w_nbrs - w_pair, ops)
+    for z in outside:
+        _add_edge(g, fold, z, ops)
+    events.append(ReductionEvent(Rule.TWIN, ops, offset_delta=w_pair,
+                                 rebuild=("fold", fold, (p, q, r), tuple(sorted((u, v))))))
+    return True
+
+
+def old_simplicial_transfer(g, v, events):
+    nbrs = g.adj[v]
+    if not _is_clique(g, nbrs):
+        return False
+    wv = g.weight[v]
+    light = sorted(u for u in nbrs if g.weight[u] <= wv)
+    heavy = sorted(u for u in nbrs if g.weight[u] > wv)
+    ops = []
+    for u in light:
+        _rm(g, u, ops)
+    _rm(g, v, ops)
+    for u in heavy:
+        _set_w(g, u, g.weight[u] - wv, ops)
+    if heavy:
+        ev = ReductionEvent(Rule.SIMPLICIAL_TRANSFER, ops, offset_delta=wv,
+                            rebuild=("if_absent_take", tuple(heavy), v))
+    else:
+        ev = ReductionEvent(Rule.SIMPLICIAL_TRANSFER, ops, offset_delta=wv, decided=(v,))
+    events.append(ev)
+    return True
+
+
+def old_cwis(g, events):
+    chosen, value = critical_set(g)
+    if not chosen:
+        return False
+    doomed = set()
+    for v in chosen:
+        doomed.update(g.adj[v])
+    doomed -= chosen
+    total = sum(g.weight[v] for v in chosen)
+    ops = []
+    for u in sorted(doomed):
+        _rm(g, u, ops)
+    for v in sorted(chosen):
+        _rm(g, v, ops)
+    events.append(ReductionEvent(Rule.CWIS, ops, offset_delta=total,
+                                 decided=tuple(sorted(chosen))))
+    return True
+
+
+def old_neighborhood_folding(g, v, events):
+    nbrs = sorted(g.adj[v])
+    if not nbrs or not is_independent(g, nbrs):
+        return False
+    wv = g.weight[v]
+    w_nbrs = sum(g.weight[u] for u in nbrs)
+    if w_nbrs <= wv or w_nbrs - min(g.weight[u] for u in nbrs) >= wv:
+        return False
+    outside = set()
+    for u in nbrs:
+        outside.update(g.adj[u])
+    outside -= set(nbrs)
+    outside.discard(v)
+    ops = []
+    for u in nbrs:
+        _rm(g, u, ops)
+    _rm(g, v, ops)
+    fold = _new_vertex(g, w_nbrs - wv, ops)
+    for u in sorted(outside):
+        _add_edge(g, fold, u, ops)
+    events.append(ReductionEvent(Rule.NEIGHBORHOOD_FOLDING, ops, offset_delta=wv,
+                                 rebuild=("fold", fold, tuple(nbrs), (v,))))
+    return True
+
+
+VERTEX_RULES_AND_REFERENCES = [
+    (apply_neighborhood_removal, old_neighborhood_removal),
+    (apply_degree_one, old_degree_one),
+    (apply_triangle, old_triangle),
+    (apply_v_shape, old_v_shape),
+    (apply_isolated_clique, old_isolated_clique),
+    (apply_simplicial_transfer, old_simplicial_transfer),
+    (apply_neighborhood_folding, old_neighborhood_folding),
+]
+
+
+def reference_test_graph(rng):
+    """Small random graph with zero and tied weights.  About half of them
+    get a planted pair of degree-three twins.  Their three neighbours are
+    made independent half the time and, half the time, reweighted to 1-12
+    so that they outweigh the pair by at most the lightest of them, which
+    spans the take, fold and refuse cases."""
+    n = rng.randint(1, 12)
+    p = rng.choice([0.1, 0.2, 0.35, 0.6])
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    whi = rng.choice([1, 2, 3, 12])
+    weights = [rng.randint(0, whi) for _ in range(n)]
+    if n >= 5 and rng.random() < 0.5:
+        u, v, *nbrs = rng.sample(range(n), 5)
+        edges = {e for e in edges if u not in e and v not in e}
+        edges |= {tuple(sorted((c, z))) for c in (u, v) for z in nbrs}
+        if rng.random() < 0.5:
+            edges -= {tuple(sorted(e)) for e in itertools.combinations(nbrs, 2)}
+        if rng.random() < 0.5:
+            for z in nbrs:
+                weights[z] = rng.randint(1, 12)
+            pair = sum(weights[z] for z in nbrs) - rng.randint(0, min(weights[z] for z in nbrs))
+            weights[u] = rng.randint(0, pair)
+            weights[v] = pair - weights[u]
+    return build_graph(sorted(edges), weights)
+
+
+def _as_sets(script):
+    return tuple(frozenset(x) if isinstance(x, tuple) else x for x in script)
+
+
+def _fire_both(g, rule, reference, args, seen):
+    a, b = g.copy(), g.copy()
+    ev_a, ev_b = [], []
+    fired = rule(a, *args, ev_a)
+    assert fired == reference(b, *args, ev_b), (rule.__name__, args)
+    assert graph_state(a) == graph_state(b), (rule.__name__, args)
+    if fired:
+        (ea,), (eb,) = ev_a, ev_b
+        assert (ea.rule, ea.offset_delta, ea.decided) == (eb.rule, eb.offset_delta, eb.decided)
+        assert _as_sets(ea.rebuild) == _as_sets(eb.rebuild)
+        seen[rule.__name__, ea.rebuild[0] if ea.rebuild else "take",
+             len(ea.rebuild[1]) if ea.rebuild[:1] == ("if_absent_take",) else 0] += 1
+        undo_event(a, ea)
+        assert graph_state(a) == graph_state(g)
+
+
+def test_shared_moves_match_the_per_rule_bodies():
+    rng = random.Random(1789)
+    seen = collections.Counter()
+    for _ in range(400):
+        g = reference_test_graph(rng)
+        for v in g.vertices():
+            for rule, reference in VERTEX_RULES_AND_REFERENCES:
+                _fire_both(g, rule, reference, (v,), seen)
+        for u, v in itertools.permutations(g.vertices(), 2):
+            _fire_both(g, apply_twin, old_twin, (u, v), seen)
+        _fire_both(g, apply_cwis, old_cwis, (), seen)
+    # every branch of every rebuilt rule is met, ties and zero weights included
+    branches = {
+        ("apply_neighborhood_removal", "take", 0), ("apply_degree_one", "take", 0),
+        ("apply_degree_one", "if_absent_take", 1), ("apply_triangle", "take", 0),
+        ("apply_triangle", "if_absent_take", 1), ("apply_triangle", "if_absent_take", 2),
+        ("apply_v_shape", "take", 0), ("apply_v_shape", "fold", 0),
+        ("apply_v_shape", "if_absent_take", 2), ("apply_isolated_clique", "take", 0),
+        ("apply_simplicial_transfer", "take", 0),
+        ("apply_simplicial_transfer", "if_absent_take", 1),
+        ("apply_simplicial_transfer", "if_absent_take", 2),
+        ("apply_neighborhood_folding", "fold", 0), ("apply_twin", "take", 0),
+        ("apply_twin", "fold", 0), ("apply_cwis", "take", 0),
+    }
+    assert {key for key, count in seen.items() if count >= 10} >= branches, seen
 
 
 # -- orderings ------------------------------------------------------------------------
