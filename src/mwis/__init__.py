@@ -20,26 +20,24 @@ from .local_search import (SearchState, maximize_greedy, omega_one_swap,
                            one_two_swap, perturb, vnd)
 from .partition import (Partition, PartitionPool, SEPARATOR, edge_partition,
                         separator_from, validate_partition, vertex_separator)
-from .evolution import (EvolveBudget, EvolveParams, Individual, InitStrategy,
-                        Population, build_initial, combine_edge_separator,
-                        combine_multiway_edge_separator,
+from .evolution import (Individual, InitStrategy, Population, build_initial,
+                        combine_edge_separator, combine_multiway_edge_separator,
                         combine_multiway_vertex_separator,
                         combine_vertex_separator, evolve, initial_population,
                         make_individual, mutate, replace, tournament_select)
-from .heuristic import SelectionConfig, SelectionStrategy, heuristic_reduce, rate
+from .heuristic import SelectionStrategy, heuristic_reduce, rate
 from .solver import (RoundStats, SolveResult, SolverConfig, VerifyReport,
                      solve, verify)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_RULES", "EvolveBudget", "EvolveParams", "GraphError",
-    "GraphFormatError", "Individual", "InitStrategy", "Kernel",
-    "ORDERING_PRESETS", "OracleBudgetError", "OracleLimitError",
-    "OracleLimits", "OrderingTrial", "Partition", "PartitionPool",
-    "Population", "ReductionEvent", "ReductionOrdering", "RoundStats",
-    "Rule", "SEPARATOR", "SearchState", "SelectionConfig",
-    "SelectionStrategy", "SolveResult", "SolverConfig", "VerifyReport",
+    "ALL_RULES", "GraphError", "GraphFormatError", "Individual",
+    "InitStrategy", "Kernel", "ORDERING_PRESETS", "OracleBudgetError",
+    "OracleLimitError", "OracleLimits", "OrderingTrial", "Partition",
+    "PartitionPool", "Population", "ReductionEvent", "ReductionOrdering",
+    "RoundStats", "Rule", "SEPARATOR", "SearchState", "SelectionStrategy",
+    "SolveResult", "SolverConfig", "VerifyReport",
     "WeightedGraph", "brute_force", "build_graph", "build_initial",
     "combine_edge_separator",
     "combine_multiway_edge_separator", "combine_multiway_vertex_separator",

@@ -16,12 +16,19 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .graph import WeightedGraph, is_independent
 from .local_search import SearchState, maximize_greedy, perturb, vnd
 from .maxflow import FlowNetwork
 from .partition import Partition, PartitionPool, SEPARATOR
+
+if TYPE_CHECKING:
+    from .solver import SolverConfig
+
+# Offers without an entry on merit after which ``replace`` forces the
+# offspring in over the most similar member.
+FORCE_AFTER = 100
 
 
 class InitStrategy(Enum):
@@ -146,9 +153,6 @@ class Population:
     def best(self) -> Individual:
         return max(self.individuals, key=lambda ind: ind.weight)
 
-    def weights(self) -> list[int]:
-        return [ind.weight for ind in self.individuals]
-
 
 def initial_population(g: WeightedGraph, size: int, rng: random.Random) -> Population:
     """Fill a population, drawing a constructor uniformly per individual."""
@@ -196,7 +200,7 @@ def _split_blocks(part: Partition) -> list[set[int]]:
 
 def combine_vertex_separator(g: WeightedGraph, part: Partition,
                              first: Individual, second: Individual,
-                             ls_iterations: int = 15_000,
+                             ls_iterations: int,
                              rng: random.Random | None = None
                              ) -> tuple[Individual, Individual]:
     """Exchange whole separator blocks between two parents.
@@ -215,7 +219,7 @@ def combine_vertex_separator(g: WeightedGraph, part: Partition,
 
 def combine_multiway_vertex_separator(g: WeightedGraph, part: Partition,
                                       parents: Sequence[Individual],
-                                      ls_iterations: int = 15_000,
+                                      ls_iterations: int,
                                       rng: random.Random | None = None) -> Individual:
     """Give each separator block to the parent weighing most inside it."""
     if not part.has_separator:
@@ -287,7 +291,7 @@ def exchanged_covers(g: WeightedGraph, part: Partition,
 
 def combine_edge_separator(g: WeightedGraph, part: Partition,
                            first: Individual, second: Individual,
-                           ls_iterations: int = 15_000,
+                           ls_iterations: int,
                            rng: random.Random | None = None
                            ) -> tuple[Individual, Individual]:
     """Exchange cover blocks across a 2-way edge partition and repair."""
@@ -299,7 +303,7 @@ def combine_edge_separator(g: WeightedGraph, part: Partition,
 
 def combine_multiway_edge_separator(g: WeightedGraph, part: Partition,
                                     parents: Sequence[Individual],
-                                    ls_iterations: int = 15_000,
+                                    ls_iterations: int,
                                     rng: random.Random | None = None) -> Individual:
     """Give each block to the parent with the lightest cover inside it.
 
@@ -338,7 +342,7 @@ def combine_multiway_edge_separator(g: WeightedGraph, part: Partition,
 # -- mutation and replacement --------------------------------------------------
 
 def mutate(g: WeightedGraph, offspring: Individual, rng: random.Random,
-           strength: int = 1, ls_iterations: int = 15_000) -> Individual:
+           strength: int, ls_iterations: int) -> Individual:
     """Force random vertices into the solution, then descend again."""
     state = SearchState(g, offspring.members)
     perturb(state, strength, rng)
@@ -346,12 +350,12 @@ def mutate(g: WeightedGraph, offspring: Individual, rng: random.Random,
     return _individual_from_state(state)
 
 
-def replace(pop: Population, offspring: Individual, force_after: int = 100) -> bool:
+def replace(pop: Population, offspring: Individual) -> bool:
     """Offer the offspring to the population; True iff membership changed.
 
     Duplicates are rejected.  Normally the offspring may only evict a
     strictly lighter member, choosing the most similar one by intersection
-    size.  Once the population stalled for ``force_after`` offers, the
+    size.  Once the population stalled for ``FORCE_AFTER`` offers, the
     offspring is forced over the most similar member instead (the current
     best member stays protected).
     """
@@ -365,7 +369,7 @@ def replace(pop: Population, offspring: Individual, force_after: int = 100) -> b
         inds[victim] = offspring
         pop.stagnation = 0
         return True
-    if pop.stagnation >= force_after and len(inds) > 1:
+    if pop.stagnation >= FORCE_AFTER and len(inds) > 1:
         best = max(range(len(inds)), key=lambda i: (inds[i].weight, -i))
         candidates = [i for i in range(len(inds)) if i != best]
         victim = max(candidates, key=lambda i: (offspring.intersection_size(inds[i]), -i))
@@ -382,53 +386,28 @@ _COMBINE_KINDS = ("vertex_separator", "multiway_vertex_separator",
                   "edge_separator", "multiway_edge_separator")
 
 
-@dataclass
-class EvolveBudget:
-    """Stopping criteria for one evolve call."""
-
-    unsuccessful_limit: int = 1000
-    max_rounds: Optional[int] = None
-    deadline: Optional[float] = None  # time.monotonic() timestamp
-
-    def out_of_time(self) -> bool:
-        return self.deadline is not None and time.monotonic() >= self.deadline
-
-
-@dataclass
-class EvolveParams:
-    ls_iterations: int = 15_000
-    mutation_prob: float = 0.10
-    force_after: int = 100
-    pool_size: int = 10
-    max_blocks: int = 64
-    epsilon: float = 0.03
-
-
 def evolve(g: WeightedGraph, pop: Population, rng: random.Random,
-           budget: EvolveBudget | None = None,
-           params: EvolveParams | None = None,
+           config: SolverConfig, deadline: float | None = None,
            on_improve: Callable[[int, int], None] | None = None) -> Population:
-    """Run combine/mutate/replace rounds until the budget is exhausted.
+    """Run combine/mutate/replace rounds on ``pop`` until the budget is spent.
 
-    Stops after ``unsuccessful_limit`` consecutive offers that did not
-    enter the population on merit (forced inserts do not reset the
-    counter), on the deadline, or at ``max_rounds``.
+    Reads ``unsuccessful_limit``, ``ls_iterations``, ``mutation_prob``,
+    ``pool_size`` and ``max_blocks`` from ``config``.  Stops after
+    ``unsuccessful_limit`` consecutive offers that did not enter the
+    population on merit (forced inserts do not reset the counter), or once
+    ``time.monotonic()`` reaches ``deadline``.
     """
-    budget = budget or EvolveBudget()
-    params = params or EvolveParams()
     if g.live_count < 2:
         return pop
-    pool = PartitionPool(g, capacity=params.pool_size,
-                         epsilon=params.epsilon, max_blocks=params.max_blocks)
+    pool = PartitionPool(g, capacity=config.pool_size, max_blocks=config.max_blocks)
+    ls_iterations = config.ls_iterations
 
     best_weight = pop.best().weight
     unsuccessful = 0
     strength = 1
     rounds = 0
-    while unsuccessful < budget.unsuccessful_limit:
-        if budget.max_rounds is not None and rounds >= budget.max_rounds:
-            break
-        if budget.out_of_time():
+    while unsuccessful < config.unsuccessful_limit:
+        if deadline is not None and time.monotonic() >= deadline:
             break
         rounds += 1
         kind = _COMBINE_KINDS[rng.randrange(len(_COMBINE_KINDS))]
@@ -436,31 +415,31 @@ def evolve(g: WeightedGraph, pop: Population, rng: random.Random,
             part = pool.fetch(want_separator=True, rng=rng, k=2)
             parents = [tournament_select(pop, rng) for _ in range(2)]
             pair = combine_vertex_separator(g, part, *parents,
-                                            ls_iterations=params.ls_iterations, rng=rng)
+                                            ls_iterations=ls_iterations, rng=rng)
             offspring = max(pair, key=lambda ind: ind.weight)
         elif kind == "edge_separator":
             part = pool.fetch(want_separator=False, rng=rng, k=2)
             parents = [tournament_select(pop, rng) for _ in range(2)]
             pair = combine_edge_separator(g, part, *parents,
-                                          ls_iterations=params.ls_iterations, rng=rng)
+                                          ls_iterations=ls_iterations, rng=rng)
             offspring = max(pair, key=lambda ind: ind.weight)
         elif kind == "multiway_vertex_separator":
             part = pool.fetch(want_separator=True, rng=rng)
             parents = [tournament_select(pop, rng) for _ in range(part.k)]
             offspring = combine_multiway_vertex_separator(
-                g, part, parents, ls_iterations=params.ls_iterations, rng=rng)
+                g, part, parents, ls_iterations=ls_iterations, rng=rng)
         else:
             part = pool.fetch(want_separator=False, rng=rng)
             parents = [tournament_select(pop, rng) for _ in range(part.k)]
             offspring = combine_multiway_edge_separator(
-                g, part, parents, ls_iterations=params.ls_iterations, rng=rng)
+                g, part, parents, ls_iterations=ls_iterations, rng=rng)
 
-        if rng.random() < params.mutation_prob:
+        if rng.random() < config.mutation_prob:
             offspring = mutate(g, offspring, rng, strength=strength,
-                               ls_iterations=params.ls_iterations)
+                               ls_iterations=ls_iterations)
 
-        forcing = pop.stagnation >= params.force_after
-        changed = replace(pop, offspring, force_after=params.force_after)
+        forcing = pop.stagnation >= FORCE_AFTER
+        changed = replace(pop, offspring)
         if changed and not forcing:
             unsuccessful = 0
         else:

@@ -56,10 +56,6 @@ class WeightedGraph:
         """Alive vertex ids in ascending order."""
         return [v for v in range(len(self.alive)) if self.alive[v]]
 
-    def neighbors(self, v: int) -> set[int]:
-        """Alive neighbors of ``v`` (do not mutate the returned set)."""
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

@@ -8,13 +8,15 @@ reopens the reduction space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from .evolution import Population
 from .graph import WeightedGraph
+
+if TYPE_CHECKING:
+    from .solver import SolverConfig
 
 # Rank placed above every finite weight/degree ratio (degree-0 vertices
 # are always safe to take).
@@ -27,22 +29,6 @@ class SelectionStrategy(Enum):
     WEIGHT_OVER_DEGREE = "weight_over_degree"
     HYBRID = "hybrid"
     SOLUTION_PARTICIPATION = "solution_participation"
-
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    """Strategy plus how much of the fittest solution to force per call.
-
-    ``fraction=None`` forces exactly one vertex; participation mode always
-    forces one regardless.
-    """
-
-    kind: SelectionStrategy = SelectionStrategy.HYBRID
-    fraction: Optional[float] = None
-
-    def __post_init__(self):
-        if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
 
 
 def _participation(count: int, w: int, pop: Population) -> Fraction:
@@ -77,18 +63,20 @@ def rate(kind: SelectionStrategy, g: WeightedGraph, pop: Population,
     raise ValueError(f"unknown strategy {kind}")
 
 
-def heuristic_reduce(g: WeightedGraph, pop: Population,
-                     selection: SelectionConfig,
+def heuristic_reduce(g: WeightedGraph, pop: Population, config: SolverConfig,
                      solution_sink: set[int]) -> set[int]:
     """Force the top-rated vertices into the solution and delete N[forced].
 
-    The first four strategies rate only the fittest individual's vertices,
+    Reads ``config.selection`` and ``config.selection_fraction``.  The
+    first four strategies rate only the fittest individual's vertices and
+    force the top fraction of them (one vertex when the fraction is None),
     so any forced subset is pairwise non-adjacent; participation rates the
     whole graph and forces a single vertex.  Deletions are permanent.
     """
     if not pop.individuals:
         raise ValueError("population is empty")
-    if selection.kind is SelectionStrategy.SOLUTION_PARTICIPATION:
+    kind, fraction = config.selection, config.selection_fraction
+    if kind is SelectionStrategy.SOLUTION_PARTICIPATION:
         candidates = g.vertices()
         take = 1
         # One pass over the population instead of one per candidate.
@@ -102,13 +90,13 @@ def heuristic_reduce(g: WeightedGraph, pop: Population,
             return _participation(counts[v], g.weight[v], pop)
     else:
         candidates = sorted(pop.best().members)
-        if selection.fraction is None:
+        if fraction is None:
             take = 1
         else:
-            take = max(1, int(selection.fraction * len(candidates)))
+            take = max(1, int(fraction * len(candidates)))
 
         def score(v: int) -> Fraction:
-            return rate(selection.kind, g, pop, v)
+            return rate(kind, g, pop, v)
     if not candidates:
         return set()
 

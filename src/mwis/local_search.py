@@ -21,12 +21,12 @@ class SearchState:
     ``tight[v]`` counts v's solution neighbors and ``nbw[v]`` sums their
     weights; both are kept up to date by :meth:`add` and :meth:`drop`, so
     a move test reads them in constant time.  A vertex is *free* when it
-    is outside the solution and none of its neighbors are inside; free
-    vertices can be added without repair.  The graph must not change
+    is alive, outside the solution and none of its neighbors are inside;
+    free vertices can be added without repair.  The graph must not change
     while a state is in use.
     """
 
-    __slots__ = ("g", "in_sol", "tight", "nbw", "weight", "free")
+    __slots__ = ("g", "in_sol", "tight", "nbw", "weight")
 
     def __init__(self, g: WeightedGraph, members=()):
         self.g = g
@@ -35,7 +35,6 @@ class SearchState:
         self.tight = [0] * cap
         self.nbw = [0] * cap
         self.weight = 0
-        self.free = {v for v in range(cap) if g.alive[v]}
         for v in sorted(set(members)):
             if not g.is_alive(v):
                 raise ValueError(f"vertex {v} is not alive")
@@ -46,8 +45,11 @@ class SearchState:
     def members(self) -> set[int]:
         return {v for v in range(len(self.in_sol)) if self.in_sol[v]}
 
-    def is_free(self, v: int) -> bool:
-        return not self.in_sol[v] and self.tight[v] == 0 and self.g.alive[v]
+    def free(self) -> list[int]:
+        """The free vertices in id order."""
+        alive, in_sol, tight = self.g.alive, self.in_sol, self.tight
+        return [v for v in range(len(in_sol))
+                if alive[v] and not in_sol[v] and not tight[v]]
 
     def add(self, v: int) -> None:
         if self.in_sol[v] or self.tight[v]:
@@ -55,12 +57,10 @@ class SearchState:
         self.in_sol[v] = True
         w = self.g.weight[v]
         self.weight += w
-        self.free.discard(v)
-        tight, nbw, free = self.tight, self.nbw, self.free
+        tight, nbw = self.tight, self.nbw
         for u in self.g.adj[v]:
             tight[u] += 1
             nbw[u] += w
-            free.discard(u)
 
     def drop(self, v: int) -> None:
         if not self.in_sol[v]:
@@ -68,14 +68,10 @@ class SearchState:
         self.in_sol[v] = False
         w = self.g.weight[v]
         self.weight -= w
-        if self.tight[v] == 0:
-            self.free.add(v)
-        tight, nbw, in_sol = self.tight, self.nbw, self.in_sol
+        tight, nbw = self.tight, self.nbw
         for u in self.g.adj[v]:
             tight[u] -= 1
             nbw[u] -= w
-            if tight[u] == 0 and not in_sol[u]:
-                self.free.add(u)
 
     def force_insert(self, v: int) -> None:
         """Put v into the solution, evicting its solution neighbors."""
@@ -87,8 +83,7 @@ class SearchState:
         self.add(v)
 
     def audit(self) -> None:
-        """Raise when tightness, neighbor weight, freeness or the weight
-        cache drifted."""
+        """Raise when tightness, neighbor weight or the weight cache drifted."""
         g = self.g
         total = 0
         for v in range(g.capacity):
@@ -106,8 +101,6 @@ class SearchState:
                 raise AssertionError(f"neighbor-weight drift at {v}: {self.nbw[v]} != {w}")
             if self.in_sol[v] and t:
                 raise AssertionError(f"solution vertex {v} has solution neighbors")
-            if (v in self.free) != (not self.in_sol[v] and t == 0):
-                raise AssertionError(f"free-set drift at {v}")
         if total != self.weight:
             raise AssertionError(f"weight drift: {self.weight} != {total}")
 
@@ -119,18 +112,22 @@ def maximize_greedy(state: SearchState, order: str = "by_weight",
     ``by_weight`` takes the heaviest free vertex first (ties: lower id);
     ``uniform_random`` draws uniformly and needs ``rng``.
     """
+    tight = state.tight
     if order == "by_weight":
         # Adding only ever shrinks the free set, so one pass in heaviest-
         # first order picks what a fresh maximum at every step would.
-        weight, free = state.g.weight, state.free
-        for v in sorted(free, key=lambda u: (-weight[u], u)):
-            if v in free:
+        weight = state.g.weight
+        for v in sorted(state.free(), key=lambda u: (-weight[u], u)):
+            if not tight[v]:
                 state.add(v)
     elif order == "uniform_random":
         if rng is None:
             raise ValueError("uniform_random order needs an rng")
-        while state.free:
-            state.add(rng.choice(sorted(state.free)))
+        free = state.free()
+        while free:
+            v = rng.choice(free)
+            state.add(v)
+            free = [u for u in free if u != v and not tight[u]]
     else:
         raise ValueError(f"unknown order {order!r}")
 

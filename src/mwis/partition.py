@@ -20,6 +20,9 @@ from .graph import WeightedGraph
 SEPARATOR = -1
 
 POOL_BLOCK_CHOICES = (2, 4, 8, 16, 32, 64)
+# Imbalance bound of every pool partition: blocks hold at most 3% more
+# than an even share.
+POOL_EPSILON = 0.03
 
 
 @dataclass(frozen=True)
@@ -266,25 +269,25 @@ class _PoolEntry:
 
 @dataclass
 class PartitionPool:
-    """Capacity-bounded cache of partitions of one unchanging graph."""
+    """Cache of up to ``capacity`` partitions of one unchanging graph.
+
+    Block counts are drawn from ``POOL_BLOCK_CHOICES`` up to ``max_blocks``
+    (``evolve`` passes ``SolverConfig.pool_size`` and ``max_blocks``); every
+    partition is built under the ``POOL_EPSILON`` balance bound.
+    """
 
     g: WeightedGraph
-    capacity: int = 10
-    epsilon: float = 0.03
-    max_blocks: int = 64
+    capacity: int
+    max_blocks: int
     _entries: list[_PoolEntry] = field(default_factory=list)
 
-    def _block_choices(self) -> list[int]:
-        live = self.g.live_count
-        ks = [k for k in POOL_BLOCK_CHOICES if k <= min(live, self.max_blocks)]
-        return ks or ([2] if live >= 2 else [])
-
     def _fill(self, rng: random.Random) -> None:
-        choices = self._block_choices()
+        top = min(self.g.live_count, self.max_blocks)
+        choices = [k for k in POOL_BLOCK_CHOICES if k <= top]
         if not choices:
-            raise ValueError("graph too small to partition")
+            raise ValueError(f"no block count from 2 to {top} fits the graph")
         self._entries = [
-            _PoolEntry(k=k, edge=edge_partition(self.g, k, self.epsilon, rng))
+            _PoolEntry(k=k, edge=edge_partition(self.g, k, POOL_EPSILON, rng))
             for k in (rng.choice(choices) for _ in range(self.capacity))
         ]
 
@@ -299,7 +302,7 @@ class PartitionPool:
             self._fill(rng)
         matching = [e for e in self._entries if k is None or e.k == k]
         if not matching:
-            entry = _PoolEntry(k=k, edge=edge_partition(self.g, k, self.epsilon, rng))
+            entry = _PoolEntry(k=k, edge=edge_partition(self.g, k, POOL_EPSILON, rng))
             self._entries[rng.randrange(len(self._entries))] = entry
         else:
             entry = matching[rng.randrange(len(matching))]

@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .evolution import (EvolveBudget, EvolveParams, evolve, initial_population)
+from .evolution import evolve, initial_population
 from .graph import WeightedGraph, independence_violations, is_independent
-from .heuristic import SelectionConfig, SelectionStrategy, heuristic_reduce
+from .heuristic import SelectionStrategy, heuristic_reduce
 from .local_search import SearchState, maximize_greedy
 from .reductions import (ReductionEvent, exact_reduce, ordering_preset,
                          replay_events)
@@ -24,6 +24,12 @@ from .reductions import (ReductionEvent, exact_reduce, ordering_preset,
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Every solver setting; ``evolve`` and ``heuristic_reduce`` read it too.
+
+    ``selection_fraction=None`` forces one vertex per round; participation
+    selection always forces one.
+    """
+
     time_limit: float = 36_000.0
     seed: int = 0
     population_size: int = 250
@@ -32,23 +38,25 @@ class SolverConfig:
     max_blocks: int = 64
     mutation_prob: float = 0.10
     unsuccessful_limit: int = 1000
-    force_after: int = 100
     ordering: str = "baseline"
     selection: SelectionStrategy = SelectionStrategy.HYBRID
     selection_fraction: Optional[float] = None
-    epsilon: float = 0.03
 
     def __post_init__(self):
         for name in ("population_size", "pool_size", "ls_iterations",
-                     "max_blocks", "unsuccessful_limit", "force_after"):
+                     "unsuccessful_limit"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.time_limit <= 0:
+        if self.max_blocks < 2:
+            raise ValueError("max_blocks must be at least 2")
+        if not self.time_limit > 0:  # also rejects NaN
             raise ValueError("time_limit must be positive")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError("mutation_prob must be within [0, 1]")
         ordering_preset(self.ordering)  # validates the name
-        SelectionConfig(self.selection, self.selection_fraction)
+        fraction = self.selection_fraction
+        if fraction is not None and not 0.0 < fraction <= 1.0:
+            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +107,6 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
     rounds = 0
     kernel_solution: set[int] = set()
     ordering = ordering_preset(config.ordering)
-    selection = SelectionConfig(config.selection, config.selection_fraction)
-    params = EvolveParams(ls_iterations=config.ls_iterations,
-                          mutation_prob=config.mutation_prob,
-                          force_after=config.force_after,
-                          pool_size=config.pool_size,
-                          max_blocks=config.max_blocks,
-                          epsilon=config.epsilon)
 
     def emit(kind: str, **payload) -> None:
         if progress is not None:
@@ -124,9 +125,7 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
             kernel_solution = _greedy_kernel_solution(g)
             break
         pop = initial_population(g, config.population_size, rng)
-        budget = EvolveBudget(unsuccessful_limit=config.unsuccessful_limit,
-                              deadline=deadline)
-        evolve(g, pop, rng, budget, params,
+        evolve(g, pop, rng, config, deadline,
                on_improve=lambda it, w: emit("evolve_best", round=rounds,
                                              iteration=it, weight=w))
         fittest = pop.best()
@@ -135,7 +134,7 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
         if cut_short():
             kernel_solution = set(fittest.members)
             break
-        heuristic_reduce(g, pop, selection, forced)
+        heuristic_reduce(g, pop, config, forced)
         rounds += 1
         emit("forced", round=rounds, kernel_vertices=g.live_count)
 

@@ -178,7 +178,7 @@ def random_kernel(rng: random.Random):
 
 def assert_valid_offspring(g, ind):
     assert is_independent(g, ind.members)
-    assert not SearchState(g, ind.members).free  # maximal
+    assert not SearchState(g, ind.members).free()  # maximal
 
 
 def test_criterion_5_combine_validity():

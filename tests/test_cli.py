@@ -29,7 +29,7 @@ def test_solve_flags_default_to_the_solver_config():
     args = vars(parser.parse_args(["solve", "g.graph"]))
     defaults = dataclasses.asdict(SolverConfig())
     shared = sorted(defaults.keys() & args.keys())
-    assert sorted(defaults.keys() - args.keys()) == ["epsilon", "force_after"]
+    assert sorted(defaults.keys() - args.keys()) == []
     args["selection"] = _SELECTION_FLAGS[args["selection"]]
     assert {k: args[k] for k in shared} == {k: defaults[k] for k in shared}
     assert parser.parse_args(["reduce", "g.graph"]).ordering == SolverConfig().ordering
@@ -139,8 +139,9 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--population-size", "0"), ("--time-limit", "-1"),
-    ("--mutation-prob", "1.5"), ("--selection-fraction", "2")])
+    ("--population-size", "0"), ("--time-limit", "-1"), ("--time-limit", "nan"),
+    ("--max-blocks", "1"), ("--mutation-prob", "1.5"),
+    ("--selection-fraction", "2")])
 def test_invalid_solver_config_exits_2(instance, tmp_path, capsys, flag, value):
     out = tmp_path / "p3.sol"
     assert main(["solve", str(instance), flag, value, "--output", str(out)]) == 2

@@ -4,9 +4,9 @@ from collections import Counter
 import pytest
 
 from mwis import evolution
-from mwis import (EvolveBudget, EvolveParams, Individual, InitStrategy,
-                  Partition, Population, SEPARATOR, SearchState, brute_force,
-                  build_graph, build_initial, combine_edge_separator,
+from mwis import (Individual, InitStrategy, Partition, Population, SEPARATOR,
+                  SearchState, SolverConfig, brute_force, build_graph,
+                  build_initial, combine_edge_separator,
                   combine_multiway_edge_separator,
                   combine_multiway_vertex_separator, combine_vertex_separator,
                   edge_partition, evolve, exact_reduce, initial_population, is_independent,
@@ -23,7 +23,7 @@ def manual_partition(g, block_of, k=2, has_separator=False):
 
 def assert_maximal(g, ind):
     assert is_independent(g, ind.members)
-    assert not SearchState(g, ind.members).free
+    assert not SearchState(g, ind.members).free()
 
 
 # -- initial constructors ------------------------------------------------------
@@ -287,7 +287,7 @@ def test_replace_forcing_spares_best():
     weak = make_individual(g, {1})
     pop = Population([best, weak], stagnation=100)
     off = make_individual(g, {2})  # lighter than both members
-    assert replace(pop, off, force_after=100)
+    assert replace(pop, off)
     assert best in pop.individuals
     assert off in pop.individuals
 
@@ -304,14 +304,14 @@ def test_evolve_zero_budget_returns_population_unchanged(rng):
     g = random_graph(rng, 10, 0.3)
     pop = initial_population(g, 10, rng)
     before = list(pop.individuals)
-    evolve(g, pop, rng, EvolveBudget(max_rounds=0))
+    evolve(g, pop, rng, SolverConfig(), deadline=0.0)
     assert pop.individuals == before
 
 
 def test_evolve_single_vertex_kernel(rng):
     g = build_graph([], [7])
     pop = initial_population(g, 5, rng)
-    out = evolve(g, pop, rng, EvolveBudget(unsuccessful_limit=10))
+    out = evolve(g, pop, rng, SolverConfig(unsuccessful_limit=10))
     assert out.best().members == frozenset({0})
 
 
@@ -320,8 +320,7 @@ def test_evolve_p4_reaches_optimum():
     alpha, _ = brute_force(g)
     rng = random.Random(5)
     pop = initial_population(g, 20, rng)
-    evolve(g, pop, rng, EvolveBudget(unsuccessful_limit=80),
-           EvolveParams(ls_iterations=500))
+    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=80, ls_iterations=500))
     assert pop.best().weight == alpha == 10
 
 
@@ -330,8 +329,7 @@ def test_evolve_population_invariants_hold(rng):
     pop = initial_population(g, 15, rng)
     size = len(pop)
     best_before = pop.best().weight
-    evolve(g, pop, rng, EvolveBudget(unsuccessful_limit=40),
-           EvolveParams(ls_iterations=300))
+    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=40, ls_iterations=300))
     assert len(pop) == size
     assert pop.best().weight >= best_before
     for ind in pop.individuals:
@@ -342,8 +340,7 @@ def test_evolve_emits_improvements(rng):
     g = random_graph(rng, 16, 0.25)
     pop = initial_population(g, 12, rng)
     seen = []
-    evolve(g, pop, rng, EvolveBudget(unsuccessful_limit=60),
-           EvolveParams(ls_iterations=300),
+    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=60, ls_iterations=300),
            on_improve=lambda it, w: seen.append((it, w)))
     assert all(w2 > w1 for (_, w1), (_, w2) in zip(seen, seen[1:]))
 
@@ -379,8 +376,8 @@ def test_evolve_only_reads_the_kernel(monkeypatch):
                   g.live_count, g.live_edges)
         rng = random.Random(g.live_count)
         pop = initial_population(g, 12, rng)
-        evolve(g, pop, rng, EvolveBudget(unsuccessful_limit=10**6, max_rounds=40),
-               EvolveParams(ls_iterations=300, mutation_prob=0.5, pool_size=4))
+        evolve(g, pop, rng, SolverConfig(unsuccessful_limit=40, ls_iterations=300,
+                                         mutation_prob=0.5, pool_size=4))
         after = ([set(a) for a in g.adj], list(g.weight), list(g.alive),
                  g.live_count, g.live_edges)
         assert after == before

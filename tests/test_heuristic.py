@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mwis import (Population, SelectionConfig, SelectionStrategy, build_graph,
+from mwis import (Population, SelectionStrategy, SolverConfig, build_graph,
                   heuristic_reduce, is_independent, make_individual, rate)
 from conftest import random_graph, star
 
@@ -52,7 +52,7 @@ def test_weight_selection_forces_heaviest():
     g = build_graph([(0, 1), (2, 3)], [9, 1, 3, 1])
     pop = two_individual_population(g, {0, 2}, {1, 3})
     sink: set[int] = set()
-    forced = heuristic_reduce(g, pop, SelectionConfig(SelectionStrategy.WEIGHT), sink)
+    forced = heuristic_reduce(g, pop, SolverConfig(selection=SelectionStrategy.WEIGHT), sink)
     assert forced == {0} == sink
     assert not g.is_alive(0) and not g.is_alive(1)
     assert g.is_alive(2) and g.is_alive(3)
@@ -63,7 +63,8 @@ def test_fraction_takes_top_half():
     pop = Population([make_individual(g, {0, 1, 2, 3})])
     sink: set[int] = set()
     forced = heuristic_reduce(
-        g, pop, SelectionConfig(SelectionStrategy.WEIGHT, fraction=0.5), sink)
+        g, pop, SolverConfig(selection=SelectionStrategy.WEIGHT,
+                             selection_fraction=0.5), sink)
     assert forced == {0, 1}
     assert g.live_count == 2
 
@@ -73,7 +74,8 @@ def test_participation_forces_single_vertex():
     pop = Population([make_individual(g, {0})])
     sink: set[int] = set()
     forced = heuristic_reduce(
-        g, pop, SelectionConfig(SelectionStrategy.SOLUTION_PARTICIPATION), sink)
+        g, pop, SolverConfig(selection=SelectionStrategy.SOLUTION_PARTICIPATION),
+        sink)
     assert forced == {0}
     assert g.is_empty
 
@@ -84,7 +86,8 @@ def test_participation_rates_whole_graph():
     pop = Population([make_individual(g, {0, 2}), make_individual(g, {0, 2})])
     sink: set[int] = set()
     forced = heuristic_reduce(
-        g, pop, SelectionConfig(SelectionStrategy.SOLUTION_PARTICIPATION), sink)
+        g, pop, SolverConfig(selection=SelectionStrategy.SOLUTION_PARTICIPATION),
+        sink)
     assert forced == {0}  # highest participation, then weight tie-break
 
 
@@ -99,7 +102,7 @@ def test_forced_sets_stay_globally_independent(rng):
         while g.live_count:
             before = g.live_count
             forced = heuristic_reduce(
-                g, pop, SelectionConfig(SelectionStrategy.HYBRID), sink)
+                g, pop, SolverConfig(selection=SelectionStrategy.HYBRID), sink)
             assert g.live_count < before  # strict progress
             assert is_independent(original, sink)
             if g.live_count:
@@ -110,11 +113,11 @@ def test_forced_sets_stay_globally_independent(rng):
 def test_empty_population_rejected():
     g = build_graph([], [1])
     with pytest.raises(ValueError):
-        heuristic_reduce(g, Population([]), SelectionConfig(), set())
+        heuristic_reduce(g, Population([]), SolverConfig(), set())
 
 
 def test_bad_fraction_rejected():
-    with pytest.raises(ValueError):
-        SelectionConfig(SelectionStrategy.WEIGHT, fraction=0.0)
-    with pytest.raises(ValueError):
-        SelectionConfig(SelectionStrategy.WEIGHT, fraction=1.5)
+    with pytest.raises(ValueError, match="fraction must be in"):
+        SolverConfig(selection=SelectionStrategy.WEIGHT, selection_fraction=0.0)
+    with pytest.raises(ValueError, match="fraction must be in"):
+        SolverConfig(selection=SelectionStrategy.WEIGHT, selection_fraction=1.5)

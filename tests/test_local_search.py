@@ -229,8 +229,8 @@ def rescanning_vnd(state, max_iterations=15_000, rng=None):
 
 def max_scan_greedy(state):
     """Reference: the heaviest free vertex (ties: lower id), found afresh."""
-    while state.free:
-        state.add(max(state.free, key=lambda u: (state.g.weight[u], -u)))
+    while state.free():
+        state.add(max(state.free(), key=lambda u: (state.g.weight[u], -u)))
 
 
 def test_vnd_matches_rescanning_reference():
@@ -262,7 +262,7 @@ def test_greedy_by_weight_matches_max_scan():
         maximize_greedy(kept, "by_weight")
         max_scan_greedy(ref)
         assert kept.members() == ref.members()
-        assert not kept.free
+        assert not kept.free()
 
 
 def test_kept_tallies_survive_random_operations():
@@ -274,7 +274,7 @@ def test_kept_tallies_survive_random_operations():
         for _ in range(30):
             v = rng.choice(g.vertices())
             op = rng.randrange(5)
-            if op == 0 and state.is_free(v):
+            if op == 0 and v in state.free():
                 state.add(v)
             elif op == 1 and state.in_sol[v]:
                 state.drop(v)

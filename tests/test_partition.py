@@ -106,14 +106,14 @@ def test_determinism_per_seed():
 
 def test_pool_fills_to_capacity(rng):
     g = random_graph(random.Random(2), 30, 0.2)
-    pool = PartitionPool(g, capacity=10)
+    pool = PartitionPool(g, capacity=10, max_blocks=64)
     pool.fetch(want_separator=False, rng=rng)
     assert len(pool._entries) == 10
 
 
 def test_pool_builds_separator_on_demand(rng):
     g = random_graph(random.Random(4), 16, 0.3)
-    pool = PartitionPool(g, capacity=3)
+    pool = PartitionPool(g, capacity=3, max_blocks=64)
     part = pool.fetch(want_separator=True, rng=rng, k=2)
     assert part.has_separator and part.k == 2
     assert validate_partition(g, part) == []
@@ -129,7 +129,7 @@ def test_pool_respects_block_bound(rng):
 
 def test_pool_rejects_tiny_graph(rng):
     g = build_graph([], [1])
-    pool = PartitionPool(g, capacity=2)
+    pool = PartitionPool(g, capacity=2, max_blocks=64)
     with pytest.raises(ValueError):
         pool.fetch(want_separator=False, rng=rng)
 

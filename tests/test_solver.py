@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -107,6 +108,55 @@ def test_config_validation():
         SolverConfig(ordering="bogus")
     with pytest.raises(ValueError):
         SolverConfig(time_limit=0)
+    with pytest.raises(ValueError, match="time_limit"):
+        SolverConfig(time_limit=float("nan"))
+    with pytest.raises(ValueError, match="max_blocks"):
+        SolverConfig(max_blocks=1)
+
+
+@pytest.mark.parametrize("mutation_prob", [0.0, 1.0])
+def test_solve_hands_each_setting_to_its_layer(monkeypatch, mutation_prob):
+    # The benchmark runs these settings at their defaults, so only a spy
+    # sees one of them dropped on the way down.
+    from mwis import evolution, solver
+
+    caps, pools, calls, forced = [], [], Counter(), []
+
+    def vnd(state, max_iterations, rng, _fn=evolution.vnd):
+        caps.append(max_iterations)
+        return _fn(state, max_iterations, rng)
+
+    def pool(g, capacity, max_blocks, _cls=evolution.PartitionPool):
+        pools.append((capacity, max_blocks))
+        return _cls(g, capacity=capacity, max_blocks=max_blocks)
+
+    def counted(name):
+        def wrapper(*args, _fn=getattr(evolution, name), **kwargs):
+            calls[name] += 1
+            return _fn(*args, **kwargs)
+        return wrapper
+
+    def heuristic_reduce(g, pop, config, sink, _fn=solver.heuristic_reduce):
+        want = max(1, int(config.selection_fraction * len(pop.best().members)))
+        forced.append((len(_fn(g, pop, config, sink)), want))
+
+    monkeypatch.setattr(evolution, "vnd", vnd)
+    monkeypatch.setattr(evolution, "PartitionPool", pool)
+    monkeypatch.setattr(evolution, "mutate", counted("mutate"))
+    monkeypatch.setattr(evolution, "replace", counted("replace"))
+    monkeypatch.setattr(solver, "heuristic_reduce", heuristic_reduce)
+    g = random_graph(random.Random(12), 50, 0.3, wlo=90, whi=110)
+    config = SolverConfig(seed=3, population_size=12, unsuccessful_limit=30,
+                          pool_size=3, max_blocks=4, ls_iterations=777,
+                          mutation_prob=mutation_prob, selection_fraction=0.2)
+    result = solve(g, config)
+
+    assert result.rounds >= 2 and len(forced) == result.rounds
+    assert caps and set(caps) == {777}
+    assert pools and set(pools) == {(3, 4)}
+    assert calls["replace"] > 0
+    assert calls["mutate"] == (calls["replace"] if mutation_prob else 0)
+    assert all(n == want for n, want in forced) and max(n for n, _ in forced) > 1
 
 
 def test_verify_accepts_valid_solution():
