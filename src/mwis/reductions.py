@@ -229,8 +229,14 @@ def _fold(g: WeightedGraph, rule: Rule, centers, members,
 
 def apply_neighborhood_removal(g: WeightedGraph, v: int, events: list[ReductionEvent]) -> bool:
     """Take v outright when it outweighs its whole neighborhood."""
-    if g.weight[v] < g.neighborhood_weight(v):
-        return False
+    # Weights are non-negative, so the room left only shrinks: stop as soon
+    # as it is negative.
+    weight = g.weight
+    room = weight[v]
+    for u in g.adj[v]:
+        room -= weight[u]
+        if room < 0:
+            return False
     return _take(g, Rule.NEIGHBORHOOD_REMOVAL, (v,), events)
 
 
@@ -318,9 +324,11 @@ def apply_v_shape_min(g: WeightedGraph, v: int, events: list[ReductionEvent]) ->
 
 def apply_isolated_clique(g: WeightedGraph, v: int, events: list[ReductionEvent]) -> bool:
     """Take a simplicial vertex that is heaviest in its clique."""
-    nbrs = g.adj[v]
-    if nbrs and g.weight[v] < max(g.weight[u] for u in nbrs):
-        return False
+    nbrs, weight = g.adj[v], g.weight
+    wv = weight[v]
+    for u in nbrs:
+        if weight[u] > wv:
+            return False
     if not _is_clique(g, nbrs):
         return False
     return _take(g, Rule.ISOLATED_CLIQUE, (v,), events)
@@ -355,15 +363,19 @@ def apply_basic_single_edge(g: WeightedGraph, u: int, v: int,
 def apply_extended_single_edge(g: WeightedGraph, u: int, v: int,
                                events: list[ReductionEvent]) -> bool:
     """Remove the common neighborhood of a dominatingly heavy edge side."""
-    if v not in g.adj[u]:
+    adj_u, adj_v = g.adj[u], g.adj[v]
+    if u not in adj_v:
         return False
-    common = g.adj[u] & g.adj[v]
-    if not common:
-        return False
-    if g.weight[v] < g.neighborhood_weight(v) - g.weight[u]:
+    weight = g.weight
+    room = weight[v] + weight[u]
+    for z in adj_v:
+        room -= weight[z]
+        if room < 0:
+            return False
+    if adj_u.isdisjoint(adj_v):
         return False
     ops: list[tuple] = []
-    for z in sorted(common):
+    for z in sorted(adj_u & adj_v):
         _rm(g, z, ops)
     events.append(ReductionEvent(Rule.EXTENDED_SINGLE_EDGE, ops))
     return True
@@ -459,12 +471,15 @@ def apply_cwis(g: WeightedGraph, events: list[ReductionEvent],
 def apply_neighborhood_folding(g: WeightedGraph, v: int,
                                events: list[ReductionEvent]) -> bool:
     """Fold v and its independent neighborhood into one surplus vertex."""
-    nbrs = sorted(g.adj[v])
-    if not nbrs or not is_independent(g, nbrs):
+    adj, nbrs = g.adj, g.adj[v]
+    if not nbrs:
         return False
-    wv = g.weight[v]
-    w_nbrs = sum(g.weight[u] for u in nbrs)
-    if w_nbrs <= wv or w_nbrs - min(g.weight[u] for u in nbrs) >= wv:
+    for u in nbrs:
+        if not nbrs.isdisjoint(adj[u]):
+            return False
+    weight, wv = g.weight, g.weight[v]
+    w_nbrs = sum(weight[u] for u in nbrs)
+    if w_nbrs <= wv or w_nbrs - min(weight[u] for u in nbrs) >= wv:
         return False
     return _fold(g, Rule.NEIGHBORHOOD_FOLDING, (v,), nbrs, events)
 
@@ -570,57 +585,49 @@ class _Scheduler:
         self.cwis_pending = True
 
 
-def _try_edge_rule(g, c, events, attempt) -> bool:
-    """Try an oriented edge rule from candidate c in both directions.
+def _edge_rule_at(apply_edge):
+    """The attempt that tries an oriented edge rule from candidate c in
+    both directions.
 
     Tries (lower id, higher id) first so that ties resolve toward removing
     the lower-id vertex deterministically.
     """
-    for nb in sorted(g.adj[c]):
-        lo, hi = (c, nb) if c < nb else (nb, c)
-        if attempt(g, lo, hi, events):
-            return True
-        if attempt(g, hi, lo, events):
-            return True
-    return False
-
-
-def _try_twin(g: WeightedGraph, c: int, events: list[ReductionEvent]) -> bool:
-    if g.degree(c) != 3:
+    def attempt(g: WeightedGraph, c: int, events: list[ReductionEvent]) -> bool:
+        for nb in sorted(g.adj[c]):
+            lo, hi = (c, nb) if c < nb else (nb, c)
+            if apply_edge(g, lo, hi, events) or apply_edge(g, hi, lo, events):
+                return True
         return False
-    probe = min(g.adj[c], key=lambda u: (g.degree(u), u))
-    for u in sorted(g.adj[probe]):
-        if u != c and apply_twin(g, min(c, u), max(c, u), events):
-            return True
-    return False
+    return attempt
 
 
-def _attempt(g: WeightedGraph, rule: Rule, c: int, events: list[ReductionEvent]) -> bool:
-    if rule is Rule.NEIGHBORHOOD_REMOVAL:
-        return apply_neighborhood_removal(g, c, events)
-    if rule is Rule.DEGREE_ONE:
-        return apply_degree_one(g, c, events)
-    if rule is Rule.TRIANGLE:
-        return apply_triangle(g, c, events)
-    if rule is Rule.V_SHAPE:
-        return apply_v_shape(g, c, events)
-    if rule is Rule.V_SHAPE_MIN:
-        return apply_v_shape_min(g, c, events)
-    if rule is Rule.ISOLATED_CLIQUE:
-        return apply_isolated_clique(g, c, events)
-    if rule is Rule.BASIC_SINGLE_EDGE:
-        return _try_edge_rule(g, c, events, apply_basic_single_edge)
-    if rule is Rule.EXTENDED_SINGLE_EDGE:
-        return _try_edge_rule(g, c, events, apply_extended_single_edge)
-    if rule is Rule.DOMINATION:
-        return _try_edge_rule(g, c, events, apply_domination)
+def _twin_at(apply_pair):
+    """The attempt that tries the twin rule between a degree-three candidate
+    and each vertex adjacent to its least-degree neighbor."""
+    def attempt(g: WeightedGraph, c: int, events: list[ReductionEvent]) -> bool:
+        if g.degree(c) != 3:
+            return False
+        probe = min(g.adj[c], key=lambda u: (g.degree(u), u))
+        for u in sorted(g.adj[probe]):
+            if u != c and apply_pair(g, min(c, u), max(c, u), events):
+                return True
+        return False
+    return attempt
+
+
+_EDGE_RULES = (Rule.BASIC_SINGLE_EDGE, Rule.EXTENDED_SINGLE_EDGE, Rule.DOMINATION)
+
+
+def _resolve(rule: Rule):
+    """The function ``attempt(g, c, events)`` that tries a queued rule at
+    candidate c.  Its ``apply_*`` function is read from the module namespace
+    now, so whatever is bound there (a tracing wrapper, say) sees every call."""
+    apply = globals()[f"apply_{rule.value}"]
+    if rule in _EDGE_RULES:
+        return _edge_rule_at(apply)
     if rule is Rule.TWIN:
-        return _try_twin(g, c, events)
-    if rule is Rule.SIMPLICIAL_TRANSFER:
-        return apply_simplicial_transfer(g, c, events)
-    if rule is Rule.NEIGHBORHOOD_FOLDING:
-        return apply_neighborhood_folding(g, c, events)
-    raise AssertionError(rule)
+        return _twin_at(apply)
+    return apply
 
 
 @dataclass
@@ -646,6 +653,10 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
     Each rule drains its dirty-candidate queue; after any firing the rule
     cursor restarts at the front of the ordering (queues keep their state).
     Terminates when no rule fires on any pending candidate.
+
+    Each queued rule's ``apply_*`` function is looked up by name in this
+    module's namespace once, when the call starts (:func:`_resolve`), so a
+    wrapper bound there before the call sees every attempt of that rule.
     """
     ordering = ordering or ordering_preset("baseline")
     if events is None:
@@ -653,22 +664,23 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
     seq = ordering.sequence
     queued = [rule for rule in seq if rule is not Rule.CWIS]
     slot = [queued.index(rule) if rule is not Rule.CWIS else -1 for rule in seq]
+    attempts = [_resolve(rule) for rule in queued]
     sched = _Scheduler(g, len(queued))
     alive = g.alive
     i = 0
     while i < len(seq):
-        rule = seq[i]
+        s = slot[i]
         fired = False
-        if rule is Rule.CWIS:
+        if s < 0:
             if sched.cwis_pending:
                 sched.cwis_pending = False
                 fired = apply_cwis(g, events, sched.flow)
         else:
-            queue, flags = sched.queues[slot[i]], sched.queued[slot[i]]
+            queue, flags, attempt = sched.queues[s], sched.queued[s], attempts[s]
             while queue:
                 c = queue.popleft()
                 flags[c] = 0
-                if alive[c] and _attempt(g, rule, c, events):
+                if alive[c] and attempt(g, c, events):
                     fired = True
                     break
         if fired:

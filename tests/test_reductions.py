@@ -23,7 +23,8 @@ from mwis.reductions import (ALL_RULES, ReductionEvent, ReductionOrdering,
                              apply_neighborhood_removal,
                              apply_simplicial_transfer, apply_triangle,
                              apply_twin, apply_v_shape, apply_v_shape_min,
-                             critical_set, _attempt)
+                             critical_set, _resolve)
+from mwis import reductions
 from mwis.maxflow import DoubleCoverFlow, FlowNetwork
 from conftest import clique, cycle, geometric_graph, path, random_graph, star
 
@@ -486,7 +487,7 @@ def test_warm_critical_set_survives_rule_firings():
             if rng.random() < 0.1:
                 fired = apply_cwis(g, events, flow)
             else:
-                fired = _attempt(g, rng.choice(queued), rng.choice(g.vertices()), events)
+                fired = _resolve(rng.choice(queued))(g, rng.choice(g.vertices()), events)
             if fired:
                 flow.invalidate(events[-1].touched())
                 assert critical_set(g, flow) == cold_critical_set(g)
@@ -938,6 +939,88 @@ def test_shared_moves_match_the_per_rule_bodies():
         ("apply_twin", "fold", 0), ("apply_cwis", "take", 0),
     }
     assert {key for key, count in seen.items() if count >= 10} >= branches, seen
+
+
+# -- early-exit guards against the full sums -----------------------------------------
+# old_neighborhood_removal, old_isolated_clique and old_neighborhood_folding
+# above still test the whole neighborhood sum, the heaviest mate and
+# is_independent of the sorted neighborhood, as the rules did before their
+# guards exited early.  The extended single edge rule as it was then:
+
+def old_extended_single_edge(g, u, v, events):
+    if v not in g.adj[u]:
+        return False
+    common = g.adj[u] & g.adj[v]
+    if not common:
+        return False
+    if g.weight[v] < g.neighborhood_weight(v) - g.weight[u]:
+        return False
+    ops = []
+    for z in sorted(common):
+        _rm(g, z, ops)
+    events.append(ReductionEvent(Rule.EXTENDED_SINGLE_EDGE, ops))
+    return True
+
+
+def test_early_exit_guards_match_the_full_sums():
+    # Weights 0-3 make a room of exactly zero, which must fire, common.
+    rng = random.Random(6174)
+    seen = collections.Counter()
+    ties = collections.Counter()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice([0.15, 0.3, 0.5, 0.8]),
+                         wlo=0, whi=3)
+        for v in g.vertices():
+            nbr_weights = [g.weight[u] for u in g.adj[v]]
+            ties["removal"] += bool(nbr_weights) and g.weight[v] == sum(nbr_weights)
+            ties["clique"] += bool(nbr_weights) and g.weight[v] == max(nbr_weights)
+            for rule, reference in ((apply_neighborhood_removal, old_neighborhood_removal),
+                                    (apply_isolated_clique, old_isolated_clique),
+                                    (apply_neighborhood_folding, old_neighborhood_folding)):
+                _fire_both(g, rule, reference, (v,), seen)
+        for a, b in g.edges():
+            for u, v in ((a, b), (b, a)):
+                ties["extended"] += (g.weight[u] + g.weight[v] == g.neighborhood_weight(v)
+                                     and not g.adj[u].isdisjoint(g.adj[v]))
+                _fire_both(g, apply_extended_single_edge, old_extended_single_edge,
+                           (u, v), seen)
+    assert min(ties.values()) >= 100, ties
+    fired = {name: count for (name, _, _), count in seen.items()}
+    assert min(fired.values()) >= 50 and len(fired) == 4, seen
+
+
+def test_exact_reduce_calls_the_rules_bound_in_the_module(monkeypatch):
+    # A tracer wraps apply_* functions where the module namespace binds
+    # them; exact_reduce must route every attempt through what is bound
+    # there when it starts.  The attempt counts are those of a reduce loop
+    # that looked each rule up on every attempt.
+    rng = random.Random(1)
+    g = geometric_graph(rng, 200, 10)
+    ordering = ordering_preset("weight")
+    plain, plain_events = g.copy(), []
+    exact_reduce(plain, ordering, plain_events)
+    calls, fired = collections.Counter(), collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            result = fn(*args)
+            fired[name] += result
+            return result
+        return wrapper
+
+    for name in ("apply_basic_single_edge", "apply_isolated_clique"):
+        monkeypatch.setattr(f"mwis.reductions.{name}",
+                            counting(name, getattr(reductions, name)))
+    work, events = g.copy(), []
+    exact_reduce(work, ordering, events)
+    assert graph_state(work) == graph_state(plain) and work.live_count == 18
+    assert ([(ev.rule, ev.decided, ev.offset_delta, ev.rebuild) for ev in events]
+            == [(ev.rule, ev.decided, ev.offset_delta, ev.rebuild) for ev in plain_events])
+    by_rule = collections.Counter(ev.rule for ev in events)
+    assert fired == {"apply_basic_single_edge": by_rule[Rule.BASIC_SINGLE_EDGE],
+                     "apply_isolated_clique": by_rule[Rule.ISOLATED_CLIQUE]}
+    assert calls == {"apply_basic_single_edge": 4909, "apply_isolated_clique": 2062}
 
 
 # -- orderings ------------------------------------------------------------------------
