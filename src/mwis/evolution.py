@@ -16,7 +16,6 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .graph import WeightedGraph, is_independent
@@ -118,18 +117,13 @@ def _cover_complement(g: WeightedGraph, by_weight: bool) -> Individual:
     """
     uncov = {v: g.degree(v) for v in g.vertices()}
     cover: set[int] = set()
-    queue = [(g.weight[v] if by_weight else -uncov[v], v)
-             for v in sorted(uncov) if uncov[v] > 0]
     if by_weight:
-        # Weights never change and nothing is pushed, so one descending
-        # sort popped from the end gives the heap's order.
-        queue.sort(reverse=True)
-        pop = queue.pop
+        heap = [(g.weight[v], v) for v in sorted(uncov) if uncov[v] > 0]
     else:
-        heapq.heapify(queue)
-        pop = partial(heapq.heappop, queue)
-    while queue:
-        key, v = pop()
+        heap = [(-uncov[v], v) for v in sorted(uncov) if uncov[v] > 0]
+    heapq.heapify(heap)
+    while heap:
+        key, v = heapq.heappop(heap)
         if v in cover or uncov[v] == 0:
             continue
         if not by_weight and -key != uncov[v]:
@@ -139,7 +133,7 @@ def _cover_complement(g: WeightedGraph, by_weight: bool) -> Individual:
             if u not in cover:
                 uncov[u] -= 1
                 if not by_weight and uncov[u] > 0:
-                    heapq.heappush(queue, (-uncov[u], u))
+                    heapq.heappush(heap, (-uncov[u], u))
         uncov[v] = 0
     state = SearchState(g, (v for v in g.vertices() if v not in cover))
     maximize_greedy(state, "by_weight")

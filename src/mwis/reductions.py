@@ -31,12 +31,15 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from .graph import WeightedGraph, is_independent
 from .maxflow import DoubleCoverFlow
 
 
 class Rule(Enum):
+    # Each value is the suffix of the rule's ``apply_*`` function in this
+    # module; exact_reduce finds the function by that name (``_resolve``).
     NEIGHBORHOOD_REMOVAL = "neighborhood_removal"
     DEGREE_ONE = "degree_one"
     TRIANGLE = "triangle"
@@ -585,34 +588,29 @@ class _Scheduler:
         self.cwis_pending = True
 
 
-def _edge_rule_at(apply_edge):
-    """The attempt that tries an oriented edge rule from candidate c in
-    both directions.
+def _try_edge_rule(g, c, events, attempt) -> bool:
+    """Try an oriented edge rule from candidate c in both directions.
 
     Tries (lower id, higher id) first so that ties resolve toward removing
     the lower-id vertex deterministically.
     """
-    def attempt(g: WeightedGraph, c: int, events: list[ReductionEvent]) -> bool:
-        for nb in sorted(g.adj[c]):
-            lo, hi = (c, nb) if c < nb else (nb, c)
-            if apply_edge(g, lo, hi, events) or apply_edge(g, hi, lo, events):
-                return True
-        return False
-    return attempt
+    for nb in sorted(g.adj[c]):
+        lo, hi = (c, nb) if c < nb else (nb, c)
+        if attempt(g, lo, hi, events):
+            return True
+        if attempt(g, hi, lo, events):
+            return True
+    return False
 
 
-def _twin_at(apply_pair):
-    """The attempt that tries the twin rule between a degree-three candidate
-    and each vertex adjacent to its least-degree neighbor."""
-    def attempt(g: WeightedGraph, c: int, events: list[ReductionEvent]) -> bool:
-        if g.degree(c) != 3:
-            return False
-        probe = min(g.adj[c], key=lambda u: (g.degree(u), u))
-        for u in sorted(g.adj[probe]):
-            if u != c and apply_pair(g, min(c, u), max(c, u), events):
-                return True
+def _try_twin(g: WeightedGraph, c: int, events: list[ReductionEvent]) -> bool:
+    if g.degree(c) != 3:
         return False
-    return attempt
+    probe = min(g.adj[c], key=lambda u: (g.degree(u), u))
+    for u in sorted(g.adj[probe]):
+        if u != c and apply_twin(g, min(c, u), max(c, u), events):
+            return True
+    return False
 
 
 _EDGE_RULES = (Rule.BASIC_SINGLE_EDGE, Rule.EXTENDED_SINGLE_EDGE, Rule.DOMINATION)
@@ -621,12 +619,13 @@ _EDGE_RULES = (Rule.BASIC_SINGLE_EDGE, Rule.EXTENDED_SINGLE_EDGE, Rule.DOMINATIO
 def _resolve(rule: Rule):
     """The function ``attempt(g, c, events)`` that tries a queued rule at
     candidate c.  Its ``apply_*`` function is read from the module namespace
-    now, so whatever is bound there (a tracing wrapper, say) sees every call."""
+    (here, or by :func:`_try_twin` at each call), so whatever is bound there
+    when the reduce starts (a tracing wrapper, say) sees every call."""
+    if rule is Rule.TWIN:
+        return _try_twin
     apply = globals()[f"apply_{rule.value}"]
     if rule in _EDGE_RULES:
-        return _edge_rule_at(apply)
-    if rule is Rule.TWIN:
-        return _twin_at(apply)
+        return partial(_try_edge_rule, attempt=apply)
     return apply
 
 
@@ -655,7 +654,7 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
     Terminates when no rule fires on any pending candidate.
 
     Each queued rule's ``apply_*`` function is looked up by name in this
-    module's namespace once, when the call starts (:func:`_resolve`), so a
+    module's namespace when the call starts (:func:`_resolve`), so a
     wrapper bound there before the call sees every attempt of that rule.
     """
     ordering = ordering or ordering_preset("baseline")

@@ -115,13 +115,11 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
     def cut_short() -> bool:
         return time.monotonic() >= deadline or (should_stop is not None and should_stop())
 
-    offset = 0  # weight banked by the events so far
     while True:
-        done = len(events)
         exact_reduce(g, ordering, events)
-        offset += sum(ev.offset_delta for ev in events[done:])
         if g.live_count == 0:
             break
+        offset = sum(ev.offset_delta for ev in events)
         emit("reduced", round=rounds, kernel_vertices=g.live_count, offset=offset)
         if cut_short():
             kernel_solution = _greedy_kernel_solution(g)

@@ -1,4 +1,3 @@
-import heapq
 import random
 from collections import Counter
 
@@ -65,38 +64,6 @@ def test_vc_strategies_complement_real_covers(rng):
             ind = build_initial(g, strategy, rng)
             cover = set(g.vertices()) - ind.members
             assert all(u in cover or v in cover for u, v in g.edges())
-
-
-def old_weight_cover_complement(g):
-    """The weight-ordered cover as a heap, before it became one sort."""
-    uncov = {v: g.degree(v) for v in g.vertices()}
-    cover = set()
-    heap = [(g.weight[v], v) for v in sorted(uncov) if uncov[v] > 0]
-    heapq.heapify(heap)
-    while heap:
-        _, v = heapq.heappop(heap)
-        if v in cover or uncov[v] == 0:
-            continue
-        cover.add(v)
-        for u in g.adj[v]:
-            if u not in cover:
-                uncov[u] -= 1
-        uncov[v] = 0
-    state = SearchState(g, (v for v in g.vertices() if v not in cover))
-    evolution.maximize_greedy(state, "by_weight")
-    return Individual(frozenset(state.members()), state.weight)
-
-
-def test_weight_cover_complement_matches_the_heap():
-    # Few distinct weights make most keys tie, so the id decides the order.
-    rng = random.Random(1618)
-    for _ in range(300):
-        g = random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.15, 0.3, 0.6]),
-                         wlo=0, whi=rng.choice([1, 3, 50]))
-        for v in rng.sample(g.vertices(), g.live_count // 5):
-            g.remove_vertex(v)  # ids with gaps, as in a kernel
-        if g.live_count:
-            assert evolution._cover_complement(g, by_weight=True) == old_weight_cover_complement(g)
 
 
 # -- tournament ------------------------------------------------------------------

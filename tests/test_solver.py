@@ -202,33 +202,3 @@ def test_trace_offsets_never_decrease():
         result = solve(g, SolverConfig(time_limit=10, seed=trial, **FAST))
         offsets = [s.offset for s in result.kernel_trace]
         assert offsets == sorted(offsets)
-
-
-def test_offsets_match_the_resummed_event_stack(monkeypatch):
-    # solve adds each round's new offset deltas to a running total; every
-    # reported offset must equal the sum over the whole stack at that point.
-    from mwis import solver
-
-    resummed = []
-
-    def exact_reduce(g, ordering, events, _fn=solver.exact_reduce):
-        kernel = _fn(g, ordering, events)
-        resummed.append(sum(ev.offset_delta for ev in events))
-        return kernel
-
-    reported = []
-
-    def progress(kind, payload):
-        if kind == "reduced":
-            reported.append(payload["offset"])
-            assert payload["offset"] == resummed[-1]
-
-    monkeypatch.setattr(solver, "exact_reduce", exact_reduce)
-    g = random_graph(random.Random(1), 80, 0.15, wlo=90, whi=110)
-    config = SolverConfig(seed=5, population_size=12, unsuccessful_limit=30,
-                          pool_size=3, max_blocks=4, ls_iterations=500,
-                          selection_fraction=0.2)
-    result = solve(g, config, progress)
-    assert result.rounds >= 5 and len(set(reported)) >= 5
-    assert [s.offset for s in result.kernel_trace] == reported[:len(result.kernel_trace)]
-    assert reported == resummed[:len(reported)]
