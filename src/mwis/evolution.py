@@ -1,12 +1,13 @@
 """Population management and the partition-based combine loop.
 
 Individuals are maximal independent sets of the current kernel.  Each
-round draws one of four combine operators (block exchange across a vertex
-separator, its multi-way scored variant, cover exchange across an edge
-partition with exact bipartite repair, and its multi-way greedy-repair
-variant), improves the offspring with local search, optionally mutates
-it, and offers it to the population under a similarity-based replacement
-rule.
+round draws one of four combine operators, all one block exchange: each
+block of a partition takes one parent's members, and the edges left
+between taken vertices get one of three repairs (none across a vertex
+separator, an exact bipartite cover across a 2-way edge partition, a
+greedy cover across a k-way one).  The offspring is improved with local
+search, optionally mutated, and offered to the population under a
+similarity-based replacement rule.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -179,29 +181,81 @@ def _finish(g: WeightedGraph, members: set[int], ls_iterations: int,
     return _individual_from_state(state)
 
 
-def _block_weights(g: WeightedGraph, part: Partition, vertices) -> list[int]:
-    """Weight of ``vertices`` inside each block of ``part`` (one pass)."""
-    out = [0] * part.k
+def _exchange(g: WeightedGraph, part: Partition, parents: Sequence[Individual],
+              owners: Sequence[int], repair: Callable[..., set[int]] | None) -> set[int]:
+    """Members of ``parents[owners[b]]`` inside each block b, repaired.
+
+    Each parent is independent inside a block, so only cut edges can join
+    two taken vertices, and a separator leaves none: ``repair`` is None
+    there.  Otherwise ``repair(g, conflicts, block_of)`` gets the sorted
+    edges (u, v), u < v, left inside the set, and the cover it returns
+    leaves the set.
+    """
+    block_of = part.block_of
+    members: set[int] = set()
+    for i, parent in enumerate(parents):
+        members.update(v for v in parent.members
+                       if (b := block_of.get(v, SEPARATOR)) != SEPARATOR and owners[b] == i)
+    if repair is not None:
+        conflicts = sorted((u, v) for u in members for v in g.adj[u]
+                           if u < v and v in members)
+        if conflicts:
+            members -= repair(g, conflicts, block_of)
+    return members
+
+
+def _heaviest_owners(g: WeightedGraph, part: Partition,
+                     parents: Sequence[Individual]) -> list[int]:
+    """Per block, the parent weighing most inside it; ties go to the lowest
+    index."""
     block_of, weight = part.block_of, g.weight
-    for v in vertices:
-        b = block_of.get(v, SEPARATOR)
-        if b != SEPARATOR:
-            out[b] += weight[v]
-    return out
+    inside = [[0] * part.k for _ in parents]
+    for row, parent in zip(inside, parents):
+        for v in parent.members:
+            b = block_of.get(v, SEPARATOR)
+            if b != SEPARATOR:
+                row[b] += weight[v]
+    return [max(range(len(parents)), key=lambda i: inside[i][b]) for b in range(part.k)]
 
 
-def _split_blocks(part: Partition) -> list[set[int]]:
-    out: list[set[int]] = [set() for _ in range(part.k)]
-    for v, b in part.block_of.items():
-        if b != SEPARATOR:
-            out[b].add(v)
-    return out
+def _min_weight_bipartite_cover(g: WeightedGraph, edges: list[tuple[int, int]],
+                                block_of: dict[int, int]) -> set[int]:
+    """Exact minimum-weight vertex cover of the cut edges of a 2-way
+    partition, via min cut."""
+    left = sorted({x for e in edges for x in e if block_of[x] == 0})
+    right = sorted({x for e in edges for x in e if block_of[x] != 0})
+    node = {v: i for i, v in enumerate(left + right)}
+    s, t = len(node), len(node) + 1
+    net = FlowNetwork(t + 1)
+    inf = sum(g.weight[v] for v in node) + 1
+    for v in left:
+        net.add_edge(s, node[v], g.weight[v])
+    for v in right:
+        net.add_edge(node[v], t, g.weight[v])
+    for u, v in edges:
+        a, b = (u, v) if block_of[u] == 0 else (v, u)
+        net.add_edge(node[a], node[b], inf)
+    net.max_flow(s, t)
+    side = net.min_cut_source_side(s)
+    return {v for v in left if node[v] not in side} | {v for v in right if node[v] in side}
+
+
+def _greedy_cover(g: WeightedGraph, edges: list[tuple[int, int]],
+                  block_of: dict[int, int]) -> set[int]:
+    """Scan ``edges`` in order and cover each still-uncovered one by the
+    endpoint of smaller weight per uncovered incident edge."""
+    udeg = Counter(x for e in edges for x in e)
+    cover: set[int] = set()
+    for u, v in edges:
+        if u not in cover and v not in cover:
+            # weight-to-uncovered-degree ratio, compared exactly.
+            cover.add(u if (g.weight[u] * udeg[v], u) <= (g.weight[v] * udeg[u], v) else v)
+    return cover
 
 
 def combine_vertex_separator(g: WeightedGraph, part: Partition,
                              first: Individual, second: Individual,
-                             ls_iterations: int,
-                             rng: random.Random | None = None
+                             ls_iterations: int, rng: random.Random
                              ) -> tuple[Individual, Individual]:
     """Exchange whole separator blocks between two parents.
 
@@ -210,133 +264,49 @@ def combine_vertex_separator(g: WeightedGraph, part: Partition,
     """
     if part.k != 2 or not part.has_separator:
         raise ValueError("needs a 2-way partition with a separator")
-    v1, v2 = _split_blocks(part)
-    raw1 = (first.members & v1) | (second.members & v2)
-    raw2 = (second.members & v1) | (first.members & v2)
-    return (_finish(g, set(raw1), ls_iterations, rng),
-            _finish(g, set(raw2), ls_iterations, rng))
+    parents = (first, second)
+    o1, o2 = (_finish(g, _exchange(g, part, parents, owners, None), ls_iterations, rng)
+              for owners in ((0, 1), (1, 0)))
+    return o1, o2
 
 
 def combine_multiway_vertex_separator(g: WeightedGraph, part: Partition,
                                       parents: Sequence[Individual],
-                                      ls_iterations: int,
-                                      rng: random.Random | None = None) -> Individual:
+                                      ls_iterations: int, rng: random.Random) -> Individual:
     """Give each separator block to the parent weighing most inside it."""
     if not part.has_separator:
         raise ValueError("needs a partition with a separator")
     if len(parents) != part.k:
         raise ValueError(f"need {part.k} parents, got {len(parents)}")
-    inside = [_block_weights(g, part, parent.members) for parent in parents]
-    winners = [max(range(len(parents)), key=lambda i: (inside[i][b], -i))
-               for b in range(part.k)]
-    block_of = part.block_of
-    raw = {v for b, i in enumerate(winners) for v in parents[i].members
-           if block_of.get(v, SEPARATOR) == b}
-    return _finish(g, raw, ls_iterations, rng)
-
-
-def _min_weight_bipartite_cover(g: WeightedGraph, edges: list[tuple[int, int]],
-                                left: set[int]) -> set[int]:
-    """Exact minimum-weight vertex cover of a bipartite edge set via min cut."""
-    left_ids = sorted({x for e in edges for x in e if x in left})
-    right_ids = sorted({x for e in edges for x in e if x not in left})
-    li = {v: i for i, v in enumerate(left_ids)}
-    ri = {v: i + len(left_ids) for i, v in enumerate(right_ids)}
-    s = len(left_ids) + len(right_ids)
-    t = s + 1
-    net = FlowNetwork(t + 1)
-    inf = sum(g.weight[v] for v in left_ids + right_ids) + 1
-    for v in left_ids:
-        net.add_edge(s, li[v], g.weight[v])
-    for v in right_ids:
-        net.add_edge(ri[v], t, g.weight[v])
-    for u, v in edges:
-        a, b = (u, v) if u in left else (v, u)
-        net.add_edge(li[a], ri[b], inf)
-    net.max_flow(s, t)
-    side = net.min_cut_source_side(s)
-    cover = {v for v in left_ids if li[v] not in side}
-    cover |= {v for v in right_ids if ri[v] in side}
-    return cover
-
-
-def _uncovered_edges(g: WeightedGraph, free: set[int]) -> list[tuple[int, int]]:
-    """Sorted edges (u, v), u < v, with both ends in ``free``, the alive
-    vertices outside a cover; only their neighborhoods are scanned."""
-    return sorted((u, v) for u in free for v in g.adj[u] if u < v and v in free)
-
-
-def exchanged_covers(g: WeightedGraph, part: Partition,
-                     first: Individual, second: Individual) -> list[set[int]]:
-    """Both cover exchanges across a 2-way edge partition, repaired.
-
-    Works on the complements (vertex covers); edges of the cut left
-    uncovered by the exchange induce a bipartite graph, repaired with an
-    exact minimum-weight cover.  Each returned set covers every alive edge.
-    """
-    if part.k != 2 or part.has_separator:
-        raise ValueError("needs a plain 2-way edge partition")
-    v1, v2 = _split_blocks(part)
-    alive = set(g.vertices())
-    c1 = alive - first.members
-    c2 = alive - second.members
-    out = []
-    for cover in ((c1 & v1) | (c2 & v2), (c2 & v1) | (c1 & v2)):
-        uncovered = _uncovered_edges(g, alive - cover)
-        if uncovered:
-            cover = cover | _min_weight_bipartite_cover(g, uncovered, v1)
-        out.append(cover)
-    return out
+    owners = _heaviest_owners(g, part, parents)
+    return _finish(g, _exchange(g, part, parents, owners, None), ls_iterations, rng)
 
 
 def combine_edge_separator(g: WeightedGraph, part: Partition,
                            first: Individual, second: Individual,
-                           ls_iterations: int,
-                           rng: random.Random | None = None
+                           ls_iterations: int, rng: random.Random
                            ) -> tuple[Individual, Individual]:
-    """Exchange cover blocks across a 2-way edge partition and repair."""
-    alive = set(g.vertices())
-    covers = exchanged_covers(g, part, first, second)
-    o1, o2 = (_finish(g, alive - c, ls_iterations, rng) for c in covers)
+    """Exchange blocks across a 2-way edge partition; the cut edges left
+    inside an offspring are repaired with an exact minimum-weight cover."""
+    if part.k != 2 or part.has_separator:
+        raise ValueError("needs a plain 2-way edge partition")
+    parents = (first, second)
+    o1, o2 = (_finish(g, _exchange(g, part, parents, owners, _min_weight_bipartite_cover),
+                      ls_iterations, rng) for owners in ((0, 1), (1, 0)))
     return o1, o2
 
 
 def combine_multiway_edge_separator(g: WeightedGraph, part: Partition,
                                     parents: Sequence[Individual],
-                                    ls_iterations: int,
-                                    rng: random.Random | None = None) -> Individual:
-    """Give each block to the parent with the lightest cover inside it.
-
-    Cut edges left uncovered are repaired greedily: scan edges in id order
-    and take the endpoint with the smaller weight per still-uncovered
-    incident edge.
-    """
+                                    ls_iterations: int, rng: random.Random) -> Individual:
+    """Give each block to the parent weighing most inside it, which is the
+    one with the lightest cover there, and repair the cut greedily."""
     if part.has_separator:
         raise ValueError("needs an edge partition, not a separator")
     if len(parents) != part.k:
         raise ValueError(f"need {part.k} parents, got {len(parents)}")
-    alive = set(g.vertices())
-    # A parent's cover inside a block weighs the block less its members there.
-    block_w = _block_weights(g, part, part.block_of)
-    inside = [_block_weights(g, part, parent.members) for parent in parents]
-    winners = [min(range(len(parents)), key=lambda i: (block_w[b] - inside[i][b], i))
-               for b in range(part.k)]
-    cover = {v for v, b in part.block_of.items()
-             if b != SEPARATOR and v not in parents[winners[b]].members}
-
-    uncovered = _uncovered_edges(g, alive - cover)
-    if uncovered:
-        udeg: dict[int, int] = {}
-        for u, v in uncovered:
-            udeg[u] = udeg.get(u, 0) + 1
-            udeg[v] = udeg.get(v, 0) + 1
-        for u, v in uncovered:
-            if u in cover or v in cover:
-                continue
-            # weight-to-uncovered-degree ratio, compared exactly.
-            pick = u if (g.weight[u] * udeg[v], u) <= (g.weight[v] * udeg[u], v) else v
-            cover.add(pick)
-    return _finish(g, alive - cover, ls_iterations, rng)
+    owners = _heaviest_owners(g, part, parents)
+    return _finish(g, _exchange(g, part, parents, owners, _greedy_cover), ls_iterations, rng)
 
 
 # -- mutation and replacement --------------------------------------------------
@@ -411,28 +381,17 @@ def evolve(g: WeightedGraph, pop: Population, rng: random.Random,
             break
         rounds += 1
         kind = _COMBINE_KINDS[rng.randrange(len(_COMBINE_KINDS))]
-        if kind == "vertex_separator":
-            part = pool.fetch(want_separator=True, rng=rng, k=2)
-            parents = [tournament_select(pop, rng) for _ in range(2)]
-            pair = combine_vertex_separator(g, part, *parents,
-                                            ls_iterations=ls_iterations, rng=rng)
-            offspring = max(pair, key=lambda ind: ind.weight)
-        elif kind == "edge_separator":
-            part = pool.fetch(want_separator=False, rng=rng, k=2)
-            parents = [tournament_select(pop, rng) for _ in range(2)]
-            pair = combine_edge_separator(g, part, *parents,
-                                          ls_iterations=ls_iterations, rng=rng)
-            offspring = max(pair, key=lambda ind: ind.weight)
-        elif kind == "multiway_vertex_separator":
-            part = pool.fetch(want_separator=True, rng=rng)
-            parents = [tournament_select(pop, rng) for _ in range(part.k)]
-            offspring = combine_multiway_vertex_separator(
-                g, part, parents, ls_iterations=ls_iterations, rng=rng)
+        pair = not kind.startswith("multiway")
+        part = pool.fetch(want_separator=kind.endswith("vertex_separator"), rng=rng,
+                          k=2 if pair else None)
+        parents = [tournament_select(pop, rng) for _ in range(part.k)]
+        # Looked up at each call, so a wrapper set on the module is used.
+        combine = globals()[f"combine_{kind}"]
+        if pair:
+            offspring = max(combine(g, part, *parents, ls_iterations=ls_iterations, rng=rng),
+                            key=lambda ind: ind.weight)
         else:
-            part = pool.fetch(want_separator=False, rng=rng)
-            parents = [tournament_select(pop, rng) for _ in range(part.k)]
-            offspring = combine_multiway_edge_separator(
-                g, part, parents, ls_iterations=ls_iterations, rng=rng)
+            offspring = combine(g, part, parents, ls_iterations=ls_iterations, rng=rng)
 
         if rng.random() < config.mutation_prob:
             offspring = mutate(g, offspring, rng, strength=strength,

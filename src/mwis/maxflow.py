@@ -44,7 +44,7 @@ class FlowNetwork:
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
         while True:
-            level = self._bfs_levels(s, t)
+            level = self._bfs_levels(s)
             if level[t] < 0:
                 return flow
             it = [0] * self.n
@@ -54,7 +54,7 @@ class FlowNetwork:
                     break
                 flow += pushed
 
-    def _bfs_levels(self, s: int, t: int) -> list[int]:
+    def _bfs_levels(self, s: int) -> list[int]:
         level = [-1] * self.n
         level[s] = 0
         q = deque([s])
@@ -101,16 +101,7 @@ class FlowNetwork:
 
         Call after :meth:`max_flow`; the returned side induces a minimum cut.
         """
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
+        return {v for v, lv in enumerate(self._bfs_levels(s)) if lv >= 0}
 
 
 class DoubleCoverFlow:

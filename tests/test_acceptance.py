@@ -21,7 +21,7 @@ from mwis import (GraphFormatError, InitStrategy, Partition, SEPARATOR,
                   parse_metis, reconstruct, run_ordering_experiment,
                   separator_from, solve, validate_partition, verify,
                   vertex_separator, vnd, write_metis)
-from mwis.evolution import exchanged_covers
+from mwis.evolution import _exchange, _min_weight_bipartite_cover
 from mwis.local_search import _find_one_two_pair
 from mwis.reductions import ALL_RULES, ORDERING_PRESETS, ReductionOrdering
 from mwis.cli import main as cli_main
@@ -215,8 +215,9 @@ def test_criterion_5_combine_validity():
         part = edge_partition(g, 2, 0.1, rng)
         parents = [build_initial(g, rng.choice(list(InitStrategy)), rng)
                    for _ in range(2)]
-        for cover in exchanged_covers(g, part, *parents):  # pre-complement
-            assert all(u in cover or v in cover for u, v in g.edges())
+        for owners in ((0, 1), (1, 0)):  # repaired, before maximization
+            raw = _exchange(g, part, parents, owners, _min_weight_bipartite_cover)
+            assert is_independent(g, raw)
         for off in combine_edge_separator(g, part, *parents, 800, rng):
             assert_valid_offspring(g, off)
 

@@ -12,6 +12,7 @@ from mwis import (Individual, InitStrategy, Partition, Population, SEPARATOR,
                   edge_partition, evolve, exact_reduce, initial_population, is_independent,
                   make_individual, mutate, replace, separator_from,
                   tournament_select)
+from mwis.maxflow import FlowNetwork
 from conftest import geometric_graph, path, random_graph, star
 
 
@@ -188,7 +189,7 @@ def test_multiway_edge_separator_greedy_repair_triangle(rng):
 def kxk_vertex_separator(g, part, parents, ls_iterations, rng):
     """Reference: score every block against every parent by set intersection."""
     raw = set()
-    for block in evolution._split_blocks(part):
+    for block in map(set, part.blocks()):
         scores = [sum(g.weight[v] for v in parent.members & block) for parent in parents]
         winner = max(range(len(parents)), key=lambda i: (scores[i], -i))
         raw |= parents[winner].members & block
@@ -200,11 +201,12 @@ def kxk_edge_separator(g, part, parents, ls_iterations, rng):
     then the same greedy repair."""
     alive = set(g.vertices())
     cover = set()
-    for block in evolution._split_blocks(part):
+    for block in map(set, part.blocks()):
         scores = [sum(g.weight[v] for v in block - parent.members) for parent in parents]
         winner = min(range(len(parents)), key=lambda i: (scores[i], i))
         cover |= block - parents[winner].members
-    uncovered = evolution._uncovered_edges(g, alive - cover)
+    free = alive - cover
+    uncovered = sorted((u, v) for u, v in g.edges() if u in free and v in free)
     udeg = Counter(x for e in uncovered for x in e)
     for u, v in uncovered:
         if u not in cover and v not in cover:
@@ -245,6 +247,176 @@ def test_combine_refuses_wrong_partition_kind(rng):
                                 has_separator=True)
     with pytest.raises(ValueError):
         combine_edge_separator(g, sep_part, ind, ind, 10, rng)
+
+
+# -- the four operators as separate bodies ---------------------------------------
+# The combine operators as they were before they shared one block exchange,
+# kept as the reference for it.
+
+def _old_block_weights(g, part, vertices):
+    out = [0] * part.k
+    for v in vertices:
+        b = part.block_of.get(v, SEPARATOR)
+        if b != SEPARATOR:
+            out[b] += g.weight[v]
+    return out
+
+
+def _old_split_blocks(part):
+    out = [set() for _ in range(part.k)]
+    for v, b in part.block_of.items():
+        if b != SEPARATOR:
+            out[b].add(v)
+    return out
+
+
+def _old_uncovered_edges(g, free):
+    return sorted((u, v) for u in free for v in g.adj[u] if u < v and v in free)
+
+
+def _old_min_weight_bipartite_cover(g, edges, left):
+    left_ids = sorted({x for e in edges for x in e if x in left})
+    right_ids = sorted({x for e in edges for x in e if x not in left})
+    li = {v: i for i, v in enumerate(left_ids)}
+    ri = {v: i + len(left_ids) for i, v in enumerate(right_ids)}
+    s = len(left_ids) + len(right_ids)
+    t = s + 1
+    net = FlowNetwork(t + 1)
+    inf = sum(g.weight[v] for v in left_ids + right_ids) + 1
+    for v in left_ids:
+        net.add_edge(s, li[v], g.weight[v])
+    for v in right_ids:
+        net.add_edge(ri[v], t, g.weight[v])
+    for u, v in edges:
+        a, b = (u, v) if u in left else (v, u)
+        net.add_edge(li[a], ri[b], inf)
+    net.max_flow(s, t)
+    side = net.min_cut_source_side(s)
+    cover = {v for v in left_ids if li[v] not in side}
+    cover |= {v for v in right_ids if ri[v] in side}
+    return cover
+
+
+def old_vertex_separator(g, part, first, second, ls_iterations, rng):
+    v1, v2 = _old_split_blocks(part)
+    raw1 = (first.members & v1) | (second.members & v2)
+    raw2 = (second.members & v1) | (first.members & v2)
+    return (evolution._finish(g, set(raw1), ls_iterations, rng),
+            evolution._finish(g, set(raw2), ls_iterations, rng))
+
+
+def old_multiway_vertex_separator(g, part, parents, ls_iterations, rng):
+    inside = [_old_block_weights(g, part, parent.members) for parent in parents]
+    winners = [max(range(len(parents)), key=lambda i: (inside[i][b], -i))
+               for b in range(part.k)]
+    raw = {v for b, i in enumerate(winners) for v in parents[i].members
+           if part.block_of.get(v, SEPARATOR) == b}
+    return evolution._finish(g, raw, ls_iterations, rng)
+
+
+def old_exchanged_covers(g, part, first, second):
+    v1, v2 = _old_split_blocks(part)
+    alive = set(g.vertices())
+    c1 = alive - first.members
+    c2 = alive - second.members
+    out = []
+    for cover in ((c1 & v1) | (c2 & v2), (c2 & v1) | (c1 & v2)):
+        uncovered = _old_uncovered_edges(g, alive - cover)
+        if uncovered:
+            cover = cover | _old_min_weight_bipartite_cover(g, uncovered, v1)
+        out.append(cover)
+    return out
+
+
+def old_edge_separator(g, part, first, second, ls_iterations, rng):
+    alive = set(g.vertices())
+    covers = old_exchanged_covers(g, part, first, second)
+    o1, o2 = (evolution._finish(g, alive - c, ls_iterations, rng) for c in covers)
+    return o1, o2
+
+
+def old_multiway_edge_separator(g, part, parents, ls_iterations, rng):
+    alive = set(g.vertices())
+    block_w = _old_block_weights(g, part, part.block_of)
+    inside = [_old_block_weights(g, part, parent.members) for parent in parents]
+    winners = [min(range(len(parents)), key=lambda i: (block_w[b] - inside[i][b], i))
+               for b in range(part.k)]
+    cover = {v for v, b in part.block_of.items()
+             if b != SEPARATOR and v not in parents[winners[b]].members}
+    uncovered = _old_uncovered_edges(g, alive - cover)
+    if uncovered:
+        udeg = {}
+        for u, v in uncovered:
+            udeg[u] = udeg.get(u, 0) + 1
+            udeg[v] = udeg.get(v, 0) + 1
+        for u, v in uncovered:
+            if u in cover or v in cover:
+                continue
+            pick = u if (g.weight[u] * udeg[v], u) <= (g.weight[v] * udeg[u], v) else v
+            cover.add(pick)
+    return evolution._finish(g, alive - cover, ls_iterations, rng)
+
+
+def _equivalence_kernels(rng):
+    """Geometric and random graphs with dead ids, and reduced random graphs
+    with fold ids past n; weights 0-3 (ties) or 1-200."""
+    for trial in range(30):
+        whi = (3, 200)[trial % 2]
+        wlo = 0 if whi == 3 else 1
+        if trial % 3 == 2:
+            g = random_graph(rng, rng.randint(40, 80), 0.08, wlo=wlo, whi=whi)
+            exact_reduce(g)
+        elif trial % 3 == 1:
+            g = random_graph(rng, rng.randint(20, 40), 0.15, wlo=wlo, whi=whi)
+        else:
+            g = geometric_graph(rng, rng.randint(40, 90), 6)
+            g = build_graph(g.edges(), [rng.randint(wlo, whi) for _ in range(g.n_original)])
+            for v in rng.sample(g.vertices(), 5):
+                g.remove_vertex(v)
+        if g.live_count >= 8:
+            yield g
+
+
+def _parents(g, k, rng, trial):
+    parents = initial_population(g, k, rng).individuals
+    if trial % 3 == 0:
+        parents[-1] = parents[0]
+    if trial % 4 == 1:
+        parents[rng.randrange(k)] = Individual(frozenset(), 0)
+    return parents
+
+
+def test_block_exchange_matches_the_four_operator_bodies(monkeypatch):
+    rng = random.Random(2017)
+    compared, repaired = Counter(), Counter()
+    for name in ("_min_weight_bipartite_cover", "_greedy_cover"):
+        def counted(*args, _name=name, _fn=getattr(evolution, name)):
+            cover = _fn(*args)
+            repaired[_name] += bool(cover)
+            return cover
+        monkeypatch.setattr(evolution, name, counted)
+    for trial, g in enumerate(_equivalence_kernels(rng)):
+        for k in (2, 2, 3, 4, 8):
+            edge_part = edge_partition(g, k, 0.03, rng)
+            sep_part = separator_from(g, edge_part)
+            cases = [(combine_multiway_edge_separator, old_multiway_edge_separator,
+                      edge_part, [_parents(g, k, rng, trial)]),
+                     (combine_multiway_vertex_separator, old_multiway_vertex_separator,
+                      sep_part, [_parents(g, k, rng, trial)])]
+            if k == 2:
+                cases += [(combine_edge_separator, old_edge_separator,
+                           edge_part, _parents(g, 2, rng, trial)),
+                          (combine_vertex_separator, old_vertex_separator,
+                           sep_part, _parents(g, 2, rng, trial))]
+            for combine, reference, part, args in cases:
+                seed = rng.random()
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = combine(g, part, *args, 150, ours)
+                assert got == reference(g, part, *args, 150, theirs), (combine.__name__, k)
+                assert ours.getstate() == theirs.getstate()
+                compared[combine.__name__] += 1
+    assert len(compared) == 4 and min(compared.values()) >= 30, compared
+    assert min(repaired.values()) >= 30 and len(repaired) == 2, repaired
 
 
 # -- mutation, replacement, evolve ---------------------------------------------------
@@ -382,3 +554,27 @@ def test_evolve_only_reads_the_kernel(monkeypatch):
                  g.live_count, g.live_edges)
         assert after == before
     assert len(calls) == 5 and min(calls.values()) >= 10
+
+
+def test_evolve_calls_the_combines_bound_in_the_module(monkeypatch):
+    # A tracer wraps combine_* functions where the module namespace binds
+    # them; evolve must look each one up there at every call.
+    g = geometric_graph(random.Random(3), 80, 6)
+    config = SolverConfig(unsuccessful_limit=40, ls_iterations=200, pool_size=4)
+
+    def run():
+        rng = random.Random(9)
+        pop = initial_population(g, 10, rng)
+        evolve(g, pop, rng, config)
+        return pop.individuals, rng.getstate()
+
+    plain = run()
+    calls = Counter()
+    for name in ("combine_vertex_separator", "combine_multiway_vertex_separator",
+                 "combine_edge_separator", "combine_multiway_edge_separator"):
+        def counted(*args, _name=name, _fn=getattr(evolution, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(evolution, name, counted)
+    assert run() == plain
+    assert len(calls) == 4 and min(calls.values()) >= 5, calls

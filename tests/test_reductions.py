@@ -945,7 +945,8 @@ def test_shared_moves_match_the_per_rule_bodies():
 # old_neighborhood_removal, old_isolated_clique and old_neighborhood_folding
 # above still test the whole neighborhood sum, the heaviest mate and
 # is_independent of the sorted neighborhood, as the rules did before their
-# guards exited early.  The extended single edge rule as it was then:
+# guards exited early.  The extended single edge rule as it was then, and
+# domination as it was before its covering test became a set difference:
 
 def old_extended_single_edge(g, u, v, events):
     if v not in g.adj[u]:
@@ -959,6 +960,20 @@ def old_extended_single_edge(g, u, v, events):
     for z in sorted(common):
         _rm(g, z, ops)
     events.append(ReductionEvent(Rule.EXTENDED_SINGLE_EDGE, ops))
+    return True
+
+
+def old_domination(g, u, v, events):
+    if v not in g.adj[u] or g.weight[u] > g.weight[v]:
+        return False
+    if g.degree(u) < g.degree(v):
+        return False
+    adj_u = g.adj[u]
+    if any(z != u and z not in adj_u for z in g.adj[v]):
+        return False
+    ops = []
+    _rm(g, u, ops)
+    events.append(ReductionEvent(Rule.DOMINATION, ops))
     return True
 
 
@@ -984,9 +999,10 @@ def test_early_exit_guards_match_the_full_sums():
                                      and not g.adj[u].isdisjoint(g.adj[v]))
                 _fire_both(g, apply_extended_single_edge, old_extended_single_edge,
                            (u, v), seen)
+                _fire_both(g, apply_domination, old_domination, (u, v), seen)
     assert min(ties.values()) >= 100, ties
     fired = {name: count for (name, _, _), count in seen.items()}
-    assert min(fired.values()) >= 50 and len(fired) == 4, seen
+    assert min(fired.values()) >= 50 and len(fired) == 5, seen
 
 
 def test_exact_reduce_calls_the_rules_bound_in_the_module(monkeypatch):
