@@ -6,8 +6,9 @@ reduced graph plus a sidecar record), ``verify`` (check a solution file),
 ordering experiments).  Progress goes to stderr, result records to stdout,
 files are written atomically.
 
-Exit codes: 0 success, 2 usage error, 3 malformed instance, 4 failed
-verification.
+Exit codes: 0 success, 2 usage error (an invalid option, or an output
+path that is a directory or whose directory cannot be written),
+3 malformed instance, 4 failed verification.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .heuristic import SelectionStrategy
 from .metis_io import (GraphFormatError, compact_ids, format_solution,
                        parse_metis, parse_solution, write_metis)
 from .oracle import OracleBudgetError, OracleLimitError, OracleLimits, brute_force
-from .reductions import (ORDERING_PRESETS, ReductionEvent, exact_reduce,
-                         ordering_preset, run_ordering_experiment)
+from .reductions import (ORDERING_PRESETS, exact_reduce, ordering_preset,
+                         run_ordering_experiment)
 from .solver import SolverConfig, solve, verify
 
 EXIT_OK = 0
@@ -112,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("exact", help="exact solver for small instances")
     pe.add_argument("instance")
-    pe.add_argument("--max-vertices", type=int, default=30)
-    pe.add_argument("--node-budget", type=int, default=10_000_000)
+    pe.add_argument("--max-vertices", type=int, default=OracleLimits().max_vertices)
+    pe.add_argument("--node-budget", type=int, default=OracleLimits().node_budget)
     pe.add_argument("--output", default=None, help="write the witness as a solution file")
 
     pb = sub.add_parser("ordering-bench", help="reduction ordering experiments")
@@ -165,15 +166,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_reduce(args) -> int:
     g = _load_instance(args.instance)
-    ordering = ordering_preset(args.ordering)
-    events: list[ReductionEvent] = []
-    kernel = exact_reduce(g, ordering, events)
+    kernel = exact_reduce(g, ordering_preset(args.ordering))
     kernel_text = write_metis(g)
     decided = sorted(kernel.decided_in())
     sidecar = {
         "offset": kernel.offset,
         "decided_vertices": decided,
-        "event_count": len(events),
+        "event_count": len(kernel.events),
         "ordering": args.ordering,
         "kernel_vertices": g.live_count,
         "kernel_edges": g.live_edges,
@@ -243,6 +242,12 @@ def main(argv=None) -> int:
         "exact": _cmd_exact,
         "ordering-bench": _cmd_ordering_bench,
     }
+    # Fail on an output that cannot be written before reading the instance.
+    for path in filter(None, map(vars(args).get, ("output", "result", "sidecar"))):
+        parent = Path(path).parent
+        if Path(path).is_dir() or not (parent.is_dir() and os.access(parent, os.W_OK)):
+            print(f"error: cannot write {path}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return handlers[args.command](args)
     except GraphFormatError as exc:

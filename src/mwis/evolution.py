@@ -18,7 +18,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 from .graph import WeightedGraph, is_independent
 from .local_search import SearchState, maximize_greedy, perturb, vnd
@@ -320,34 +320,29 @@ def mutate(g: WeightedGraph, offspring: Individual, rng: random.Random,
     return _individual_from_state(state)
 
 
-def replace(pop: Population, offspring: Individual) -> bool:
-    """Offer the offspring to the population; True iff membership changed.
+def replace(pop: Population, offspring: Individual) -> Literal["merit", "forced"] | None:
+    """Offer the offspring to the population; say how it entered, if at all.
 
-    Duplicates are rejected.  Normally the offspring may only evict a
-    strictly lighter member, choosing the most similar one by intersection
-    size.  Once the population stalled for ``FORCE_AFTER`` offers, the
-    offspring is forced over the most similar member instead (the current
-    best member stays protected).
+    Duplicates are rejected (None).  The offspring enters on ``"merit"``
+    when it can evict a strictly lighter member, choosing the most similar
+    one by intersection size.  Otherwise, once the population stalled for
+    ``FORCE_AFTER`` offers, it is ``"forced"`` over the most similar member
+    (the current best member stays protected).
     """
     inds = pop.individuals
     if any(ind.members == offspring.members for ind in inds):
         pop.stagnation += 1
-        return False
-    lighter = [i for i, ind in enumerate(inds) if ind.weight < offspring.weight]
-    if lighter:
-        victim = max(lighter, key=lambda i: (offspring.intersection_size(inds[i]), -i))
-        inds[victim] = offspring
-        pop.stagnation = 0
-        return True
-    if pop.stagnation >= FORCE_AFTER and len(inds) > 1:
+        return None
+    entry, victims = "merit", [i for i, ind in enumerate(inds) if ind.weight < offspring.weight]
+    if not victims and pop.stagnation >= FORCE_AFTER and len(inds) > 1:
         best = max(range(len(inds)), key=lambda i: (inds[i].weight, -i))
-        candidates = [i for i in range(len(inds)) if i != best]
-        victim = max(candidates, key=lambda i: (offspring.intersection_size(inds[i]), -i))
-        inds[victim] = offspring
-        pop.stagnation = 0
-        return True
-    pop.stagnation += 1
-    return False
+        entry, victims = "forced", [i for i in range(len(inds)) if i != best]
+    if not victims:
+        pop.stagnation += 1
+        return None
+    inds[max(victims, key=lambda i: (offspring.intersection_size(inds[i]), -i))] = offspring
+    pop.stagnation = 0
+    return entry
 
 
 # -- the evolve loop -------------------------------------------------------------
@@ -397,9 +392,8 @@ def evolve(g: WeightedGraph, pop: Population, rng: random.Random,
             offspring = mutate(g, offspring, rng, strength=strength,
                                ls_iterations=ls_iterations)
 
-        forcing = pop.stagnation >= FORCE_AFTER
-        changed = replace(pop, offspring)
-        if changed and not forcing:
+        entry = replace(pop, offspring)
+        if entry == "merit":
             unsuccessful = 0
         else:
             unsuccessful += 1
@@ -410,6 +404,6 @@ def evolve(g: WeightedGraph, pop: Population, rng: random.Random,
             strength = 1
             if on_improve is not None:
                 on_improve(rounds, best_weight)
-        elif not changed:
+        elif entry is None:
             strength = min(strength * 2, 4)
     return pop

@@ -1,19 +1,21 @@
 """Heuristic vertex forcing between exact-reduction rounds.
 
 When the exact rules stall, the population is mined for vertices likely
-to belong to a heavy solution; the top-rated ones are committed to the
-global solution and deleted with their closed neighborhoods, which
-reopens the reduction space.
+to belong to a heavy solution; the top-rated ones are taken like any
+reduction take (banked, deleted with their closed neighborhoods and
+journaled as one event), which reopens the reduction space.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .evolution import Population
 from .graph import WeightedGraph
+from .reductions import ReductionEvent, _take
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -64,14 +66,15 @@ def rate(kind: SelectionStrategy, g: WeightedGraph, pop: Population,
 
 
 def heuristic_reduce(g: WeightedGraph, pop: Population, config: SolverConfig,
-                     solution_sink: set[int]) -> set[int]:
-    """Force the top-rated vertices into the solution and delete N[forced].
+                     events: list[ReductionEvent]) -> set[int]:
+    """Force the top-rated vertices into the solution; return them.
 
     Reads ``config.selection`` and ``config.selection_fraction``.  The
     first four strategies rate only the fittest individual's vertices and
     force the top fraction of them (one vertex when the fraction is None),
     so any forced subset is pairwise non-adjacent; participation rates the
-    whole graph and forces a single vertex.  Deletions are permanent.
+    whole graph and forces a single vertex.  The forced set is one take: an
+    event (rule None) appended to ``events`` banks its weight in ``g``.
     """
     if not pop.individuals:
         raise ValueError("population is empty")
@@ -80,11 +83,7 @@ def heuristic_reduce(g: WeightedGraph, pop: Population, config: SolverConfig,
         candidates = g.vertices()
         take = 1
         # One pass over the population instead of one per candidate.
-        counts = dict.fromkeys(candidates, 0)
-        for ind in pop.individuals:
-            for v in ind.members:
-                if v in counts:
-                    counts[v] += 1
+        counts = Counter(v for ind in pop.individuals for v in ind.members)
 
         def score(v: int) -> Fraction:
             return _participation(counts[v], g.weight[v], pop)
@@ -97,16 +96,8 @@ def heuristic_reduce(g: WeightedGraph, pop: Population, config: SolverConfig,
 
         def score(v: int) -> Fraction:
             return rate(kind, g, pop, v)
-    if not candidates:
-        return set()
 
     ranked = sorted(candidates, key=lambda v: (-score(v), v))
     forced = set(ranked[:take])
-
-    doomed = set(forced)
-    for v in forced:
-        doomed.update(g.adj[v])
-    for v in sorted(doomed):
-        g.remove_vertex(v)
-    solution_sink.update(forced)
+    _take(g, None, forced, events)
     return forced

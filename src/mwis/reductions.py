@@ -73,7 +73,9 @@ ALL_RULES: tuple[Rule, ...] = tuple(Rule)
 
 @dataclass
 class ReductionEvent:
-    rule: Rule
+    """One journaled decision: a rule firing, or (``rule`` None) a forcing."""
+
+    rule: Rule | None
     undo_ops: list[tuple] = field(default_factory=list)
     offset_delta: int = 0
     decided: tuple[int, ...] = ()
@@ -161,7 +163,7 @@ def _is_clique(g: WeightedGraph, vertices) -> bool:
 # Each banks weight by one identity of Lamm et al. (ALENEX 2019), journals
 # its mutations and appends one event.
 
-def _take(g: WeightedGraph, rule: Rule, chosen, events: list[ReductionEvent]) -> bool:
+def _take(g: WeightedGraph, rule: Rule | None, chosen, events: list[ReductionEvent]) -> bool:
     """Bank the independent set ``chosen`` and delete its closed neighborhood."""
     chosen = sorted(chosen)
     doomed = set()

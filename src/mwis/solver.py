@@ -2,9 +2,9 @@
 
 Rounds alternate three phases on a private working copy of the input:
 exhaustive exact reduction, memetic search over the kernel, and heuristic
-forcing of high-rated solution vertices.  The loop ends when the kernel
-empties or the time budget runs out; the accumulated event stack then
-expands the kernel-level solution back to original vertex ids.
+forcing of high-rated solution vertices, all journaled as one event list.
+The loop ends when the kernel empties or the time budget runs out; the
+journal then expands the heaviest round's kernel solution to original ids.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RoundStats:
-    """Kernel size, banked offset and best evolved weight of one round."""
+    """Kernel size, banked offset (forced weight included) and best evolved
+    weight of one round; ``offset + best_evolve_weight`` is its full weight."""
 
     kernel_vertices: int
     offset: int
@@ -95,6 +96,7 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
     Deterministic for a fixed (graph, config) as long as the time limit
     does not bite.  ``should_stop`` is polled between phases, never inside
     the exact-reduction routine, so the budget can be slightly overshot.
+    The heaviest round is returned; forcing can leave a later one lighter.
     """
     config = config or SolverConfig()
     start = time.monotonic()
@@ -102,10 +104,11 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
     rng = random.Random(config.seed)
     g = graph.copy()
     events: list[ReductionEvent] = []
-    forced: set[int] = set()
     trace: list[RoundStats] = []
     rounds = 0
     kernel_solution: set[int] = set()
+    # (full weight, len(events), kernel members) of the heaviest round.
+    best: tuple[int, int, frozenset[int]] = (-1, 0, frozenset())
     ordering = ordering_preset(config.ordering)
 
     def emit(kind: str, **payload) -> None:
@@ -116,10 +119,9 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
         return time.monotonic() >= deadline or (should_stop is not None and should_stop())
 
     while True:
-        exact_reduce(g, ordering, events)
+        offset = exact_reduce(g, ordering, events).offset
         if g.live_count == 0:
             break
-        offset = sum(ev.offset_delta for ev in events)
         emit("reduced", round=rounds, kernel_vertices=g.live_count, offset=offset)
         if cut_short():
             kernel_solution = _greedy_kernel_solution(g)
@@ -131,14 +133,19 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
         fittest = pop.best()
         trace.append(RoundStats(kernel_vertices=g.live_count, offset=offset,
                                 best_evolve_weight=fittest.weight))
+        if offset + fittest.weight > best[0]:
+            best = (offset + fittest.weight, len(events), fittest.members)
         if cut_short():
             kernel_solution = set(fittest.members)
             break
-        heuristic_reduce(g, pop, config, forced)
+        heuristic_reduce(g, pop, config, events)
         rounds += 1
         emit("forced", round=rounds, kernel_vertices=g.live_count)
 
-    solution = replay_events(events, kernel_solution | forced)
+    if best[0] > offset + sum(g.weight[v] for v in kernel_solution):
+        # The journal as it stood then rebuilds that round's kernel solution.
+        events, kernel_solution = events[:best[1]], best[2]
+    solution = replay_events(events, kernel_solution)
     if not is_independent(graph, solution):  # pragma: no cover - safety net
         raise AssertionError("reconstructed solution is not independent")
     weight = sum(graph.weight[v] for v in solution)

@@ -18,6 +18,12 @@ def random_graph(rng: random.Random, n: int, p: float,
     return build_graph(edges, weights)
 
 
+def graph_state(g: WeightedGraph) -> tuple:
+    """Everything undo must restore, in comparable form."""
+    return ([set(s) for s in g.adj], list(g.weight), list(g.alive),
+            g.live_count, g.live_edges)
+
+
 def enumerate_alpha(g: WeightedGraph) -> tuple[int, set[int]]:
     """Plain 2^n subset scan; the independent check on the exact solver."""
     ids = g.vertices()

@@ -6,6 +6,7 @@ import pytest
 
 from mwis import ORDERING_PRESETS, SolverConfig
 from mwis.cli import _SELECTION_FLAGS, _build_parser, main
+from mwis.oracle import OracleLimits
 
 P3 = "3 2 10\n5 2\n1 1 3\n5 2\n"
 SOLVE_FAST = ["--population-size", "30", "--unsuccessful-limit", "40",
@@ -33,6 +34,8 @@ def test_solve_flags_default_to_the_solver_config():
     args["selection"] = _SELECTION_FLAGS[args["selection"]]
     assert {k: args[k] for k in shared} == {k: defaults[k] for k in shared}
     assert parser.parse_args(["reduce", "g.graph"]).ordering == SolverConfig().ordering
+    exact = parser.parse_args(["exact", "g.graph"])
+    assert (exact.max_vertices, exact.node_budget) == dataclasses.astuple(OracleLimits())
     for command in ("solve", "reduce"):
         assert _choices(parser, command, "ordering") == list(ORDERING_PRESETS)
 
@@ -148,3 +151,17 @@ def test_invalid_solver_config_exits_2(instance, tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/out", "."])
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--output"), ("solve", "--result"), ("reduce", "--output"),
+    ("reduce", "--sidecar"), ("exact", "--output")])
+def test_unwritable_output_exits_2_before_any_work(instance, tmp_path, capsys, command, flag,
+                                                   target):
+    # A missing directory, or a directory in place of the file.
+    target = tmp_path / target
+    assert main([command, str(instance), flag, str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: cannot write {target}\n"
+    assert list(tmp_path.iterdir()) == [instance]

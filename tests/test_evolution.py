@@ -12,6 +12,7 @@ from mwis import (Individual, InitStrategy, Partition, Population, SEPARATOR,
                   edge_partition, evolve, exact_reduce, initial_population, is_independent,
                   make_individual, mutate, replace, separator_from,
                   tournament_select)
+from mwis.evolution import FORCE_AFTER
 from mwis.maxflow import FlowNetwork
 from conftest import geometric_graph, path, random_graph, star
 
@@ -454,14 +455,40 @@ def test_replace_evicts_most_similar_lighter_member():
 
 
 def test_replace_forcing_spares_best():
-    g = build_graph([], [9, 2, 3])
+    g = build_graph([], [9, 4, 3])
     best = make_individual(g, {0, 1, 2})
     weak = make_individual(g, {1})
-    pop = Population([best, weak], stagnation=100)
+    pop = Population([best, weak], stagnation=FORCE_AFTER)
     off = make_individual(g, {2})  # lighter than both members
-    assert replace(pop, off)
+    assert replace(pop, off) == "forced"
     assert best in pop.individuals
     assert off in pop.individuals
+
+
+def test_armed_forcing_still_admits_on_merit(monkeypatch, rng):
+    g = build_graph([], [9, 2, 3])
+    pop = Population([make_individual(g, {0}), make_individual(g, {1})],
+                     stagnation=FORCE_AFTER)
+    heavier = make_individual(g, {0, 2})  # beats both members
+    assert replace(pop, heavier) == "merit"
+    assert pop.individuals[0] == heavier and pop.stagnation == 0
+
+    # evolve counts that entry as a success: with a limit of one
+    # unsuccessful offer, a merit entry lets it make a second offer.
+    g = random_graph(rng, 14, 0.3)
+    pop = initial_population(g, 4, rng)
+    pop.stagnation = FORCE_AFTER
+    entries = iter(["merit", None])
+    offers = []
+
+    def replace_stub(pop, offspring):
+        offers.append(offspring)
+        return next(entries)
+
+    monkeypatch.setattr(evolution, "replace", replace_stub)
+    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=1, pool_size=2, max_blocks=4,
+                                     ls_iterations=200))
+    assert len(offers) == 2
 
 
 def test_initial_population_size_and_validity(rng):

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from mwis import (Population, SelectionStrategy, SolverConfig, build_graph,
-                  heuristic_reduce, is_independent, make_individual, rate)
-from conftest import random_graph, star
+from mwis import (InitStrategy, Population, SelectionStrategy, SolverConfig,
+                  build_graph, build_initial, exact_reduce, heuristic_reduce,
+                  is_independent, make_individual, rate, undo_event)
+from conftest import graph_state, random_graph, star
 
 
 def two_individual_population(g, first, second):
@@ -51,9 +53,9 @@ def test_weight_selection_forces_heaviest():
     # two disjoint edges; fittest individual holds 0 (weight 9) and 2 (weight 3)
     g = build_graph([(0, 1), (2, 3)], [9, 1, 3, 1])
     pop = two_individual_population(g, {0, 2}, {1, 3})
-    sink: set[int] = set()
-    forced = heuristic_reduce(g, pop, SolverConfig(selection=SelectionStrategy.WEIGHT), sink)
-    assert forced == {0} == sink
+    events = []
+    forced = heuristic_reduce(g, pop, SolverConfig(selection=SelectionStrategy.WEIGHT), events)
+    assert forced == {0} and events[-1].decided == (0,)
     assert not g.is_alive(0) and not g.is_alive(1)
     assert g.is_alive(2) and g.is_alive(3)
 
@@ -61,22 +63,22 @@ def test_weight_selection_forces_heaviest():
 def test_fraction_takes_top_half():
     g = build_graph([], [9, 7, 5, 3])
     pop = Population([make_individual(g, {0, 1, 2, 3})])
-    sink: set[int] = set()
+    events = []
     forced = heuristic_reduce(
         g, pop, SolverConfig(selection=SelectionStrategy.WEIGHT,
-                             selection_fraction=0.5), sink)
-    assert forced == {0, 1}
+                             selection_fraction=0.5), events)
+    assert forced == {0, 1} and events[-1].decided == (0, 1)
     assert g.live_count == 2
 
 
 def test_participation_forces_single_vertex():
     g = build_graph([], [5])
     pop = Population([make_individual(g, {0})])
-    sink: set[int] = set()
+    events = []
     forced = heuristic_reduce(
         g, pop, SolverConfig(selection=SelectionStrategy.SOLUTION_PARTICIPATION),
-        sink)
-    assert forced == {0}
+        events)
+    assert forced == {0} and events[-1].decided == (0,)
     assert g.is_empty
 
 
@@ -84,27 +86,25 @@ def test_participation_rates_whole_graph():
     # vertex 2 is in no solution member but everything else participates less
     g = build_graph([(0, 1)], [5, 5, 1])
     pop = Population([make_individual(g, {0, 2}), make_individual(g, {0, 2})])
-    sink: set[int] = set()
+    events = []
     forced = heuristic_reduce(
         g, pop, SolverConfig(selection=SelectionStrategy.SOLUTION_PARTICIPATION),
-        sink)
+        events)
     assert forced == {0}  # highest participation, then weight tie-break
+    assert events[-1].decided == (0,)
 
 
 def test_forced_sets_stay_globally_independent(rng):
-    from mwis import InitStrategy, build_initial
-
     for _ in range(25):
         g = random_graph(rng, rng.randint(6, 16), 0.3)
         original = g.copy()
         pop = Population([build_initial(g, InitStrategy.GREEDY_WEIGHT_MWIS, rng)])
-        sink: set[int] = set()
+        events = []
         while g.live_count:
             before = g.live_count
-            forced = heuristic_reduce(
-                g, pop, SolverConfig(selection=SelectionStrategy.HYBRID), sink)
+            heuristic_reduce(g, pop, SolverConfig(selection=SelectionStrategy.HYBRID), events)
             assert g.live_count < before  # strict progress
-            assert is_independent(original, sink)
+            assert is_independent(original, {v for ev in events for v in ev.decided})
             if g.live_count:
                 pop = Population([build_initial(
                     g, InitStrategy.GREEDY_WEIGHT_MWIS, rng)])
@@ -113,7 +113,35 @@ def test_forced_sets_stay_globally_independent(rng):
 def test_empty_population_rejected():
     g = build_graph([], [1])
     with pytest.raises(ValueError):
-        heuristic_reduce(g, Population([]), SolverConfig(), set())
+        heuristic_reduce(g, Population([]), SolverConfig(), [])
+
+
+def test_forcing_is_one_journaled_take():
+    # Forcing after an exact reduce, where weights are discounted and fold
+    # vertices live: one event banks the forced weights the working graph
+    # holds at that moment, and undoing it restores that graph exactly.
+    rng = random.Random(97)
+    checked = 0
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(10, 24), 0.3, wlo=80, whi=120)
+        events = exact_reduce(g).events
+        if not g.live_count:
+            continue
+        pop = Population([build_initial(g, InitStrategy.GREEDY_WEIGHT_MWIS, rng)])
+        before, count, weight = graph_state(g), len(events), list(g.weight)
+        forced = heuristic_reduce(
+            g, pop, SolverConfig(selection=SelectionStrategy.WEIGHT,
+                                 selection_fraction=0.5), events)
+        assert len(events) == count + 1
+        ev = events[-1]
+        assert ev.rule is None and ev.decided == tuple(sorted(forced))
+        assert ev.offset_delta == sum(weight[v] for v in forced)
+        assert not any(g.is_alive(v) for v in forced)
+        undo_event(g, ev)
+        assert graph_state(g) == before
+        g.audit()
+        checked += 1
+    assert checked >= 20
 
 
 def test_bad_fraction_rejected():

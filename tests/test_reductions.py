@@ -26,7 +26,8 @@ from mwis.reductions import (ALL_RULES, ReductionEvent, ReductionOrdering,
                              critical_set, _resolve)
 from mwis import reductions
 from mwis.maxflow import DoubleCoverFlow, FlowNetwork
-from conftest import clique, cycle, geometric_graph, path, random_graph, star
+from conftest import (clique, cycle, geometric_graph, graph_state, path, random_graph,
+                      star)
 
 
 def only(rule: Rule) -> ReductionOrdering:
@@ -603,11 +604,6 @@ def test_reconstruct_rejects_dependent_solution():
 
 
 # -- undo fidelity -------------------------------------------------------------------
-
-def graph_state(g):
-    return ([set(s) for s in g.adj], list(g.weight), list(g.alive),
-            g.live_count, g.live_edges)
-
 
 def test_undo_restores_exact_state():
     rng = random.Random(2024)

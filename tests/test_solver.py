@@ -136,9 +136,9 @@ def test_solve_hands_each_setting_to_its_layer(monkeypatch, mutation_prob):
             return _fn(*args, **kwargs)
         return wrapper
 
-    def heuristic_reduce(g, pop, config, sink, _fn=solver.heuristic_reduce):
+    def heuristic_reduce(g, pop, config, events, _fn=solver.heuristic_reduce):
         want = max(1, int(config.selection_fraction * len(pop.best().members)))
-        forced.append((len(_fn(g, pop, config, sink)), want))
+        forced.append((len(_fn(g, pop, config, events)), want))
 
     monkeypatch.setattr(evolution, "vnd", vnd)
     monkeypatch.setattr(evolution, "PartitionPool", pool)
@@ -202,3 +202,19 @@ def test_trace_offsets_never_decrease():
         result = solve(g, SolverConfig(time_limit=10, seed=trial, **FAST))
         offsets = [s.offset for s in result.kernel_trace]
         assert offsets == sorted(offsets)
+
+
+def test_result_is_at_least_every_rounds_full_weight():
+    # Forcing is heuristic, so a later round can end lighter than an earlier
+    # one (seed 1 here does); the heaviest round is returned.
+    multi_round = 0
+    for seed in range(16):
+        g = random_graph(random.Random(seed), 40, 0.2, wlo=90, whi=110)
+        result = solve(g, SolverConfig(seed=seed, population_size=30, pool_size=4,
+                                       unsuccessful_limit=20, selection_fraction=0.1))
+        assert verify(g, result.solution).ok
+        assert result.weight == sum(g.weight[v] for v in result.solution)
+        for stats in result.kernel_trace:
+            assert result.weight >= stats.offset + stats.best_evolve_weight, seed
+        multi_round += result.rounds >= 2
+    assert multi_round >= 12
