@@ -53,6 +53,8 @@ class Individual:
 
 
 def _individual_from_state(state: SearchState) -> Individual:
+    # Copied from a set, a frozenset's table is sized for its members; one
+    # built from an iterator can be twice as large, and populations keep it.
     return Individual(frozenset(state.members()), state.weight)
 
 
@@ -194,6 +196,8 @@ def _exchange(g: WeightedGraph, part: Partition, parents: Sequence[Individual],
     block_of = part.block_of
     members: set[int] = set()
     for i, parent in enumerate(parents):
+        if i not in owners:
+            continue
         members.update(v for v in parent.members
                        if (b := block_of.get(v, SEPARATOR)) != SEPARATOR and owners[b] == i)
     if repair is not None:
@@ -215,7 +219,8 @@ def _heaviest_owners(g: WeightedGraph, part: Partition,
             b = block_of.get(v, SEPARATOR)
             if b != SEPARATOR:
                 row[b] += weight[v]
-    return [max(range(len(parents)), key=lambda i: inside[i][b]) for b in range(part.k)]
+    # index() finds the first maximum, so ties go to the lowest index.
+    return [col.index(max(col)) for col in zip(*inside)]
 
 
 def _min_weight_bipartite_cover(g: WeightedGraph, edges: list[tuple[int, int]],

@@ -4,13 +4,18 @@ Two neighborhoods, explored by variable neighborhood descent: swaps that
 insert one vertex and evict its (lighter) solution neighbors, and swaps
 that trade one solution vertex for two non-adjacent neighbors of it.
 Both accept strictly improving moves only, so the solution weight is
-monotone along every trajectory.
+monotone along every trajectory.  :class:`SearchState` keeps each
+vertex's count and weight of solution neighbors, and :func:`vnd` tests
+every move from those tallies first: it calls the move function only
+for an insertion that improves, or for a member whose 1-tight neighbors
+together outweigh it.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import compress
 
 from .graph import WeightedGraph
 
@@ -31,19 +36,26 @@ class SearchState:
     def __init__(self, g: WeightedGraph, members=()):
         self.g = g
         cap = g.capacity
-        self.in_sol = [False] * cap
-        self.tight = [0] * cap
-        self.nbw = [0] * cap
-        self.weight = 0
+        self.in_sol = in_sol = [False] * cap
+        self.tight = tight = [0] * cap
+        self.nbw = nbw = [0] * cap
+        alive, adj, weight = g.alive, g.adj, g.weight
+        total = 0
         for v in sorted(set(members)):
-            if not g.is_alive(v):
+            if not (0 <= v < cap and alive[v]):
                 raise ValueError(f"vertex {v} is not alive")
-            if self.tight[v]:
+            if tight[v]:
                 raise ValueError(f"members are not independent near {v}")
-            self.add(v)
+            in_sol[v] = True
+            w = weight[v]
+            total += w
+            for u in adj[v]:
+                tight[u] += 1
+                nbw[u] += w
+        self.weight = total
 
     def members(self) -> set[int]:
-        return {v for v in range(len(self.in_sol)) if self.in_sol[v]}
+        return set(compress(range(len(self.in_sol)), self.in_sol))
 
     def free(self) -> list[int]:
         """The free vertices in id order."""
@@ -52,6 +64,8 @@ class SearchState:
                 if alive[v] and not in_sol[v] and not tight[v]]
 
     def add(self, v: int) -> None:
+        if not self.g.alive[v]:
+            raise ValueError(f"vertex {v} is not alive")
         if self.in_sol[v] or self.tight[v]:
             raise ValueError(f"vertex {v} is not free")
         self.in_sol[v] = True
@@ -77,6 +91,8 @@ class SearchState:
         """Put v into the solution, evicting its solution neighbors."""
         if self.in_sol[v]:
             return
+        if not self.g.alive[v]:
+            raise ValueError(f"vertex {v} is not alive")
         for u in sorted(self.g.adj[v]):
             if self.in_sol[u]:
                 self.drop(u)
@@ -115,9 +131,9 @@ def maximize_greedy(state: SearchState, order: str = "by_weight",
     tight = state.tight
     if order == "by_weight":
         # Adding only ever shrinks the free set, so one pass in heaviest-
-        # first order picks what a fresh maximum at every step would.
-        weight = state.g.weight
-        for v in sorted(state.free(), key=lambda u: (-weight[u], u)):
+        # first order picks what a fresh maximum at every step would.  The
+        # reverse sort is stable, so ties keep id order.
+        for v in sorted(state.free(), key=state.g.weight.__getitem__, reverse=True):
             if not tight[v]:
                 state.add(v)
     elif order == "uniform_random":
@@ -189,44 +205,55 @@ def vnd(state: SearchState, max_iterations: int = 15_000,
 
     Insertion swaps are exhausted first; any two-for-one success returns
     to them.  Every attempted move counts against ``max_iterations``.
-    Returns the number of attempts spent.
+    Each attempt is tested from the kept tallies first (see the module
+    docstring), so most cost no call.  Returns the number of attempts
+    spent.
     """
     g = state.g
-    order = [v for v in range(g.capacity) if g.alive[v]]
+    alive, adj, weight = g.alive, g.adj, g.weight
+    in_sol, tight, nbw = state.in_sol, state.tight, state.nbw
+    ids = range(len(in_sol))
+    order = list(compress(ids, alive))
     if rng is not None:
         rng.shuffle(order)
     queue = deque(order)
-    inq = set(order)
+    inq = list(alive)
     attempts = 0
 
     def requeue_around(flipped) -> None:
         affected = set(flipped)
         for f in flipped:
-            affected.update(g.adj[f])
+            affected.update(adj[f])
         for u in sorted(affected):
-            if g.alive[u] and u not in inq:
-                inq.add(u)
+            if alive[u] and not inq[u]:
+                inq[u] = True
                 queue.append(u)
 
     while attempts < max_iterations:
-        # First neighborhood: single-vertex insertion swaps off the queue.
+        # First neighborhood: single-vertex insertion swaps off the queue,
+        # which holds alive vertices only.
         while queue and attempts < max_iterations:
             v = queue.popleft()
-            inq.discard(v)
-            if not g.alive[v] or state.in_sol[v]:
+            inq[v] = False
+            if in_sol[v]:
                 continue
             attempts += 1
-            flipped = omega_one_swap(state, v)
-            if flipped:
-                requeue_around(flipped)
+            if weight[v] > nbw[v]:
+                requeue_around(omega_one_swap(state, v))
         if attempts >= max_iterations:
             break
-        # Second neighborhood: first improving two-for-one trade.
+        # Second neighborhood: first improving two-for-one trade.  A
+        # member's neighbors are all outside the set and weights are
+        # non-negative, so a trade needs two 1-tight neighbors that
+        # together outweigh it.
         traded = False
-        for v in sorted(state.members()):
+        for v in compress(ids, in_sol):
             if attempts >= max_iterations:
                 break
             attempts += 1
+            ones = [weight[u] for u in adj[v] if tight[u] == 1]
+            if len(ones) < 2 or sum(ones) <= weight[v]:
+                continue
             flipped = one_two_swap(state, v)
             if flipped:
                 requeue_around(flipped)

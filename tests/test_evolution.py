@@ -420,6 +420,36 @@ def test_block_exchange_matches_the_four_operator_bodies(monkeypatch):
     assert min(repaired.values()) >= 30 and len(repaired) == 2, repaired
 
 
+def old_heaviest_owners(g, part, parents):
+    """Reference: ``_heaviest_owners`` as it was, with a keyed max per block."""
+    block_of, weight = part.block_of, g.weight
+    inside = [[0] * part.k for _ in parents]
+    for row, parent in zip(inside, parents):
+        for v in parent.members:
+            b = block_of.get(v, SEPARATOR)
+            if b != SEPARATOR:
+                row[b] += weight[v]
+    return [max(range(len(parents)), key=lambda i: inside[i][b]) for b in range(part.k)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_heaviest_owners_match_the_keyed_max(k):
+    # Weights 0-3 and repeated or empty parents tie blocks between parents.
+    rng = random.Random(300 + k)
+    tied = 0
+    for trial, g in enumerate(_equivalence_kernels(rng)):
+        edge_part = edge_partition(g, k, 0.03, rng)
+        for part in (edge_part, separator_from(g, edge_part)):
+            parents = _parents(g, k, rng, trial)
+            owners = evolution._heaviest_owners(g, part, parents)
+            assert owners == old_heaviest_owners(g, part, parents)
+            for b, i in enumerate(owners):
+                block = {v for v, c in part.block_of.items() if c == b}
+                scores = [sum(g.weight[v] for v in p.members & block) for p in parents]
+                tied += scores.count(scores[i]) > 1
+    assert tied >= 20, tied
+
+
 # -- mutation, replacement, evolve ---------------------------------------------------
 
 def test_mutate_preserves_validity(rng):

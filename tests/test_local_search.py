@@ -53,6 +53,28 @@ def test_maximize_random_needs_rng():
         maximize_greedy(state, "uniform_random")
 
 
+def _p3_without_its_last_vertex():
+    g = build_graph([(0, 1), (1, 2)], [5, 1, 5])
+    g.remove_vertex(2)
+    return g
+
+
+def test_add_refuses_a_dead_vertex():
+    state = SearchState(_p3_without_its_last_vertex())
+    with pytest.raises(ValueError, match="not alive"):
+        state.add(2)
+    assert state.members() == set() and state.weight == 0
+    state.audit()
+
+
+def test_force_insert_refuses_a_dead_vertex():
+    state = SearchState(_p3_without_its_last_vertex(), {1})
+    with pytest.raises(ValueError, match="not alive"):
+        state.force_insert(2)
+    assert state.members() == {1} and state.weight == 1
+    state.audit()
+
+
 def test_omega_one_swap_on_p3():
     g = path([5, 1, 5])
     state = SearchState(g, {1})
@@ -234,11 +256,17 @@ def max_scan_greedy(state):
 
 
 def test_vnd_matches_rescanning_reference():
+    # Weights 0..3 make a member's 1-tight total equal its weight often,
+    # the boundary of the test that skips a two-for-one attempt.
     rng = random.Random(4242)
-    for trial in range(40):
+    for trial in range(60):
         n = rng.randint(5, 120)
-        g = (geometric_graph(rng, n, rng.choice([4, 8, 12])) if trial % 2
-             else random_graph(rng, n, rng.choice([0.05, 0.15, 0.4]), wlo=0, whi=50))
+        if trial % 3 == 0:
+            g = random_graph(rng, n, rng.choice([0.05, 0.15, 0.4]), wlo=0, whi=50)
+        elif trial % 3 == 1:
+            g = geometric_graph(rng, n, rng.choice([4, 8, 12]))
+        else:
+            g = random_graph(rng, n, rng.choice([0.05, 0.15, 0.4]), wlo=0, whi=3)
         for v in rng.sample(range(n), n // 8):
             g.remove_vertex(v)
         start = SearchState(g)
@@ -246,9 +274,12 @@ def test_vnd_matches_rescanning_reference():
         cap = rng.choice([15_000, rng.randint(0, 3 * n)])
         seed = rng.randrange(1 << 30)
         kept, ref = SearchState(g, start.members()), SearchState(g, start.members())
-        spent = vnd(kept, cap, random.Random(seed))
-        assert spent == rescanning_vnd(ref, cap, random.Random(seed))
+        kept_rng, ref_rng = random.Random(seed), random.Random(seed)
+        spent = vnd(kept, cap, kept_rng)
+        assert spent == rescanning_vnd(ref, cap, ref_rng)
+        assert kept_rng.getstate() == ref_rng.getstate()
         assert kept.members() == ref.members()
+        assert (kept.weight, kept.tight, kept.nbw) == (ref.weight, ref.tight, ref.nbw)
         kept.audit()
 
 
