@@ -158,10 +158,19 @@ class Population:
         return max(self.individuals, key=lambda ind: ind.weight)
 
 
-def initial_population(g: WeightedGraph, size: int, rng: random.Random) -> Population:
-    """Fill a population, drawing a constructor uniformly per individual."""
+def initial_population(g: WeightedGraph, size: int, rng: random.Random,
+                       deadline: float | None = None) -> Population:
+    """Fill a population, drawing a constructor uniformly per individual.
+
+    Stops early, with at least two individuals, once ``time.monotonic()``
+    reaches ``deadline``.
+    """
     strategies = list(InitStrategy)
-    individuals = [build_initial(g, rng.choice(strategies), rng) for _ in range(size)]
+    individuals: list[Individual] = []
+    for _ in range(size):
+        if len(individuals) >= 2 and deadline is not None and time.monotonic() >= deadline:
+            break
+        individuals.append(build_initial(g, rng.choice(strategies), rng))
     return Population(individuals)
 
 

@@ -8,11 +8,12 @@ the bipartite double cover between calls and reads the arcs straight from
 the graph's adjacency instead of building a network.  Each call repairs
 the flow at the vertices whose own arcs or weight changed, re-augments
 from the copies the repair freed (every new augmenting path starts or
-ends at one) with searches that run from both ends at once, and runs
-Dinic phases from there, whose first search mostly just proves the flow
-maximum.  It keeps the copies with spare capacity, so a warm call works
-in proportion to what changed, never to the graph's size.  Capacities
-are plain Python ints, so weights never overflow.
+ends at one) with searches that run from both ends at once, and then
+proves the flow maximum with one search from the source; only when that
+finds a path, and on the first call, does push-relabel run.  It keeps
+the copies with spare capacity, so a warm call works in proportion to
+what changed, never to the graph's size.  Capacities are plain Python
+ints, so weights never overflow.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .graph import WeightedGraph
+
+# Push-relabel label of a copy with no path to the sink.
+_UNREACHED = 1 << 62
 
 
 class FlowNetwork:
@@ -137,15 +141,20 @@ class DoubleCoverFlow:
        root and one backward from the spare copies on the far side, and
        always grows the smaller frontier, so it costs about what the
        shorter of the two walks to the meeting point costs.
-    3. Dinic check: the usual Dinic phases run from there, their BFS
-       starting at ``spare_l``; the first one mostly finds no path to the
-       sink, which proves the flow maximum, and also labels the minimal
-       minimum cut.
+    3. Check: a BFS from ``spare_l``, the copies the source reaches,
+       through the residual network.  When it finds no path to the sink
+       the flow is maximum, and the copies it reached form the minimal
+       minimum cut.  Otherwise push-relabel (:meth:`_push_relabel`)
+       augments the flow to a maximum one, and the check runs again.
 
-    No step of a warm call scans the whole graph.  The first call has no
-    flow to repair and goes straight to step 3: from the zero flow, Dinic
-    phases augment faster than searches from whatever was invalidated
-    before it.
+    No step of a warm call scans the whole graph, and after a warm
+    re-augmentation the check almost always passes.  The first call has
+    no flow to repair, so its check finds a path at once and push-relabel
+    does the work: it moves all excess of the zero flow at the same time,
+    where Dinic ran one whole-graph BFS for each path length, up to 55 of
+    them on a 13k-vertex road-like kernel.  That call then balances the
+    flow (:meth:`_balance`), which keeps the searches of later warm calls
+    short.
 
     Why new paths start or end at freed copies: after the first call the
     flow was maximum before the repair, so the residual network held no
@@ -164,7 +173,8 @@ class DoubleCoverFlow:
     so the result never rests on this argument.
     """
 
-    __slots__ = ("out", "into", "sent", "received", "spare_l", "spare_r", "stale")
+    __slots__ = ("out", "into", "sent", "received", "spare_l", "spare_r", "stale",
+                 "label_l", "label_r", "excess")
 
     def __init__(self):
         self.out: list[dict[int, int]] = []
@@ -174,6 +184,11 @@ class DoubleCoverFlow:
         self.spare_l: set[int] = set()
         self.spare_r: set[int] = set()
         self.stale: set[int] = set()
+        # Push-relabel state by vertex id, clear between calls: the labels
+        # of both copies (``_UNREACHED``) and the left copy's excess (0).
+        self.label_l: list[int] = []
+        self.label_r: list[int] = []
+        self.excess: list[int] = []
 
     def invalidate(self, vertices) -> None:
         """Mark vertices whose weight or own arcs changed since the last cut."""
@@ -184,14 +199,20 @@ class DoubleCoverFlow:
 
         Returns the vertices whose left copy lies on the source side of
         the minimal minimum cut (the copies reachable from the source in
-        the residual network) while their right copy does not.
+        the residual network) while their right copy does not.  The first
+        call balances its maximum flow (:meth:`_balance`) for the warm
+        calls after it.
         """
+        cold = not self.sent
         self._reaugment(g, *self._repair(g))
         while True:
             lev_l, lev_r, t_level = self._levels(g)
             if t_level < 0:
                 return {v for v in lev_l if v not in lev_r}
-            self._blocking_flow(g, lev_l, lev_r, t_level)
+            self._push_relabel(g)
+            if cold:
+                self._balance(g)
+                cold = False
 
     def audit(self, g: WeightedGraph) -> None:
         """Raise when the flow maps disagree or break a capacity of ``g``.
@@ -199,8 +220,9 @@ class DoubleCoverFlow:
         ``out`` and ``into`` must mirror each other with positive entries
         on alive edges only, ``sent`` and ``received`` must equal the row
         sums, at most the weight, and ``spare_l`` and ``spare_r`` must
-        name exactly the alive copies below their weight.  Holds right
-        after :meth:`min_cut`.
+        name exactly the alive copies below their weight, and the
+        push-relabel state must be clear.  Holds right after
+        :meth:`min_cut`.
         """
         alive, weight = g.alive, g.weight
         for v in range(g.capacity):
@@ -223,6 +245,8 @@ class DoubleCoverFlow:
             want = {v for v in g.vertices() if used[v] < weight[v]}
             if spare != want:
                 raise AssertionError(f"{name} is off by {sorted(spare ^ want)}")
+        if any(self.excess) or {*self.label_l, *self.label_r} - {_UNREACHED}:
+            raise AssertionError("push-relabel left excess or labels behind")
 
     def _repair(self, g: WeightedGraph) -> tuple[set[int], set[int]]:
         """Drop the flow at stale vertices; return the freed left and right
@@ -237,6 +261,9 @@ class DoubleCoverFlow:
             into.append({})
             sent.append(0)
             received.append(0)
+            self.label_l.append(_UNREACHED)
+            self.label_r.append(_UNREACHED)
+            self.excess.append(0)
             if alive[v] and weight[v]:
                 spare_l.add(v)
                 spare_r.add(v)
@@ -262,6 +289,67 @@ class DoubleCoverFlow:
                 spare_r.discard(x)
         self.stale = set()
         return lefts, rights
+
+    def _balance(self, g: WeightedGraph) -> None:
+        """Make the flow on every edge the same both ways, keeping its value.
+
+        Each edge {v, u} gets half of the flow on L_v -> R_u and L_u -> R_v
+        both ways, rounded down, which loses a unit on each edge whose
+        total is odd.  Walking the trails of those odd edges, from the
+        vertices with an odd number of them first, sends each lost unit
+        back one way so that every vertex sends as many as it receives,
+        or one more of either when its number is odd.  A copy then carries
+        half of what its vertex's two copies carried before, plus at most
+        half a unit, and an odd number of odd edges means an odd total,
+        below twice the weight, so no copy exceeds its weight.  The value
+        is kept, so the flow stays maximum.
+
+        After a removal, a symmetric flow frees the left and the right copy
+        of the same vertices, by the same amounts, and each vertex mostly
+        refills its own right copy through a triangle.  Removing a closed
+        neighbourhood from 350-vertex road-like graphs, the warm call then
+        read a tenth of the neighbour sets it read from the unbalanced
+        push-relabel flow.
+        """
+        out, into, sent, received = self.out, self.into, self.sent, self.received
+        weight = g.weight
+        live = g.vertices()
+        odd: dict[int, list[int]] = {}
+        for v in live:
+            for u in {*out[v], *into[v]}:
+                if u < v:
+                    continue
+                a, b = out[v].get(u, 0), out[u].get(v, 0)
+                half = (a + b) >> 1
+                for x, y in ((v, u), (u, v)):
+                    if half:
+                        out[x][y] = into[y][x] = half
+                    elif y in out[x]:
+                        del out[x][y], into[y][x]
+                if (a + b) & 1:
+                    odd.setdefault(v, []).append(u)
+                    odd.setdefault(u, []).append(v)
+
+        def walk(x: int) -> None:
+            while odd[x]:
+                y = odd[x].pop()
+                odd[y].remove(x)
+                out[x][y] = into[y][x] = out[x].get(y, 0) + 1
+                x = y
+
+        for x in odd:
+            if len(odd[x]) & 1:
+                walk(x)
+        for x in odd:
+            walk(x)
+        self.spare_l, self.spare_r = set(), set()
+        for v in live:
+            sent[v] = sum(out[v].values())
+            received[v] = sum(into[v].values())
+            if sent[v] < weight[v]:
+                self.spare_l.add(v)
+            if received[v] < weight[v]:
+                self.spare_r.add(v)
 
     def _reaugment(self, g: WeightedGraph, lefts: set[int], rights: set[int]) -> None:
         """Augment from the freed left copies and into the freed right copies
@@ -351,9 +439,10 @@ class DoubleCoverFlow:
     def _levels(self, g: WeightedGraph) -> tuple[dict[int, int], dict[int, int], int]:
         """BFS levels of the residual network, for the copies reached only,
         and the sink's level, or -1 when the flow is maximum.  Left copies
-        sit at odd levels, right copies at even ones; a search that reaches
-        the sink stops there, one that does not labels every reachable
-        copy.  It starts at ``spare_l``, the copies the source reaches."""
+        sit at odd levels, right copies at even ones; a search stops at the
+        first right copy in ``spare_r``, one that finds none labels every
+        reachable copy.  It starts at ``spare_l``, the copies the source
+        reaches."""
         adj, into, spare_r = g.adj, self.into, self.spare_r
         layer = list(self.spare_l)
         lev_l = dict.fromkeys(layer, 1)
@@ -364,11 +453,11 @@ class DoubleCoverFlow:
             for v in layer:
                 for u in adj[v]:
                     if u not in lev_r:
+                        if u in spare_r:
+                            return lev_l, lev_r, depth + 2
                         lev_r[u] = depth + 1
                         rights.append(u)
             depth += 2
-            if not spare_r.isdisjoint(rights):
-                return lev_l, lev_r, depth
             layer = []
             for u in rights:
                 for v in into[u]:
@@ -377,49 +466,180 @@ class DoubleCoverFlow:
                         layer.append(v)
         return lev_l, lev_r, -1
 
-    def _blocking_flow(self, g: WeightedGraph, lev_l: dict[int, int],
-                       lev_r: dict[int, int], t_level: int) -> None:
-        """Saturate every shortest augmenting path (iterative DFS with
-        current arcs; a dead-end copy gets level -1)."""
+    def _push_relabel(self, g: WeightedGraph) -> None:
+        """Augment the flow to a maximum one by push-relabel.
+
+        It saturates the source arc of every ``spare_l`` copy, so the
+        excess sits at those left copies only, and first pushes it
+        straight on to the sink through neighbours with spare capacity.
+        Then it discharges the left copy of highest label until none with
+        excess can reach the sink.  Labels are residual distances to the
+        sink, left copies even and right copies odd.  A left copy at label
+        d pushes through each right neighbour R at label d - 1 at once
+        (a double push): R passes the excess on into the sink, when d is
+        2, or back along the flow it receives from left copies at label
+        d - 2.  A right copy left with nothing to pass takes the smallest
+        label of the copies it could pass to, plus one; so does a left
+        copy that still has excess after its neighbours.  Right copies
+        thus never hold excess, and a relabel always stays finite: a right
+        copy with a label keeps spare sink capacity or a sender with one,
+        because whatever takes either away passes through it and becomes
+        a sender.
+
+        :meth:`_relabel_all` sets the labels exactly at the start and
+        again whenever relabelling has scanned half as many arcs as that
+        BFS did; labels only grow, and every round discharges a copy, so
+        the loop ends.  Excess at copies that the BFS finds out of reach
+        of the sink goes back to the source at the end, which lowers
+        ``sent`` and puts the copy in ``spare_l``.  Only these copies are
+        left with spare source capacity, and right copies leave
+        ``spare_r`` as they saturate.
+        """
         adj, weight = g.adj, g.weight
-        into, sent, spare_r = self.into, self.sent, self.spare_r
-        arcs_l: dict[int, list[int]] = {}
-        arcs_r: dict[int, list[int]] = {}
-        for root in [v for v, lv in lev_l.items() if lv == 1]:
-            path = [root]  # L, R, L, R, ... copies
-            while path:
-                top = path[-1]
-                if len(path) & 1:
-                    arcs = arcs_l.get(top)
-                    if arcs is None:
-                        want = lev_l[top] + 1
-                        arcs = arcs_l[top] = [u for u in adj[top] if lev_r.get(u) == want]
-                    while arcs and lev_r[arcs[-1]] < 0:
-                        arcs.pop()
-                    if arcs:
-                        path.append(arcs[-1])
-                    else:
-                        lev_l[top] = -1
-                        path.pop()
+        out, into, sent, received = self.out, self.into, self.sent, self.received
+        label_l, label_r, excess = self.label_l, self.label_r, self.excess
+        spare_r = self.spare_r
+        active = []
+        for v in self.spare_l:
+            e = weight[v] - sent[v]
+            sent[v] = weight[v]
+            flows = out[v]
+            for u in adj[v]:
+                room = weight[u] - received[u]
+                if not room:
                     continue
-                if lev_r[top] + 1 == t_level and top in spare_r:
-                    self._augment(path, weight)
-                    if sent[root] == weight[root]:
-                        break
-                    path = [root]
-                    continue
-                arcs = arcs_r.get(top)
-                if arcs is None:
-                    want = lev_r[top] + 1
-                    arcs = arcs_r[top] = [v for v in into[top] if lev_l.get(v) == want]
-                flows = into[top]
-                while arcs and (lev_l[arcs[-1]] < 0 or arcs[-1] not in flows):
-                    arcs.pop()
-                if arcs:
-                    path.append(arcs[-1])
+                if room > e:
+                    room = e
                 else:
-                    lev_r[top] = -1
-                    path.pop()
+                    spare_r.discard(u)
+                received[u] += room
+                flows[u] = flows.get(u, 0) + room
+                into[u][v] = into[u].get(v, 0) + room
+                e -= room
+                if not e:
+                    break
+            if e:
+                excess[v] = e
+                active.append(v)
+        held: list[int] = []  # out of reach of the sink
+        emptied: list[int] = []  # senders whose flow a pass cancelled
+        reached_l: list[int] = []
+        reached_r: list[int] = []
+        while active:
+            budget = self._relabel_all(g, reached_l, reached_r) // 2
+            buckets: list[list[int]] = [[] for _ in range(len(reached_r) + 2)]
+            for v in active:
+                d = label_l[v]
+                (held if d == _UNREACHED else buckets[d >> 1]).append(v)
+            top = len(buckets) - 1
+            while True:
+                while top and not buckets[top]:
+                    top -= 1
+                if not top or budget < 0:
+                    break
+                v = buckets[top].pop()
+                d = top << 1
+                e = excess[v]
+                flows = out[v]
+                for u in adj[v]:
+                    if label_r[u] != d - 1:
+                        continue
+                    passed = 0
+                    room = weight[u] - received[u]
+                    if room:  # only at label 1
+                        if room > e:
+                            room = e
+                        else:
+                            spare_r.discard(u)
+                        received[u] += room
+                        passed = room
+                        e -= room
+                    back = into[u]
+                    if e:
+                        for z, f in back.items():
+                            if label_l[z] != d - 2:
+                                continue
+                            if f > e:
+                                back[z] = out[z][u] = f - e
+                                f = e
+                            else:
+                                emptied.append(z)
+                            if not excess[z]:
+                                buckets[top - 1].append(z)
+                            excess[z] += f
+                            passed += f
+                            e -= f
+                            if not e:
+                                break
+                        for z in emptied:
+                            del back[z], out[z][u]
+                        emptied.clear()
+                    if passed:
+                        flows[u] = flows.get(u, 0) + passed
+                        back[v] = back.get(v, 0) + passed
+                    if not e:
+                        break
+                    label_r[u] = min(map(label_l.__getitem__, back)) + 1
+                    budget -= len(back)
+                excess[v] = e
+                if e:
+                    d = label_l[v] = min(map(label_r.__getitem__, adj[v])) + 1
+                    budget -= len(adj[v])
+                    top = d >> 1
+                    while top >= len(buckets):
+                        buckets.append([])
+                    buckets[top].append(v)
+            active = [v for bucket in buckets[:top + 1] for v in bucket]
+        for v in held:
+            sent[v] -= excess[v]
+            excess[v] = 0
+        self.spare_l = set(held)
+        for v in reached_l:
+            label_l[v] = _UNREACHED
+        for u in reached_r:
+            label_r[u] = _UNREACHED
+
+    def _relabel_all(self, g: WeightedGraph, reached_l: list[int],
+                     reached_r: list[int]) -> int:
+        """Label every copy with its distance to the sink in the residual
+        network, by a BFS backward from ``spare_r``, or ``_UNREACHED``.
+
+        ``reached_l`` and ``reached_r`` hold the copies the previous run
+        labelled, which are the only ones relabelling can have touched;
+        they are cleared and refilled, so no list is walked whole.  Returns
+        the number of arcs the BFS scanned.
+        """
+        adj, out = g.adj, self.out
+        label_l, label_r = self.label_l, self.label_r
+        for v in reached_l:
+            label_l[v] = _UNREACHED
+        for u in reached_r:
+            label_r[u] = _UNREACHED
+        reached_l.clear()
+        reached_r[:] = layer = list(self.spare_r)
+        for u in layer:
+            label_r[u] = 1
+        arcs = 0
+        depth = 1
+        while layer:
+            lefts = []
+            for u in layer:
+                arcs += len(adj[u])
+                for v in adj[u]:
+                    if label_l[v] == _UNREACHED:
+                        label_l[v] = depth + 1
+                        lefts.append(v)
+            reached_l += lefts
+            depth += 2
+            layer = []
+            for v in lefts:
+                arcs += len(out[v])
+                for u in out[v]:
+                    if label_r[u] == _UNREACHED:
+                        label_r[u] = depth
+                        layer.append(u)
+            reached_r += layer
+        return arcs
 
     def _augment(self, path: list[int], weight: list[int]) -> None:
         """Push the bottleneck along s -> path -> t."""

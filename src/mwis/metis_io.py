@@ -30,14 +30,20 @@ def _int_tokens(line: str, lineno: int) -> list[int]:
 
 
 def parse_metis(text: str) -> WeightedGraph:
-    """Parse node-weighted METIS text into a graph."""
+    """Parse node-weighted METIS text into a graph.
+
+    The header is the first line that is neither blank nor a comment.  The
+    n non-comment lines after it are the vertex lines, blank ones included:
+    a blank line is an isolated vertex (``fmt`` 0) or, under ``fmt`` 10, a
+    missing weight.  Only blank and comment lines may follow them.
+    """
     lines = text.splitlines()
-    data = [(i + 1, ln) for i, ln in enumerate(lines)
-            if ln.strip() and not ln.lstrip().startswith("%")]
-    if not data:
+    start = next((i for i, ln in enumerate(lines)
+                  if ln.strip() and not ln.lstrip().startswith("%")), None)
+    if start is None:
         raise GraphFormatError("empty graph file")
 
-    lineno, header = data[0]
+    lineno, header = start + 1, lines[start]
     head = _int_tokens(header, lineno)
     if len(head) == 2:
         n, m, fmt = head[0], head[1], 0
@@ -49,12 +55,15 @@ def parse_metis(text: str) -> WeightedGraph:
         raise GraphFormatError(f"line {lineno}: unsupported format {fmt} (want 0 or 10)")
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: negative header counts")
-    if len(data) - 1 != n:
-        raise GraphFormatError(f"expected {n} vertex lines, found {len(data) - 1}")
+    data = [(i, ln) for i, ln in enumerate(lines[start + 1:], start + 2)
+            if not ln.lstrip().startswith("%")]
+    found = len(data) if len(data) < n else n + sum(1 for _, ln in data[n:] if ln.strip())
+    if found != n:
+        raise GraphFormatError(f"expected {n} vertex lines, found {found}")
 
     weights = [1] * n
     adj: list[set[int]] = [set() for _ in range(n)]
-    for v, (lineno, line) in enumerate(data[1:]):
+    for v, (lineno, line) in enumerate(data[:n]):
         toks = _int_tokens(line, lineno)
         if fmt == 10:
             if not toks:

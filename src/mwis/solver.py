@@ -126,7 +126,7 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
         if cut_short():
             kernel_solution = _greedy_kernel_solution(g)
             break
-        pop = initial_population(g, config.population_size, rng)
+        pop = initial_population(g, config.population_size, rng, deadline)
         evolve(g, pop, rng, config, deadline,
                on_improve=lambda it, w: emit("evolve_best", round=rounds,
                                              iteration=it, weight=w))

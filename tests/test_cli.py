@@ -53,6 +53,16 @@ def test_solve_writes_solution_and_record(instance, tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "0\n2\n"
 
 
+def test_solve_reads_an_isolated_vertex_as_a_blank_line(tmp_path, capsys):
+    # Unweighted METIS writes an isolated vertex as an empty line.
+    path = tmp_path / "isolated.graph"
+    path.write_text("3 1\n3\n\n1\n", encoding="utf-8")
+    rc = main(["solve", str(path), "--time-limit", "10", "--seed", "1"] + SOLVE_FAST)
+    assert rc == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["n"], record["m"], record["weight"]) == (3, 1, 2)
+
+
 def test_solve_reruns_byte_identical(instance, tmp_path, capsys):
     a, b = tmp_path / "a.sol", tmp_path / "b.sol"
     argv = ["solve", str(instance), "--time-limit", "10", "--seed", "3",

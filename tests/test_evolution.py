@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -527,6 +528,19 @@ def test_initial_population_size_and_validity(rng):
     assert len(pop) == 40
     for ind in pop.individuals:
         assert_maximal(g, ind)
+
+
+def test_initial_population_stops_at_the_deadline(rng):
+    # A passed deadline leaves two individuals; one that does not bite
+    # changes nothing, the random draws included.
+    g = random_graph(rng, 12, 0.3)
+    assert len(initial_population(g, 40, rng, deadline=0.0)) == 2
+    state = rng.getstate()
+    pop = initial_population(g, 40, rng, deadline=time.monotonic() + 3600)
+    after = rng.getstate()
+    rng.setstate(state)
+    assert initial_population(g, 40, rng).individuals == pop.individuals
+    assert rng.getstate() == after
 
 
 def test_evolve_zero_budget_returns_population_unchanged(rng):

@@ -1,15 +1,100 @@
 """Max-flow networks: deep augmenting paths, the warm double-cover flow's
-invariants, and how much whole-kernel work the warm flow does."""
+invariants, how much whole-kernel work the warm flow does, and its cuts
+against the Dinic phases it used to run."""
 
 import random
 
 import pytest
 
-from mwis import build_graph, exact_reduce, ordering_preset
+from mwis import build_graph, exact_reduce, is_independent, ordering_preset, reconstruct
 from mwis.maxflow import DoubleCoverFlow, FlowNetwork
 from mwis.reductions import (ReductionEvent, Rule, _add_edge, _new_vertex, _rm, _rm_edge,
                              _Scheduler, _set_w, critical_set)
+from mwis.solver import _greedy_kernel_solution
 from conftest import geometric_graph, random_graph
+
+
+def dinic_levels(flow, g):
+    """BFS levels of the residual network from ``spare_l``, for the copies
+    reached only, and the sink's level, or -1 when the flow is maximum.
+    Left copies sit at odd levels, right copies at even ones."""
+    adj, into, spare_r = g.adj, flow.into, flow.spare_r
+    layer = list(flow.spare_l)
+    lev_l = dict.fromkeys(layer, 1)
+    lev_r = {}
+    depth = 1
+    while layer:
+        rights = []
+        for v in layer:
+            for u in adj[v]:
+                if u not in lev_r:
+                    lev_r[u] = depth + 1
+                    rights.append(u)
+        depth += 2
+        if not spare_r.isdisjoint(rights):
+            return lev_l, lev_r, depth
+        layer = []
+        for u in rights:
+            for v in into[u]:
+                if v not in lev_l:
+                    lev_l[v] = depth
+                    layer.append(v)
+    return lev_l, lev_r, -1
+
+
+def dinic_blocking_flow(flow, g, lev_l, lev_r, t_level):
+    """Saturate every shortest augmenting path (iterative DFS with current
+    arcs; a dead-end copy gets level -1)."""
+    adj, weight = g.adj, g.weight
+    into, sent, spare_r = flow.into, flow.sent, flow.spare_r
+    arcs_l, arcs_r = {}, {}
+    for root in [v for v, lv in lev_l.items() if lv == 1]:
+        path = [root]  # L, R, L, R, ... copies
+        while path:
+            top = path[-1]
+            if len(path) & 1:
+                arcs = arcs_l.get(top)
+                if arcs is None:
+                    want = lev_l[top] + 1
+                    arcs = arcs_l[top] = [u for u in adj[top] if lev_r.get(u) == want]
+                while arcs and lev_r[arcs[-1]] < 0:
+                    arcs.pop()
+                if arcs:
+                    path.append(arcs[-1])
+                else:
+                    lev_l[top] = -1
+                    path.pop()
+                continue
+            if lev_r[top] + 1 == t_level and top in spare_r:
+                flow._augment(path, weight)
+                if sent[root] == weight[root]:
+                    break
+                path = [root]
+                continue
+            arcs = arcs_r.get(top)
+            if arcs is None:
+                want = lev_r[top] + 1
+                arcs = arcs_r[top] = [v for v in into[top] if lev_l.get(v) == want]
+            flows = into[top]
+            while arcs and (lev_l[arcs[-1]] < 0 or arcs[-1] not in flows):
+                arcs.pop()
+            if arcs:
+                path.append(arcs[-1])
+            else:
+                lev_r[top] = -1
+                path.pop()
+
+
+def dinic_min_cut(g):
+    """The critical set by Dinic phases from the zero flow, as
+    ``DoubleCoverFlow.min_cut`` found it before it ran push-relabel."""
+    flow = DoubleCoverFlow()
+    flow._repair(g)
+    while True:
+        lev_l, lev_r, t_level = dinic_levels(flow, g)
+        if t_level < 0:
+            return {v for v in lev_l if v not in lev_r}
+        dinic_blocking_flow(flow, g, lev_l, lev_r, t_level)
 
 
 def test_flow_network_deep_chain():
@@ -65,9 +150,9 @@ def test_audit_catches_a_broken_flow():
 
 
 def test_warm_flow_ends_most_calls_after_one_search():
-    # The targeted re-augmentation leaves a maximum flow, so the Dinic loop
-    # mostly runs its one whole-kernel BFS only to prove it: 139 BFS runs
-    # for 133 calls here, against 419 when Dinic phases repair the flow.
+    # The targeted re-augmentation leaves a maximum flow, so the check
+    # mostly runs its one whole-kernel BFS only to prove it: 134 BFS runs
+    # for 133 calls here, two of them in the cold call around push-relabel.
     g = geometric_graph(random.Random(1), 200, 8)
     counts = {"min_cut": 0, "levels": 0}
     min_cut, levels = DoubleCoverFlow.min_cut, DoubleCoverFlow._levels
@@ -169,22 +254,22 @@ def test_warm_and_cold_flows_agree_under_every_undo_op():
     # Random journaled edits of every undo-op kind, each invalidated with
     # exactly what the reduce loop passes (ReductionEvent.changed).  New
     # augmenting paths start or end at the copies that invalidation frees,
-    # so re-augmentation mostly leaves a maximum flow and the Dinic check
-    # runs a phase after 51 of the 480 warm calls; when added edges are not
-    # invalidated, after 104.
+    # so re-augmentation mostly leaves a maximum flow and push-relabel runs
+    # after 30 of the 480 warm calls; when added edges are not invalidated,
+    # after 52.
     rng = random.Random(4242)
     kinds = ("rm", "raise", "cut", "ea", "er", "nv")
     seen = set()
     counts = {"warm": 0, "phases": 0}
-    min_cut, blocking_flow = DoubleCoverFlow.min_cut, DoubleCoverFlow._blocking_flow
+    min_cut, push_relabel = DoubleCoverFlow.min_cut, DoubleCoverFlow._push_relabel
 
     def counted_min_cut(self, h):
         counts["warm"] += 1
         return min_cut(self, h)
 
-    def counted_blocking_flow(self, *args):
+    def counted_push_relabel(self, *args):
         counts["phases"] += 1
-        return blocking_flow(self, *args)
+        return push_relabel(self, *args)
 
     for _ in range(4):
         g = geometric_graph(rng, 120, 6)
@@ -220,7 +305,7 @@ def test_warm_and_cold_flows_agree_under_every_undo_op():
             flow.invalidate(ReductionEvent(Rule.CWIS, ops).changed())
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(DoubleCoverFlow, "min_cut", counted_min_cut)
-                mp.setattr(DoubleCoverFlow, "_blocking_flow", counted_blocking_flow)
+                mp.setattr(DoubleCoverFlow, "_push_relabel", counted_push_relabel)
                 warm = critical_set(g, flow)
             assert warm == critical_set(g)
             flow.audit(g)
@@ -249,3 +334,85 @@ def test_warm_cut_reads_only_the_copies_it_reaches():
         g.adj, g.weight, g.alive = lists
     assert chosen == critical_set(g)[0]
     assert reads < 200
+
+
+def test_push_relabel_cuts_match_dinic_on_random_graphs():
+    # 1000 small graphs whose weights are often 0, 1 or tied, each cut cold
+    # and then warm after three vertex removals: the minimal minimum cut is
+    # unique, so every cut must equal the Dinic one.  The cold flow is
+    # balanced: an edge carries the same both ways, give or take one unit,
+    # and audit() sees every copy within its weight.  Excess that cannot
+    # reach the sink goes back to the source and leaves its copy in
+    # spare_l; a copy the first global relabelling reached that ends there
+    # was put out of reach by a later one.
+    rng = random.Random(1313)
+    relabel_all, push_relabel = DoubleCoverFlow._relabel_all, DoubleCoverFlow._push_relabel
+    first = []
+    counts = {"returned": 0, "relabelled_out": 0}
+
+    def noting_relabel_all(self, h, reached_l, reached_r):
+        arcs = relabel_all(self, h, reached_l, reached_r)
+        if not first:
+            first.append(set(reached_l))
+        return arcs
+
+    def noting_push_relabel(self, h):
+        first.clear()
+        push_relabel(self, h)
+        counts["returned"] += bool(self.spare_l)
+        counts["relabelled_out"] += bool(first and self.spare_l & first[0])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DoubleCoverFlow, "_relabel_all", noting_relabel_all)
+        mp.setattr(DoubleCoverFlow, "_push_relabel", noting_push_relabel)
+        for _ in range(1000):
+            n = rng.randint(0, 40)
+            p = rng.uniform(0.05, 0.4)
+            common = (0, 1, rng.randint(2, 200))
+            weights = [rng.choice(common) if rng.random() < 0.5 else rng.randint(0, 200)
+                       for _ in range(n)]
+            g = build_graph([(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < p], weights)
+            flow = DoubleCoverFlow()
+            for step in range(4):
+                if step:
+                    live = g.vertices()
+                    if not live:
+                        break
+                    ops = []
+                    _rm(g, rng.choice(live), ops)
+                    flow.invalidate(ReductionEvent(Rule.CWIS, ops).changed())
+                assert flow.min_cut(g) == dinic_min_cut(g)
+                flow.audit(g)
+                if not step:
+                    assert all(abs(f - flow.out[u].get(v, 0)) <= 1
+                               for v in g.vertices() for u, f in flow.out[v].items())
+    assert counts["returned"] and counts["relabelled_out"]
+
+
+def test_push_relabel_moves_when_the_relabelling_scans_one_arc():
+    # After the first pass only R4 has room, and the backward BFS scans one
+    # arc to L2, so relabelling may do no work before the next one; every
+    # round must still discharge a copy, or the call never ends.
+    g = build_graph([(0, 1), (0, 3), (1, 3), (2, 3), (2, 4)], [96, 138, 5, 136, 161])
+    flow = DoubleCoverFlow()
+    assert flow.min_cut(g) == dinic_min_cut(g) == {4}
+    flow.audit(g)
+
+
+def test_medium_kernel_has_an_empty_critical_set_and_rebuilds():
+    # A 2000-vertex graph through the weight ordering, which ends with CWIS
+    # finding nothing more to take: a cold cut of the kernel must be empty
+    # and equal the Dinic one, and a greedy kernel solution must rebuild to
+    # an independent set of the original graph worth offset + its weight.
+    original = geometric_graph(random.Random(2000), 2000, 8)
+    g = original.copy()
+    kernel = exact_reduce(g, ordering_preset("weight"))
+    assert 0 < g.live_count < original.live_count
+    assert critical_set(g) == (set(), 0)
+    assert dinic_min_cut(g) == set()
+    chosen = _greedy_kernel_solution(g)
+    rebuilt = reconstruct(kernel, chosen)
+    assert is_independent(original, rebuilt)
+    assert (sum(original.weight[v] for v in rebuilt)
+            == kernel.offset + sum(g.weight[v] for v in chosen))

@@ -28,6 +28,30 @@ def test_parse_comments_and_fmt_zero():
     assert g.live_edges == 1
 
 
+@pytest.mark.parametrize("header", ["3 1", "3 1 0"])
+@pytest.mark.parametrize("body,edge,isolated", [
+    ("3\n\n1\n", (0, 2), 1),
+    ("2\n1\n\n", (0, 1), 2),
+], ids=["mid-file", "last"])
+def test_blank_vertex_line_is_an_isolated_vertex(header, body, edge, isolated):
+    g = parse_metis(f"{header}\n{body}")
+    assert g.weight == [1, 1, 1]
+    assert g.adj[isolated] == set()
+    assert edge[1] in g.adj[edge[0]] and g.live_edges == 1
+
+
+def test_blank_lines_after_the_vertex_lines_are_allowed():
+    g = parse_metis("% c\n3 1\n% x\n2\n1\n\n\n% end\n\n")
+    assert g.live_count == 3 and g.adj[2] == set()
+    with pytest.raises(GraphFormatError, match="expected 2 vertex lines, found 3"):
+        parse_metis("2 1\n2\n1\n\n3\n")
+
+
+def test_blank_weighted_vertex_line_misses_its_weight():
+    with pytest.raises(GraphFormatError, match="line 3: missing vertex weight"):
+        parse_metis("3 1 10\n5 3\n\n5 1\n")
+
+
 def test_asymmetric_adjacency_rejected():
     with pytest.raises(GraphFormatError, match="asymmetric"):
         parse_metis("3 1 10\n5 2\n1\n5\n")
