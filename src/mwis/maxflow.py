@@ -9,11 +9,12 @@ the graph's adjacency instead of building a network.  Each call repairs
 the flow at the vertices whose own arcs or weight changed, re-augments
 from the copies the repair freed (every new augmenting path starts or
 ends at one) with searches that run from both ends at once, and then
-proves the flow maximum with one search from the source; only when that
-finds a path, and on the first call, does push-relabel run.  It keeps
-the copies with spare capacity, so a warm call works in proportion to
-what changed, never to the graph's size.  Capacities are plain Python
-ints, so weights never overflow.
+proves the flow maximum with one forward walk from the source, which
+also yields the cut; only when that walk reaches the sink, as on the
+first call, does push-relabel run.  It keeps the copies with spare
+capacity, so a warm call works in proportion to what changed, never to
+the graph's size.  Capacities are plain Python ints, so weights never
+overflow.
 """
 
 from __future__ import annotations
@@ -141,19 +142,19 @@ class DoubleCoverFlow:
        root and one backward from the spare copies on the far side, and
        always grows the smaller frontier, so it costs about what the
        shorter of the two walks to the meeting point costs.
-    3. Check: a BFS from ``spare_l``, the copies the source reaches,
-       through the residual network.  When it finds no path to the sink
-       the flow is maximum, and the copies it reached form the minimal
-       minimum cut.  Otherwise push-relabel (:meth:`_push_relabel`)
-       augments the flow to a maximum one, and the check runs again.
+    3. Check (:meth:`_source_side`): one forward walk from ``spare_l``,
+       the copies the source reaches, through the residual network.  It
+       stops at the first right copy in ``spare_r``, a path to the sink;
+       when it meets none the flow is maximum, and the copies it reached
+       form the minimal minimum cut.  Otherwise push-relabel
+       (:meth:`_push_relabel`) augments the flow to a maximum one, and the
+       check runs again.
 
     No step of a warm call scans the whole graph, and after a warm
     re-augmentation the check almost always passes.  The first call has
-    no flow to repair, so its check finds a path at once and push-relabel
-    does the work: it moves all excess of the zero flow at the same time,
-    where Dinic ran one whole-graph BFS for each path length, up to 55 of
-    them on a 13k-vertex road-like kernel.  That call then balances the
-    flow (:meth:`_balance`), which keeps the searches of later warm calls
+    no flow to repair, so its walk reaches the sink at once and
+    push-relabel does the work.  That call then balances the flow
+    (:meth:`_balance`), which keeps the searches of later warm calls
     short.
 
     Why new paths start or end at freed copies: after the first call the
@@ -205,14 +206,12 @@ class DoubleCoverFlow:
         """
         cold = not self.sent
         self._reaugment(g, *self._repair(g))
-        while True:
-            lev_l, lev_r, t_level = self._levels(g)
-            if t_level < 0:
-                return {v for v in lev_l if v not in lev_r}
+        while (cut := self._source_side(g)) is None:
             self._push_relabel(g)
             if cold:
                 self._balance(g)
                 cold = False
+        return cut
 
     def audit(self, g: WeightedGraph) -> None:
         """Raise when the flow maps disagree or break a capacity of ``g``.
@@ -353,31 +352,20 @@ class DoubleCoverFlow:
 
     def _reaugment(self, g: WeightedGraph, lefts: set[int], rights: set[int]) -> None:
         """Augment from the freed left copies and into the freed right copies
-        until each is saturated or known to lie on no augmenting path.
-
-        A copy that a failed search reached from its root lies on no
-        augmenting path, and augmenting never changes that: what it
-        reaches (forward search) or what reaches it (backward search) is
-        disjoint from the augmented path, the only place where arcs
-        change.  Every later search of this call skips such copies.
-        """
+        until each is saturated or its search finds no augmenting path."""
         weight = g.weight
-        dead_l: set[int] = set()
-        dead_r: set[int] = set()
-        for roots, forward, spare, dead in ((lefts, True, self.spare_l, dead_l),
-                                            (rights, False, self.spare_r, dead_r)):
+        for roots, forward, spare in ((lefts, True, self.spare_l),
+                                      (rights, False, self.spare_r)):
             for x in roots:
-                while x in spare and x not in dead:
-                    path = self._search(g, x, forward, dead_l, dead_r)
+                while x in spare:
+                    path = self._search(g, x, forward)
                     if path is None:
                         break
                     self._augment(path, weight)
 
-    def _search(self, g: WeightedGraph, root: int, forward: bool,
-                dead_l: set[int], dead_r: set[int]) -> list[int] | None:
+    def _search(self, g: WeightedGraph, root: int, forward: bool) -> list[int] | None:
         """Augmenting path from L_root (forward) or into R_root (backward)
-        as L, R, ..., R copies, or None after marking every copy reached
-        from the root dead.
+        as L, R, ..., R copies, or None.
 
         Copies alternate between the root's side ("near") and the other
         side ("far").  The root's BFS goes from a near copy to the far
@@ -389,33 +377,27 @@ class DoubleCoverFlow:
         """
         adj = g.adj
         if forward:
-            ends, back, back_end, dead_near, dead_far = (
-                self.spare_r, self.into, self.out, dead_l, dead_r)
+            ends, back, back_end = self.spare_r, self.into, self.out
         else:
-            ends, back, back_end, dead_near, dead_far = (
-                self.spare_l, self.out, self.into, dead_r, dead_l)
+            ends, back, back_end = self.spare_l, self.out, self.into
         near_prev = {root: -1}  # root's BFS: near copy -> the far copy before it
         far_prev: dict[int, int] = {}  # far copy -> the near copy before it
         near_next: dict[int, int] = {}  # ends' BFS: near copy -> the far copy after it
         far_next: dict[int, int] = {}  # far copy -> the near copy after it
-        # Per side and step parity: (arcs, own map, dead copies, other side's
-        # map, ends).  The ends' first frontier is listed only if it is grown.
-        steps = (((adj, far_prev, dead_far, far_next, ends),
-                  (back, near_prev, dead_near, near_next, ())),
-                 ((adj, near_next, dead_near, near_prev, ()),
-                  (back_end, far_next, dead_far, far_prev, ())))
+        # Per side and step parity: (arcs, own map, other side's map, ends).
+        # The ends' first frontier is listed only if it is grown.
+        steps = (((adj, far_prev, far_next, ends), (back, near_prev, near_next, ())),
+                 ((adj, near_next, near_prev, ()), (back_end, far_next, far_prev, ())))
         fronts: list = [[root], None]
         done = [0, 0]
         meet = None
         while meet is None:
             size = len(ends) if fronts[1] is None else len(fronts[1])
             if not (fronts[0] and size):
-                dead_near.update(near_prev)
-                dead_far.update(far_prev)
                 return None
             side = len(fronts[0]) > size
             if side and fronts[1] is None:
-                fronts[1] = [b for b in ends if b not in dead_far]
+                fronts[1] = list(ends)
             step = steps[side][done[side] & 1]
             done[side] += 1
             fronts[side], meet = _grow(fronts[side], *step)
@@ -436,35 +418,21 @@ class DoubleCoverFlow:
             path += (a, b)
         return path if forward else path[::-1]
 
-    def _levels(self, g: WeightedGraph) -> tuple[dict[int, int], dict[int, int], int]:
-        """BFS levels of the residual network, for the copies reached only,
-        and the sink's level, or -1 when the flow is maximum.  Left copies
-        sit at odd levels, right copies at even ones; a search stops at the
-        first right copy in ``spare_r``, one that finds none labels every
-        reachable copy.  It starts at ``spare_l``, the copies the source
-        reaches."""
+    def _source_side(self, g: WeightedGraph) -> set[int] | None:
+        """The vertices whose left copy the source reaches in the residual
+        network while their right copy it does not, or None as soon as the
+        forward walk from ``spare_l``, the copies the source reaches, meets
+        a right copy in ``spare_r``, which drains to the sink."""
         adj, into, spare_r = g.adj, self.into, self.spare_r
         layer = list(self.spare_l)
-        lev_l = dict.fromkeys(layer, 1)
-        lev_r: dict[int, int] = {}
-        depth = 1
+        seen_l = dict.fromkeys(layer, -1)
+        seen_r: dict[int, int] = {}
         while layer:
-            rights = []
-            for v in layer:
-                for u in adj[v]:
-                    if u not in lev_r:
-                        if u in spare_r:
-                            return lev_l, lev_r, depth + 2
-                        lev_r[u] = depth + 1
-                        rights.append(u)
-            depth += 2
-            layer = []
-            for u in rights:
-                for v in into[u]:
-                    if v not in lev_l:
-                        lev_l[v] = depth
-                        layer.append(v)
-        return lev_l, lev_r, -1
+            rights, hit = _grow(layer, adj, seen_r, (), spare_r)
+            if hit is not None:
+                return None
+            layer = _grow(rights, into, seen_l, (), ())[0]
+        return {v for v in seen_l if v not in seen_r}
 
     def _push_relabel(self, g: WeightedGraph) -> None:
         """Augment the flow to a maximum one by push-relabel.
@@ -668,16 +636,16 @@ class DoubleCoverFlow:
                 del into[u][v], out[v][u]
 
 
-def _grow(layer: list[int], arcs: list, seen: dict[int, int], dead: set[int],
-          other: dict[int, int], ends) -> tuple[list[int], int | None]:
-    """Grow one BFS layer along ``arcs`` past the ``seen`` and ``dead``
-    copies, noting in ``seen`` where each new copy came from.  Returns the
-    next layer and None, or the first new copy that the other BFS has
-    reached (``other``) or starts from (``ends``)."""
+def _grow(layer: list[int], arcs: list, seen: dict[int, int], other,
+          ends) -> tuple[list[int], int | None]:
+    """Grow one BFS layer along ``arcs`` past the ``seen`` copies, noting in
+    ``seen`` where each new copy came from.  Returns the next layer and
+    None, or the first new copy that the other BFS has reached (``other``)
+    or starts from (``ends``)."""
     grown = []
     for x in layer:
         for y in arcs[x]:
-            if y in seen or y in dead:
+            if y in seen:
                 continue
             seen[y] = x
             if y in other or y in ends:

@@ -243,8 +243,9 @@ def separator_from(g: WeightedGraph, part: Partition) -> Partition:
         for v in e:
             incident.setdefault(v, set()).add(e)
     remaining = set(cut)
-    while remaining:
-        u, v = min(remaining)
+    for u, v in cut:  # sorted, so each uncovered edge is the least remaining
+        if (u, v) not in remaining:
+            continue
         ku = (len(incident[u] & remaining), g.degree(u), -u)
         kv = (len(incident[v] & remaining), g.degree(v), -v)
         pick = u if ku >= kv else v

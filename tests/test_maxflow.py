@@ -9,7 +9,7 @@ import pytest
 from mwis import build_graph, exact_reduce, is_independent, ordering_preset, reconstruct
 from mwis.maxflow import DoubleCoverFlow, FlowNetwork
 from mwis.reductions import (ReductionEvent, Rule, _add_edge, _new_vertex, _rm, _rm_edge,
-                             _Scheduler, _set_w, critical_set)
+                             _Scheduler, _set_w, _take, critical_set)
 from mwis.solver import _greedy_kernel_solution
 from conftest import geometric_graph, random_graph
 
@@ -151,29 +151,29 @@ def test_audit_catches_a_broken_flow():
 
 def test_warm_flow_ends_most_calls_after_one_search():
     # The targeted re-augmentation leaves a maximum flow, so the check
-    # mostly runs its one whole-kernel BFS only to prove it: 134 BFS runs
-    # for 133 calls here, two of them in the cold call around push-relabel.
+    # mostly runs its one forward walk only to prove it: 134 walks for 133
+    # calls here, two of them in the cold call around push-relabel.
     g = geometric_graph(random.Random(1), 200, 8)
-    counts = {"min_cut": 0, "levels": 0}
-    min_cut, levels = DoubleCoverFlow.min_cut, DoubleCoverFlow._levels
+    counts = {"min_cut": 0, "walks": 0}
+    min_cut, source_side = DoubleCoverFlow.min_cut, DoubleCoverFlow._source_side
 
     def counted_min_cut(self, h):
         counts["min_cut"] += 1
         return min_cut(self, h)
 
-    def counted_levels(self, *args):
-        counts["levels"] += 1
-        return levels(self, *args)
+    def counted_source_side(self, *args):
+        counts["walks"] += 1
+        return source_side(self, *args)
 
     mp = pytest.MonkeyPatch()
     mp.setattr(DoubleCoverFlow, "min_cut", counted_min_cut)
-    mp.setattr(DoubleCoverFlow, "_levels", counted_levels)
+    mp.setattr(DoubleCoverFlow, "_source_side", counted_source_side)
     try:
         exact_reduce(g, ordering_preset("weight"), [])
     finally:
         mp.undo()
     assert counts["min_cut"] >= 20
-    assert counts["levels"] < 1.5 * counts["min_cut"]
+    assert counts["walks"] < 1.5 * counts["min_cut"]
 
 
 class CountingList(list):
@@ -190,10 +190,10 @@ class CountingList(list):
 
 def test_warm_flow_searches_stay_local():
     # Re-augmentation works where the event changed the graph: on the graph
-    # of the test above, its searches read 8.0 neighbour sets of g.adj per
-    # min_cut (9.6 when both ends of each added or removed edge are
-    # invalidated).  Invalidating every neighbour of a removed vertex raised
-    # that to 23.8, a one-ended search to 17.5, and the two together to 30.4.
+    # of the test above, its searches read 10.1 neighbour sets of g.adj per
+    # min_cut (11.6 when both ends of each added or removed edge are
+    # invalidated).  Invalidating every neighbour of a removed vertex raises
+    # that to 24.2, a one-ended search to 17.4, and the two together to 30.5.
     g = geometric_graph(random.Random(1), 200, 8)
     counts = {"min_cut": 0, "adj": 0}
     min_cut, search = DoubleCoverFlow.min_cut, DoubleCoverFlow._search
@@ -219,6 +219,61 @@ def test_warm_flow_searches_stay_local():
         mp.undo()
     assert counts["min_cut"] >= 20
     assert counts["adj"] <= 12 * counts["min_cut"]
+
+
+def test_warm_cut_after_a_many_root_take():
+    # Forcing takes up to 25 pairwise non-adjacent vertices in one event,
+    # here ranked as the hybrid strategy ranks them: hundreds of copies are
+    # freed at once.  The warm cut must equal the cold one, without a
+    # push-relabel run, and the searches read 5.2 neighbour sets of g.adj
+    # per freed copy (7.0 with a one-ended search).
+    rng = random.Random(1500)
+    counts = {"freed": 0, "adj": 0, "push_relabel": 0}
+    repair, search = DoubleCoverFlow._repair, DoubleCoverFlow._search
+    push_relabel = DoubleCoverFlow._push_relabel
+
+    def counted_repair(self, h):
+        lefts, rights = repair(self, h)
+        counts["freed"] += len(lefts) + len(rights)
+        return lefts, rights
+
+    def counted_search(self, h, *args):
+        adj, h.adj = h.adj, CountingList(h.adj)
+        try:
+            return search(self, h, *args)
+        finally:
+            counts["adj"] += h.adj.reads
+            h.adj = adj
+
+    def counted_push_relabel(self, *args):
+        counts["push_relabel"] += 1
+        return push_relabel(self, *args)
+
+    for _ in range(3):
+        g = geometric_graph(rng, 1500, 8)
+        flow = DoubleCoverFlow()
+        flow.min_cut(g)
+        for _ in range(2):
+            taken = []
+            for v in sorted(g.vertices(),
+                            key=lambda v: (g.neighborhood_weight(v) - g.weight[v], v)):
+                if len(taken) == 25:
+                    break
+                if g.adj[v].isdisjoint(taken):
+                    taken.append(v)
+            events = []
+            _take(g, None, taken, events)
+            flow.invalidate(events[0].changed())
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(DoubleCoverFlow, "_repair", counted_repair)
+                mp.setattr(DoubleCoverFlow, "_search", counted_search)
+                mp.setattr(DoubleCoverFlow, "_push_relabel", counted_push_relabel)
+                warm = flow.min_cut(g)
+            assert warm == critical_set(g)[0]
+            flow.audit(g)
+    assert counts["freed"] >= 1000
+    assert counts["push_relabel"] == 0
+    assert counts["adj"] <= 6 * counts["freed"]
 
 
 def test_removal_frees_only_the_flow_partners():
@@ -255,7 +310,7 @@ def test_warm_and_cold_flows_agree_under_every_undo_op():
     # exactly what the reduce loop passes (ReductionEvent.changed).  New
     # augmenting paths start or end at the copies that invalidation frees,
     # so re-augmentation mostly leaves a maximum flow and push-relabel runs
-    # after 30 of the 480 warm calls; when added edges are not invalidated,
+    # after 29 of the 480 warm calls; when added edges are not invalidated,
     # after 52.
     rng = random.Random(4242)
     kinds = ("rm", "raise", "cut", "ea", "er", "nv")

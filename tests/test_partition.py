@@ -7,7 +7,7 @@ import pytest
 
 from mwis import (PartitionPool, build_graph, edge_partition,
                   separator_from, validate_partition, vertex_separator)
-from mwis.partition import max_block_size
+from mwis.partition import SEPARATOR, max_block_size
 from conftest import clique, geometric_graph, path, random_graph
 
 
@@ -92,6 +92,43 @@ def test_randomized_partition_contracts():
         sep = separator_from(g, part)
         assert validate_partition(g, sep) == []
         assert sep.cut_edges(g) == []
+
+
+def min_loop_separator(g, part):
+    """Reference: ``separator_from`` as it was, taking the least remaining
+    cut edge by ``min`` at every pick."""
+    block_of = dict(part.block_of)
+    cut = part.cut_edges(g)
+    incident = {}
+    for e in cut:
+        for v in e:
+            incident.setdefault(v, set()).add(e)
+    remaining = set(cut)
+    while remaining:
+        u, v = min(remaining)
+        ku = (len(incident[u] & remaining), g.degree(u), -u)
+        kv = (len(incident[v] & remaining), g.degree(v), -v)
+        pick = u if ku >= kv else v
+        block_of[pick] = SEPARATOR
+        remaining -= incident[pick]
+    return block_of
+
+
+def test_separator_matches_the_min_loop():
+    rng = random.Random(8128)
+    for trial in range(40):
+        n = rng.randint(10, 160)
+        if trial % 2:
+            g = geometric_graph(rng, n, rng.choice([4, 8]))
+        else:
+            g = random_graph(rng, n, rng.choice([0.03, 0.1, 0.3]))
+        for v in rng.sample(g.vertices(), n // 10):
+            g.remove_vertex(v)
+        k = rng.choice([2, 3, 4, 8, 16])
+        if k > g.live_count:
+            continue
+        part = edge_partition(g, k, rng.choice([0.0, 0.03, 0.1]), rng)
+        assert separator_from(g, part).block_of == min_loop_separator(g, part)
 
 
 def test_determinism_per_seed():
