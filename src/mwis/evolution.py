@@ -116,29 +116,29 @@ def _greedy_degree_mwis(g: WeightedGraph) -> Individual:
 def _cover_complement(g: WeightedGraph, by_weight: bool) -> Individual:
     """Grow a vertex cover greedily, complement it, then re-maximalize.
 
-    ``by_weight`` picks the lightest useful vertex each step; otherwise the
-    vertex covering the most still-uncovered edges wins.
+    ``by_weight`` takes each vertex in ascending (weight, id) order that
+    still has a neighbour outside the cover; otherwise the vertex covering
+    the most still-uncovered edges wins.
     """
-    uncov = {v: g.degree(v) for v in g.vertices()}
     cover: set[int] = set()
     if by_weight:
-        heap = [(g.weight[v], v) for v in sorted(uncov) if uncov[v] > 0]
+        for v in sorted(g.vertices(), key=lambda v: (g.weight[v], v)):
+            if not cover.issuperset(g.adj[v]):
+                cover.add(v)
     else:
+        uncov = {v: g.degree(v) for v in g.vertices()}
         heap = [(-uncov[v], v) for v in sorted(uncov) if uncov[v] > 0]
-    heapq.heapify(heap)
-    while heap:
-        key, v = heapq.heappop(heap)
-        if v in cover or uncov[v] == 0:
-            continue
-        if not by_weight and -key != uncov[v]:
-            continue  # stale priority entry
-        cover.add(v)
-        for u in g.adj[v]:
-            if u not in cover:
-                uncov[u] -= 1
-                if not by_weight and uncov[u] > 0:
-                    heapq.heappush(heap, (-uncov[u], u))
-        uncov[v] = 0
+        heapq.heapify(heap)
+        while heap:
+            key, v = heapq.heappop(heap)
+            if v in cover or -key != uncov[v]:
+                continue  # stale priority entry
+            cover.add(v)
+            for u in g.adj[v]:
+                if u not in cover:
+                    uncov[u] -= 1
+                    if uncov[u] > 0:
+                        heapq.heappush(heap, (-uncov[u], u))
     state = SearchState(g, (v for v in g.vertices() if v not in cover))
     maximize_greedy(state, "by_weight")
     return _individual_from_state(state)

@@ -1,25 +1,24 @@
 """Exact max-flow min cuts over small integer-capacity networks.
 
 Two solver stages need them.  The edge-separator combine repair
-(minimum-weight cover of the conflict edges) builds an explicit
-:class:`FlowNetwork`.  The critical-set reduction runs many times on one
-slowly shrinking kernel, so :class:`DoubleCoverFlow` keeps its flow on
-the bipartite double cover between calls and reads the arcs straight from
-the graph's adjacency instead of building a network.  Each call repairs
-the flow at the vertices whose own arcs or weight changed, re-augments
-from the copies the repair freed (every new augmenting path starts or
-ends at one) with searches that run from both ends at once, and then
-proves the flow maximum with one forward walk from the source, which
-also yields the cut; only when that walk reaches the sink, as on the
-first call, does push-relabel run.  It keeps the copies with spare
-capacity, so a warm call works in proportion to what changed, never to
-the graph's size.  Capacities are plain Python ints, so weights never
-overflow.
+(minimum-weight cover of the conflict edges) builds a small explicit
+:class:`FlowNetwork` and augments along shortest paths.  The critical-set
+reduction runs many times on one slowly shrinking kernel, so
+:class:`DoubleCoverFlow` keeps its flow on the bipartite double cover
+between calls and reads the arcs straight from the graph's adjacency
+instead of building a network.  Each call repairs the flow at the
+vertices whose own arcs or weight changed, re-augments from the copies
+the repair freed (every new augmenting path starts or ends at one) with
+searches that run from both ends at once, and then proves the flow
+maximum with one forward walk from the source, which also yields the
+cut; only when that walk reaches the sink, as on the first call, does
+push-relabel run.  It keeps the copies with spare capacity, so a warm
+call works in proportion to what changed, never to the graph's size.
+Capacities are plain Python ints, so weights never overflow.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -30,10 +29,13 @@ _UNREACHED = 1 << 62
 
 
 class FlowNetwork:
-    """Directed flow network; ``add_edge`` creates the residual arc too."""
+    """Directed flow network; ``add_edge`` creates the residual arc too.
+
+    :meth:`max_flow` pushes each shortest augmenting path's bottleneck until
+    the sink is out of reach (Edmonds & Karp, J. ACM 1972).
+    """
 
     def __init__(self, n: int):
-        self.n = n
         self.head: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
@@ -47,66 +49,42 @@ class FlowNetwork:
         self.cap.append(0)
 
     def max_flow(self, s: int, t: int) -> int:
+        to, cap = self.to, self.cap
         flow = 0
         while True:
-            level = self._bfs_levels(s)
-            if level[t] < 0:
+            via = self._reach(s)
+            if t not in via:
                 return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
+            path, v = [], t
+            while v != s:
+                path.append(via[v])
+                v = to[path[-1] ^ 1]
+            pushed = min(cap[e] for e in path)
+            for e in path:
+                cap[e] -= pushed
+                cap[e ^ 1] += pushed
+            flow += pushed
 
-    def _bfs_levels(self, s: int) -> list[int]:
-        level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    q.append(v)
-        return level
-
-    def _dfs(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push one path of the level graph; 0 when none is left.
-
-        Iterative, with current arcs: ``it[u]`` is the next arc of u to
-        try, and a dead-end node gets level -1.
-        """
+    def _reach(self, s: int) -> dict[int, int]:
+        """BFS from ``s`` over arcs with residual capacity: each reached
+        node maps to the arc that first reached it (``s`` to -1)."""
         head, to, cap = self.head, self.to, self.cap
-        path: list[int] = []  # arcs from s to u
-        u = s
-        while u != t:
-            arcs, i, want = head[u], it[u], level[u] + 1
-            while i < len(arcs) and (cap[arcs[i]] <= 0 or level[to[arcs[i]]] != want):
-                i += 1
-            it[u] = i
-            if i < len(arcs):
-                path.append(arcs[i])
-                u = to[arcs[i]]
-                continue
-            level[u] = -1
-            if not path:
-                return 0
-            u = to[path.pop() ^ 1]
-            it[u] += 1
-        pushed = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= pushed
-            cap[e ^ 1] += pushed
-        return pushed
+        via = {s: -1}
+        queue = [s]
+        for u in queue:
+            for e in head[u]:
+                v = to[e]
+                if cap[e] > 0 and v not in via:
+                    via[v] = e
+                    queue.append(v)
+        return via
 
     def min_cut_source_side(self, s: int) -> set[int]:
         """Vertices reachable from ``s`` in the residual network.
 
         Call after :meth:`max_flow`; the returned side induces a minimum cut.
         """
-        return {v for v, lv in enumerate(self._bfs_levels(s)) if lv >= 0}
+        return set(self._reach(s))
 
 
 class DoubleCoverFlow:

@@ -35,7 +35,6 @@ class Partition:
     """
 
     k: int
-    epsilon: float
     block_of: dict[int, int]
     max_block_size: int
     has_separator: bool
@@ -156,8 +155,7 @@ def edge_partition(g: WeightedGraph, k: int, epsilon: float,
         sizes[b] += 1
 
     _refine(g, block_of, sizes, cap, k, passes=2)
-    return Partition(k=k, epsilon=epsilon, block_of=block_of,
-                     max_block_size=cap, has_separator=False)
+    return Partition(k=k, block_of=block_of, max_block_size=cap, has_separator=False)
 
 
 def _refine(g: WeightedGraph, block_of: dict[int, int], sizes: list[int],
@@ -251,8 +249,8 @@ def separator_from(g: WeightedGraph, part: Partition) -> Partition:
         pick = u if ku >= kv else v
         block_of[pick] = SEPARATOR
         remaining -= incident[pick]
-    return Partition(k=part.k, epsilon=part.epsilon, block_of=block_of,
-                     max_block_size=part.max_block_size, has_separator=True)
+    return Partition(k=part.k, block_of=block_of, max_block_size=part.max_block_size,
+                     has_separator=True)
 
 
 def vertex_separator(g: WeightedGraph, k: int, epsilon: float,

@@ -1,3 +1,4 @@
+import heapq
 import random
 import time
 from collections import Counter
@@ -11,7 +12,7 @@ from mwis import (Individual, InitStrategy, Partition, Population, SEPARATOR,
                   combine_multiway_edge_separator,
                   combine_multiway_vertex_separator, combine_vertex_separator,
                   edge_partition, evolve, exact_reduce, initial_population, is_independent,
-                  make_individual, mutate, replace, separator_from,
+                  make_individual, maximize_greedy, mutate, replace, separator_from,
                   tournament_select)
 from mwis.evolution import FORCE_AFTER
 from mwis.maxflow import FlowNetwork
@@ -20,8 +21,8 @@ from conftest import geometric_graph, path, random_graph, star
 
 def manual_partition(g, block_of, k=2, has_separator=False):
     cap = g.live_count  # loose bound; balance is not under test here
-    return Partition(k=k, epsilon=1.0, block_of=dict(block_of),
-                     max_block_size=cap, has_separator=has_separator)
+    return Partition(k=k, block_of=dict(block_of), max_block_size=cap,
+                     has_separator=has_separator)
 
 
 def assert_maximal(g, ind):
@@ -67,6 +68,46 @@ def test_vc_strategies_complement_real_covers(rng):
             ind = build_initial(g, strategy, rng)
             cover = set(g.vertices()) - ind.members
             assert all(u in cover or v in cover for u, v in g.edges())
+
+
+def old_cover_complement(g, by_weight):
+    """Reference: ``_cover_complement`` as it was, with one lazy heap for
+    both orders."""
+    uncov = {v: g.degree(v) for v in g.vertices()}
+    cover = set()
+    if by_weight:
+        heap = [(g.weight[v], v) for v in sorted(uncov) if uncov[v] > 0]
+    else:
+        heap = [(-uncov[v], v) for v in sorted(uncov) if uncov[v] > 0]
+    heapq.heapify(heap)
+    while heap:
+        key, v = heapq.heappop(heap)
+        if v in cover or uncov[v] == 0:
+            continue
+        if not by_weight and -key != uncov[v]:
+            continue  # stale priority entry
+        cover.add(v)
+        for u in g.adj[v]:
+            if u not in cover:
+                uncov[u] -= 1
+                if not by_weight and uncov[u] > 0:
+                    heapq.heappush(heap, (-uncov[u], u))
+        uncov[v] = 0
+    state = SearchState(g, (v for v in g.vertices() if v not in cover))
+    maximize_greedy(state, "by_weight")
+    return evolution._individual_from_state(state)
+
+
+def test_cover_complement_matches_the_heap():
+    # Weights 0-3 tie many vertices, and reduced kernels have dead ids.
+    rng = random.Random(404)
+    graphs = [random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.2, 0.5]),
+                           0, rng.choice([3, 50])) for _ in range(250)]
+    kernels = [exact_reduce(geometric_graph(rng, 100, 20)).graph for _ in range(12)]
+    assert sum(k.live_count > 0 for k in kernels) >= 6
+    for g in graphs + kernels:
+        for by_weight in (True, False):
+            assert evolution._cover_complement(g, by_weight) == old_cover_complement(g, by_weight)
 
 
 # -- tournament ------------------------------------------------------------------

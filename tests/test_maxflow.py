@@ -1,8 +1,10 @@
-"""Max-flow networks: deep augmenting paths, the warm double-cover flow's
+"""Max-flow networks: deep augmenting paths, shortest augmenting paths
+against the Dinic network they replaced, the warm double-cover flow's
 invariants, how much whole-kernel work the warm flow does, and its cuts
 against the Dinic phases it used to run."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -12,6 +14,78 @@ from mwis.reductions import (ReductionEvent, Rule, _add_edge, _new_vertex, _rm, 
                              _Scheduler, _set_w, _take, critical_set)
 from mwis.solver import _greedy_kernel_solution
 from conftest import geometric_graph, random_graph
+
+
+class DinicNetwork:
+    """``FlowNetwork`` as it was when it ran Dinic phases: BFS levels and an
+    iterative DFS with current arcs."""
+
+    def __init__(self, n):
+        self.n = n
+        self.head = [[] for _ in range(n)]
+        self.to = []
+        self.cap = []
+
+    def add_edge(self, u, v, capacity):
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def max_flow(self, s, t):
+        flow = 0
+        while True:
+            level = self._bfs_levels(s)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+            while True:
+                pushed = self._dfs(s, t, level, it)
+                if pushed == 0:
+                    break
+                flow += pushed
+
+    def _bfs_levels(self, s):
+        level = [-1] * self.n
+        level[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    q.append(v)
+        return level
+
+    def _dfs(self, s, t, level, it):
+        head, to, cap = self.head, self.to, self.cap
+        path = []  # arcs from s to u
+        u = s
+        while u != t:
+            arcs, i, want = head[u], it[u], level[u] + 1
+            while i < len(arcs) and (cap[arcs[i]] <= 0 or level[to[arcs[i]]] != want):
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+                continue
+            level[u] = -1
+            if not path:
+                return 0
+            u = to[path.pop() ^ 1]
+            it[u] += 1
+        pushed = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= pushed
+            cap[e ^ 1] += pushed
+        return pushed
+
+    def min_cut_source_side(self, s):
+        return {v for v, lv in enumerate(self._bfs_levels(s)) if lv >= 0}
 
 
 def dinic_levels(flow, g):
@@ -99,7 +173,7 @@ def dinic_min_cut(g):
 
 def test_flow_network_deep_chain():
     # One augmenting path through 5000 nodes: deeper than the interpreter's
-    # recursion limit, so the DFS must not recurse per node.
+    # recursion limit, so the path walk must not recurse per node.
     n = 5000
     net = FlowNetwork(n)
     for i in range(n - 1):
@@ -124,6 +198,31 @@ def test_flow_network_flow_equals_cut_capacity():
         side = net.min_cut_source_side(0)
         assert n - 1 not in side
         assert flow == sum(c for u, v, c in arcs if u != v and u in side and v not in side)
+
+
+def test_flow_network_matches_dinic():
+    # Random networks with parallel and opposite arcs, zero capacities and
+    # often a sink out of reach from the start: the same flow value and the
+    # same source side, which is the minimal minimum cut after any maximum
+    # flow.
+    rng = random.Random(2024)
+    unreachable = 0
+    for _ in range(1200):
+        n = rng.randint(2, 14)
+        s, t = rng.sample(range(n), 2)
+        arcs = [(rng.randrange(n), rng.randrange(n), rng.choice([0, 0, 1, 2, 3, 5, 9]))
+                for _ in range(rng.randint(0, 6 * n))]
+        arcs += [(v, u, c) for u, v, c in arcs if rng.random() < 0.2]  # opposite arcs
+        arcs += [a for a in arcs if rng.random() < 0.1]  # parallel arcs
+        net, ref = FlowNetwork(n), DinicNetwork(n)
+        for u, v, c in arcs:
+            if u != v:
+                net.add_edge(u, v, c)
+                ref.add_edge(u, v, c)
+        unreachable += t not in net.min_cut_source_side(s)
+        assert net.max_flow(s, t) == ref.max_flow(s, t)
+        assert net.min_cut_source_side(s) == ref.min_cut_source_side(s)
+    assert 100 < unreachable < 1100
 
 
 def test_audit_catches_a_broken_flow():

@@ -303,6 +303,52 @@ def test_domination_tie_removes_one_endpoint():
     check_identity(original, Kernel(g, events))  # alpha stays 2
 
 
+def test_basic_single_edge_subsumes_domination_and_extended_single_edge():
+    # Domination (u, v) removes u when N[v] is inside N[u] and w(u) <= w(v):
+    # basic single edge (v, u) with an empty exclusive neighbourhood.
+    # Extended single edge (u, v) removes each common neighbour z only when
+    # w(N(v) - u) <= w(v), and then basic single edge (v, z) holds.
+    rng = random.Random(1515)
+    fired = collections.Counter()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 12), rng.choice([0.3, 0.6, 0.9]),
+                         0, rng.choice([3, 20]))
+        for u, v in g.edges():
+            for a, b in ((u, v), (v, u)):
+                dominated = g.copy()
+                if apply_domination(dominated, a, b, []):
+                    fired[Rule.DOMINATION] += 1
+                    h = g.copy()
+                    assert apply_basic_single_edge(h, b, a, [])
+                    assert h.vertices() == dominated.vertices()
+                if apply_extended_single_edge(g.copy(), a, b, []):
+                    fired[Rule.EXTENDED_SINGLE_EDGE] += 1
+                    for z in g.adj[a] & g.adj[b]:
+                        assert apply_basic_single_edge(g.copy(), b, z, [])
+    assert len(fired) == 2 and min(fired.values()) >= 100, fired
+
+
+def test_only_best_perm_lets_the_subsumed_edge_rules_fire():
+    # The scheduler re-queues both ends of an edge whenever anything the
+    # edge rules read changes, so once basic single edge drains its queue
+    # the two rules it subsumes find nothing.  Only best_perm queues
+    # domination before it; without basic single edge both rules fire.
+    rng = random.Random(1616)
+    graphs = [random_graph(rng, rng.randint(5, 30), rng.choice([0.1, 0.3, 0.6]),
+                           0, rng.choice([3, 20])) for _ in range(60)]
+    graphs += [geometric_graph(rng, rng.randint(20, 60), 6) for _ in range(60)]
+    orderings = [ordering_preset(name) for name in sorted(ORDERING_PRESETS)]
+    orderings.append(ordering_preset("baseline").without(Rule.BASIC_SINGLE_EDGE))
+    subsumed = {Rule.DOMINATION, Rule.EXTENDED_SINGLE_EDGE}
+    seen = {}
+    for ordering in orderings:
+        seen[ordering.name] = {ev.rule for g in graphs
+                               for ev in exact_reduce(g.copy(), ordering).events} & subsumed
+    assert seen == {"baseline": set(), "best_perm": {Rule.DOMINATION}, "time": set(),
+                    "time_weight": set(), "weight": set(),
+                    "baseline-without-basic_single_edge": subsumed}
+
+
 # -- twin ----------------------------------------------------------------------------
 
 def k23(wu, wv, wp, wq, wr):
