@@ -23,8 +23,8 @@ from pathlib import Path
 
 from .graph import WeightedGraph
 from .heuristic import SelectionStrategy
-from .metis_io import (GraphFormatError, compact_ids, format_solution,
-                       parse_metis, parse_solution, write_metis)
+from .metis_io import (GraphFormatError, format_solution, parse_metis,
+                       parse_solution, write_metis)
 from .oracle import OracleBudgetError, OracleLimitError, OracleLimits, brute_force
 from .reductions import (ORDERING_PRESETS, exact_reduce, ordering_preset,
                          run_ordering_experiment)
@@ -176,7 +176,7 @@ def _cmd_reduce(args) -> int:
         "ordering": args.ordering,
         "kernel_vertices": g.live_count,
         "kernel_edges": g.live_edges,
-        "kernel_id_map": {str(v): i for v, i in sorted(compact_ids(g).items())},
+        "kernel_id_map": {str(v): i for i, v in enumerate(g.compact()[1])},
     }
     out_path = Path(args.output) if args.output else Path(args.instance + ".kernel")
     side_path = Path(args.sidecar) if args.sidecar else Path(str(out_path) + ".json")

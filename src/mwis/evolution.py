@@ -1,6 +1,7 @@
 """Population management and the partition-based combine loop.
 
-Individuals are maximal independent sets of the current kernel.  Each
+Individuals are maximal independent sets of the current kernel, read as
+its :meth:`~mwis.graph.WeightedGraph.compact` copy with ids 0..k-1.  Each
 round draws one of four combine operators, all one block exchange: each
 block of a partition takes one parent's members, and the edges left
 between taken vertices get one of three repairs (none across a vertex
@@ -93,21 +94,21 @@ def build_initial(g: WeightedGraph, strategy: InitStrategy,
 def _greedy_degree_mwis(g: WeightedGraph) -> Individual:
     """Take the free vertex of smallest residual degree until maximal."""
     state = SearchState(g)
-    residual = {v: g.degree(v) for v in g.vertices()}
-    labeled: set[int] = set()
-    heap = [(residual[v], v) for v in sorted(residual)]
+    residual = [len(nbrs) for nbrs in g.adj]
+    labeled = [False] * len(residual)
+    heap = [(d, v) for v, d in enumerate(residual)]
     heapq.heapify(heap)
     while heap:
         d, v = heapq.heappop(heap)
-        if v in labeled or d != residual[v]:
+        if labeled[v] or d != residual[v]:
             continue
-        labeled.add(v)
+        labeled[v] = True
         state.add(v)
         for u in sorted(g.adj[v]):
-            if u not in labeled:
-                labeled.add(u)
+            if not labeled[u]:
+                labeled[u] = True
                 for z in g.adj[u]:
-                    if z not in labeled:
+                    if not labeled[z]:
                         residual[z] -= 1
                         heapq.heappush(heap, (residual[z], z))
     return _individual_from_state(state)
@@ -122,12 +123,12 @@ def _cover_complement(g: WeightedGraph, by_weight: bool) -> Individual:
     """
     cover: set[int] = set()
     if by_weight:
-        for v in sorted(g.vertices(), key=lambda v: (g.weight[v], v)):
+        for v in sorted(range(g.capacity), key=lambda v: (g.weight[v], v)):
             if not cover.issuperset(g.adj[v]):
                 cover.add(v)
     else:
-        uncov = {v: g.degree(v) for v in g.vertices()}
-        heap = [(-uncov[v], v) for v in sorted(uncov) if uncov[v] > 0]
+        uncov = [len(nbrs) for nbrs in g.adj]
+        heap = [(-d, v) for v, d in enumerate(uncov) if d > 0]
         heapq.heapify(heap)
         while heap:
             key, v = heapq.heappop(heap)
@@ -139,7 +140,7 @@ def _cover_complement(g: WeightedGraph, by_weight: bool) -> Individual:
                     uncov[u] -= 1
                     if uncov[u] > 0:
                         heapq.heappush(heap, (-uncov[u], u))
-    state = SearchState(g, (v for v in g.vertices() if v not in cover))
+    state = SearchState(g, (v for v in range(g.capacity) if v not in cover))
     maximize_greedy(state, "by_weight")
     return _individual_from_state(state)
 
@@ -208,7 +209,7 @@ def _exchange(g: WeightedGraph, part: Partition, parents: Sequence[Individual],
         if i not in owners:
             continue
         members.update(v for v in parent.members
-                       if (b := block_of.get(v, SEPARATOR)) != SEPARATOR and owners[b] == i)
+                       if (b := block_of[v]) != SEPARATOR and owners[b] == i)
     if repair is not None:
         conflicts = sorted((u, v) for u in members for v in g.adj[u]
                            if u < v and v in members)
@@ -225,7 +226,7 @@ def _heaviest_owners(g: WeightedGraph, part: Partition,
     inside = [[0] * part.k for _ in parents]
     for row, parent in zip(inside, parents):
         for v in parent.members:
-            b = block_of.get(v, SEPARATOR)
+            b = block_of[v]
             if b != SEPARATOR:
                 row[b] += weight[v]
     # index() finds the first maximum, so ties go to the lowest index.
@@ -233,7 +234,7 @@ def _heaviest_owners(g: WeightedGraph, part: Partition,
 
 
 def _min_weight_bipartite_cover(g: WeightedGraph, edges: list[tuple[int, int]],
-                                block_of: dict[int, int]) -> set[int]:
+                                block_of: list[int]) -> set[int]:
     """Exact minimum-weight vertex cover of the cut edges of a 2-way
     partition, via min cut."""
     left = sorted({x for e in edges for x in e if block_of[x] == 0})
@@ -255,7 +256,7 @@ def _min_weight_bipartite_cover(g: WeightedGraph, edges: list[tuple[int, int]],
 
 
 def _greedy_cover(g: WeightedGraph, edges: list[tuple[int, int]],
-                  block_of: dict[int, int]) -> set[int]:
+                  block_of: list[int]) -> set[int]:
     """Scan ``edges`` in order and cover each still-uncovered one by the
     endpoint of smaller weight per uncovered incident edge."""
     udeg = Counter(x for e in edges for x in e)

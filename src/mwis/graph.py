@@ -2,9 +2,10 @@
 
 The solver works on one shared graph: reductions delete or reweight
 vertices, fold groups into fresh vertices, and occasionally rewire a
-neighborhood; forcing deletes vertices; the evolutionary search only
-reads it.  Every mutation is cheap to undo (the kernelizer keeps
-snapshots), and vertex ids stay stable for the lifetime of the graph.
+neighborhood; forcing deletes vertices; the evolutionary search reads a
+:meth:`~WeightedGraph.compact` copy.  Every mutation is cheap to undo (the
+kernelizer keeps snapshots), and vertex ids stay stable for the lifetime
+of the graph.
 """
 
 from __future__ import annotations
@@ -155,6 +156,21 @@ class WeightedGraph:
         self.adj.pop()
         self.weight.pop()
         self.alive.pop()
+
+    def compact(self) -> tuple["WeightedGraph", list[int]]:
+        """The live subgraph renumbered 0..k-1 in ascending id order, and
+        ``ids`` with ``ids[i]`` the id here of vertex i.  Neighbor lists are
+        sorted tuples, so it is read-only; its :meth:`copy` is mutable."""
+        ids = self.vertices()
+        new_id = {v: i for i, v in enumerate(ids)}
+        g = WeightedGraph.__new__(WeightedGraph)
+        g.n_original = len(ids)
+        g.adj = [tuple(sorted(new_id[u] for u in self.adj[v])) for v in ids]
+        g.weight = [self.weight[v] for v in ids]
+        g.alive = [True] * len(ids)
+        g.live_count = len(ids)
+        g.live_edges = self.live_edges
+        return g, ids
 
     def copy(self) -> "WeightedGraph":
         g = WeightedGraph.__new__(WeightedGraph)

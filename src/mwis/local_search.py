@@ -8,7 +8,7 @@ monotone along every trajectory.  :class:`SearchState` keeps each
 vertex's count and weight of solution neighbors, and :func:`vnd` tests
 every move from those tallies first: it calls the move function only
 for an insertion that improves, or for a member whose 1-tight neighbors
-together outweigh it.
+together outweigh it.  The graph is a ``compact()`` copy: every id is live.
 """
 
 from __future__ import annotations
@@ -26,24 +26,26 @@ class SearchState:
     ``tight[v]`` counts v's solution neighbors and ``nbw[v]`` sums their
     weights; both are kept up to date by :meth:`add` and :meth:`drop`, so
     a move test reads them in constant time.  A vertex is *free* when it
-    is alive, outside the solution and none of its neighbors are inside;
-    free vertices can be added without repair.  The graph must not change
-    while a state is in use.
+    is outside the solution and none of its neighbors are inside; free
+    vertices can be added without repair.  The graph must have no dead
+    ids and must not change while a state is in use.
     """
 
     __slots__ = ("g", "in_sol", "tight", "nbw", "weight")
 
     def __init__(self, g: WeightedGraph, members=()):
-        self.g = g
         cap = g.capacity
+        if g.live_count != cap:
+            raise ValueError(f"{cap - g.live_count} dead ids; search g.compact()[0]")
+        self.g = g
         self.in_sol = in_sol = [False] * cap
         self.tight = tight = [0] * cap
         self.nbw = nbw = [0] * cap
-        alive, adj, weight = g.alive, g.adj, g.weight
+        adj, weight = g.adj, g.weight
         total = 0
         for v in sorted(set(members)):
-            if not (0 <= v < cap and alive[v]):
-                raise ValueError(f"vertex {v} is not alive")
+            if not 0 <= v < cap:
+                raise ValueError(f"vertex {v} is out of range")
             if tight[v]:
                 raise ValueError(f"members are not independent near {v}")
             in_sol[v] = True
@@ -59,13 +61,10 @@ class SearchState:
 
     def free(self) -> list[int]:
         """The free vertices in id order."""
-        alive, in_sol, tight = self.g.alive, self.in_sol, self.tight
-        return [v for v in range(len(in_sol))
-                if alive[v] and not in_sol[v] and not tight[v]]
+        in_sol, tight = self.in_sol, self.tight
+        return [v for v in range(len(in_sol)) if not in_sol[v] and not tight[v]]
 
     def add(self, v: int) -> None:
-        if not self.g.alive[v]:
-            raise ValueError(f"vertex {v} is not alive")
         if self.in_sol[v] or self.tight[v]:
             raise ValueError(f"vertex {v} is not free")
         self.in_sol[v] = True
@@ -91,8 +90,6 @@ class SearchState:
         """Put v into the solution, evicting its solution neighbors."""
         if self.in_sol[v]:
             return
-        if not self.g.alive[v]:
-            raise ValueError(f"vertex {v} is not alive")
         for u in sorted(self.g.adj[v]):
             if self.in_sol[u]:
                 self.drop(u)
@@ -104,11 +101,7 @@ class SearchState:
         total = 0
         for v in range(g.capacity):
             if self.in_sol[v]:
-                if not g.alive[v]:
-                    raise AssertionError(f"dead solution vertex {v}")
                 total += g.weight[v]
-            if not g.alive[v]:
-                continue
             t = sum(1 for u in g.adj[v] if self.in_sol[u])
             if t != self.tight[v]:
                 raise AssertionError(f"tightness drift at {v}: {self.tight[v]} != {t}")
@@ -155,7 +148,7 @@ def omega_one_swap(state: SearchState, v: int) -> list[int]:
     does not improve.
     """
     g = state.g
-    if state.in_sol[v] or not g.alive[v] or g.weight[v] <= state.nbw[v]:
+    if state.in_sol[v] or g.weight[v] <= state.nbw[v]:
         return []
     evicted = sorted(u for u in g.adj[v] if state.in_sol[u])
     for u in evicted:
@@ -210,14 +203,14 @@ def vnd(state: SearchState, max_iterations: int = 15_000,
     spent.
     """
     g = state.g
-    alive, adj, weight = g.alive, g.adj, g.weight
+    adj, weight = g.adj, g.weight
     in_sol, tight, nbw = state.in_sol, state.tight, state.nbw
     ids = range(len(in_sol))
-    order = list(compress(ids, alive))
+    order = list(ids)
     if rng is not None:
         rng.shuffle(order)
     queue = deque(order)
-    inq = list(alive)
+    inq = [True] * len(in_sol)
     attempts = 0
 
     def requeue_around(flipped) -> None:
@@ -225,13 +218,12 @@ def vnd(state: SearchState, max_iterations: int = 15_000,
         for f in flipped:
             affected.update(adj[f])
         for u in sorted(affected):
-            if alive[u] and not inq[u]:
+            if not inq[u]:
                 inq[u] = True
                 queue.append(u)
 
     while attempts < max_iterations:
-        # First neighborhood: single-vertex insertion swaps off the queue,
-        # which holds alive vertices only.
+        # First neighborhood: single-vertex insertion swaps off the queue.
         while queue and attempts < max_iterations:
             v = queue.popleft()
             inq[v] = False
@@ -268,11 +260,7 @@ def perturb(state: SearchState, strength: int, rng: random.Random) -> None:
     """Force random outside vertices into the solution, then re-maximalize."""
     if strength < 1:
         raise ValueError("perturbation strength must be at least 1")
-    g = state.g
-    outside = [v for v in range(g.capacity) if g.alive[v] and not state.in_sol[v]]
-    if not outside:
-        maximize_greedy(state)
-        return
+    outside = [v for v, inside in enumerate(state.in_sol) if not inside]
     for v in rng.sample(outside, min(strength, len(outside))):
         state.force_insert(v)
     maximize_greedy(state)

@@ -99,19 +99,12 @@ def parse_metis(text: str) -> WeightedGraph:
     return g
 
 
-def compact_ids(g: WeightedGraph) -> dict[int, int]:
-    """Map alive vertex ids to consecutive 0-based ids in ascending order."""
-    return {v: i for i, v in enumerate(g.vertices())}
-
-
 def write_metis(g: WeightedGraph) -> str:
-    """Serialize the alive subgraph; vertices are renumbered 1..live_count."""
-    ids = compact_ids(g)
-    out = [f"{g.live_count} {g.live_edges} 10"]
-    for v in g.vertices():
-        row = [str(g.weight[v])]
-        row.extend(str(ids[u] + 1) for u in sorted(g.adj[v]))
-        out.append(" ".join(row))
+    """Serialize the alive subgraph, renumbered 1..live_count in id order."""
+    kernel, _ = g.compact()
+    out = [f"{kernel.live_count} {kernel.live_edges} 10"]
+    for v, nbrs in enumerate(kernel.adj):
+        out.append(" ".join([str(kernel.weight[v]), *(str(u + 1) for u in nbrs)]))
     return "\n".join(out) + "\n"
 
 

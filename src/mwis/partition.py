@@ -5,7 +5,8 @@ cap, then polished by a bounded boundary-refinement sweep.  A vertex
 separator is extracted from an edge partition by covering every cut edge;
 separator vertices are exempt from the balance bound.  A small pool keeps
 partitions of assorted block counts ready for the combine operators; it
-lives for one evolve call, during which the graph does not change.
+lives for one evolve call, during which the graph (a ``compact()`` copy,
+so every id is live) does not change.
 """
 
 from __future__ import annotations
@@ -27,36 +28,34 @@ POOL_EPSILON = 0.03
 
 @dataclass(frozen=True)
 class Partition:
-    """Immutable block assignment over the alive vertices of one graph state.
+    """Immutable block assignment over the vertices of one graph.
 
-    ``block_of`` maps every alive vertex to a block in ``0..k-1`` or to
-    ``SEPARATOR``.  ``max_block_size`` is the balance bound the blocks were
-    built under.
+    ``block_of[v]`` is vertex v's block in ``0..k-1`` or ``SEPARATOR``.
+    ``max_block_size`` is the balance bound the blocks were built under.
     """
 
     k: int
-    block_of: dict[int, int]
+    block_of: list[int]
     max_block_size: int
     has_separator: bool
 
     def blocks(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.k)]
-        for v in sorted(self.block_of):
-            b = self.block_of[v]
+        for v, b in enumerate(self.block_of):
             if b != SEPARATOR:
                 out[b].append(v)
         return out
 
     def separator(self) -> list[int]:
-        return sorted(v for v, b in self.block_of.items() if b == SEPARATOR)
+        return [v for v, b in enumerate(self.block_of) if b == SEPARATOR]
 
     def dump(self) -> str:
-        """Debug dump: one block id per alive vertex in id order (-1 =
+        """Debug dump: one block id per vertex in id order (-1 =
         separator)."""
-        return "".join(f"{self.block_of[v]}\n" for v in sorted(self.block_of))
+        return "".join(f"{b}\n" for b in self.block_of)
 
     def cut_edges(self, g: WeightedGraph) -> list[tuple[int, int]]:
-        """Alive edges joining two distinct non-separator blocks."""
+        """Edges joining two distinct non-separator blocks."""
         out = []
         for u, v in g.edges():
             bu, bv = self.block_of[u], self.block_of[v]
@@ -72,15 +71,11 @@ def max_block_size(n: int, k: int, epsilon: float) -> int:
 
 def validate_partition(g: WeightedGraph, part: Partition) -> list[str]:
     """All balance/coverage/separator violations, empty when valid."""
+    if len(part.block_of) != g.capacity:
+        return [f"{len(part.block_of)} labels for {g.capacity} vertices"]
     problems = []
-    alive = set(g.vertices())
-    labeled = set(part.block_of)
-    for v in sorted(alive - labeled):
-        problems.append(f"alive vertex {v} has no block")
-    for v in sorted(labeled - alive):
-        problems.append(f"label on non-alive vertex {v}")
     sizes = [0] * part.k
-    for v, b in part.block_of.items():
+    for v, b in enumerate(part.block_of):
         if b == SEPARATOR:
             if not part.has_separator:
                 problems.append(f"separator label on {v} in an edge partition")
@@ -93,29 +88,28 @@ def validate_partition(g: WeightedGraph, part: Partition) -> list[str]:
         if size > bound:
             problems.append(f"block {b} has {size} vertices, bound {bound}")
     if part.has_separator:
-        for u, v in g.edges():
-            bu = part.block_of.get(u, SEPARATOR)
-            bv = part.block_of.get(v, SEPARATOR)
-            if bu != bv and bu != SEPARATOR and bv != SEPARATOR:
-                problems.append(f"cross-block edge ({u}, {v}) survives the separator")
+        for u, v in part.cut_edges(g):
+            problems.append(f"cross-block edge ({u}, {v}) survives the separator")
     return problems
 
 
 def edge_partition(g: WeightedGraph, k: int, epsilon: float,
                    rng: random.Random) -> Partition:
     """Balanced k-way partition targeting a small edge cut."""
-    alive = g.vertices()
-    n = len(alive)
+    n = g.capacity
+    if g.live_count != n:
+        raise ValueError(f"{n - g.live_count} dead ids; partition g.compact()[0]")
     if k < 2:
         raise ValueError(f"need at least 2 blocks, got {k}")
     if k > n:
-        raise ValueError(f"{k} blocks exceed {n} alive vertices")
+        raise ValueError(f"{k} blocks exceed {n} vertices")
     cap = max_block_size(n, k, epsilon)
 
-    block_of: dict[int, int] = {}
+    # Until every vertex is claimed, SEPARATOR marks the unclaimed ones.
+    block_of = [SEPARATOR] * n
     sizes = [0] * k
     frontiers: list[deque[int]] = [deque() for _ in range(k)]
-    for b, seed in enumerate(rng.sample(alive, k)):
+    for b, seed in enumerate(rng.sample(range(n), k)):
         block_of[seed] = b
         sizes[b] += 1
         frontiers[b].append(seed)
@@ -130,7 +124,7 @@ def edge_partition(g: WeightedGraph, k: int, epsilon: float,
                 v = frontiers[b].popleft()
                 claimed = False
                 for u in sorted(g.adj[v]):
-                    if u not in block_of and sizes[b] < cap:
+                    if block_of[u] == SEPARATOR and sizes[b] < cap:
                         block_of[u] = b
                         sizes[b] += 1
                         frontiers[b].append(u)
@@ -141,13 +135,13 @@ def edge_partition(g: WeightedGraph, k: int, epsilon: float,
 
     # Strand leftovers (blocked frontiers, other components) by adjacency,
     # falling back to the emptiest block.
-    for v in alive:
-        if v in block_of:
+    for v in range(n):
+        if block_of[v] != SEPARATOR:
             continue
         counts = [0] * k
         for u in g.adj[v]:
-            b = block_of.get(u)
-            if b is not None:
+            b = block_of[u]
+            if b != SEPARATOR:
                 counts[b] += 1
         choices = [b for b in range(k) if sizes[b] < cap]
         b = max(choices, key=lambda b: (counts[b], -sizes[b], -b))
@@ -158,7 +152,7 @@ def edge_partition(g: WeightedGraph, k: int, epsilon: float,
     return Partition(k=k, block_of=block_of, max_block_size=cap, has_separator=False)
 
 
-def _refine(g: WeightedGraph, block_of: dict[int, int], sizes: list[int],
+def _refine(g: WeightedGraph, block_of: list[int], sizes: list[int],
             cap: int, k: int, passes: int) -> None:
     """Bounded local refinement: single moves, then cross-block swaps.
 
@@ -171,8 +165,7 @@ def _refine(g: WeightedGraph, block_of: dict[int, int], sizes: list[int],
     """
     for _ in range(passes):
         moved = False
-        for v in sorted(block_of):
-            b = block_of[v]
+        for v, b in enumerate(block_of):
             counts: dict[int, int] = {}
             for u in g.adj[v]:
                 bu = block_of[u]
@@ -191,8 +184,8 @@ def _refine(g: WeightedGraph, block_of: dict[int, int], sizes: list[int],
                 sizes[target] += 1
                 moved = True
 
-        boundary = sorted(v for v in block_of
-                          if any(block_of[u] != block_of[v] for u in g.adj[v]))
+        boundary = [v for v, b in enumerate(block_of)
+                    if any(block_of[u] != b for u in g.adj[v])]
         nbr_counts: dict[int, list[int]] = {}
         for x in boundary:
             cx = nbr_counts[x] = [0] * k
@@ -234,7 +227,7 @@ def separator_from(g: WeightedGraph, part: Partition) -> Partition:
     the endpoint with the higher remaining cut degree wins, with graph
     degree and then lower id breaking ties (hubs make better separators).
     """
-    block_of = dict(part.block_of)
+    block_of = list(part.block_of)
     cut = part.cut_edges(g)
     incident: dict[int, set[tuple[int, int]]] = {}
     for e in cut:

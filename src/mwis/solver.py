@@ -3,6 +3,8 @@
 Rounds alternate three phases on a private working copy of the input:
 exhaustive exact reduction, memetic search over the kernel, and heuristic
 forcing of high-rated solution vertices, all journaled as one event list.
+Each round's search runs on the kernel's ``compact()`` copy, and its
+population is mapped back to working ids before forcing.
 The loop ends when the kernel empties or the time budget runs out; the
 journal then expands the heaviest round's kernel solution to original ids.
 """
@@ -14,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .evolution import evolve, initial_population
+from .evolution import Individual, evolve, initial_population
 from .graph import WeightedGraph, independence_violations, is_independent
 from .heuristic import SelectionStrategy, heuristic_reduce
 from .local_search import SearchState, maximize_greedy
@@ -123,13 +125,17 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
         if g.live_count == 0:
             break
         emit("reduced", round=rounds, kernel_vertices=g.live_count, offset=offset)
+        kernel, ids = g.compact()
         if cut_short():
-            kernel_solution = _greedy_kernel_solution(g)
+            kernel_solution = {ids[v] for v in _greedy_kernel_solution(kernel)}
             break
-        pop = initial_population(g, config.population_size, rng, deadline)
-        evolve(g, pop, rng, config, deadline,
+        pop = initial_population(kernel, config.population_size, rng, deadline)
+        evolve(kernel, pop, rng, config, deadline,
                on_improve=lambda it, w: emit("evolve_best", round=rounds,
                                              iteration=it, weight=w))
+        # Back to working ids, which forcing and the journal use.
+        pop.individuals[:] = [Individual(frozenset({ids[v] for v in ind.members}), ind.weight)
+                              for ind in pop.individuals]
         fittest = pop.best()
         trace.append(RoundStats(kernel_vertices=g.live_count, offset=offset,
                                 best_evolve_weight=fittest.weight))

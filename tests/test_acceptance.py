@@ -167,13 +167,13 @@ def test_criterion_4_local_search_optimality():
 # -- criterion 5: combine validity ---------------------------------------------------
 
 def random_kernel(rng: random.Random):
-    """A reduced random graph that still has at least 4 alive vertices."""
+    """The compact copy of a reduced random graph with at least 4 vertices."""
     while True:
         g = random_graph(rng, rng.randint(12, 26), rng.choice([0.35, 0.5, 0.65]),
                          wlo=80, whi=120)
         exact_reduce(g)
         if g.live_count >= 4:
-            return g
+            return g.compact()[0]
 
 
 def assert_valid_offspring(g, ind):
@@ -191,8 +191,8 @@ def test_criterion_5_combine_validity():
         part = vertex_separator(g, 2, 0.1, rng)
         parents = [build_initial(g, rng.choice(list(InitStrategy)), rng)
                    for _ in range(2)]
-        v1 = {v for v, b in part.block_of.items() if b == 0}
-        v2 = {v for v, b in part.block_of.items() if b == 1}
+        v1 = {v for v, b in enumerate(part.block_of) if b == 0}
+        v2 = {v for v, b in enumerate(part.block_of) if b == 1}
         raw1 = (parents[0].members & v1) | (parents[1].members & v2)
         raw2 = (parents[1].members & v1) | (parents[0].members & v2)
         assert is_independent(g, raw1) and is_independent(g, raw2)  # pre-maximization

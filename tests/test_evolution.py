@@ -20,8 +20,9 @@ from conftest import geometric_graph, path, random_graph, star
 
 
 def manual_partition(g, block_of, k=2, has_separator=False):
+    assert len(block_of) == g.capacity == g.live_count
     cap = g.live_count  # loose bound; balance is not under test here
-    return Partition(k=k, block_of=dict(block_of), max_block_size=cap,
+    return Partition(k=k, block_of=list(block_of), max_block_size=cap,
                      has_separator=has_separator)
 
 
@@ -99,11 +100,12 @@ def old_cover_complement(g, by_weight):
 
 
 def test_cover_complement_matches_the_heap():
-    # Weights 0-3 tie many vertices, and reduced kernels have dead ids.
+    # Weights 0-3 tie many vertices; reduced kernels are searched compacted.
     rng = random.Random(404)
     graphs = [random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.2, 0.5]),
                            0, rng.choice([3, 50])) for _ in range(250)]
-    kernels = [exact_reduce(geometric_graph(rng, 100, 20)).graph for _ in range(12)]
+    kernels = [exact_reduce(geometric_graph(rng, 100, 20)).graph.compact()[0]
+               for _ in range(12)]
     assert sum(k.live_count > 0 for k in kernels) >= 6
     for g in graphs + kernels:
         for by_weight in (True, False):
@@ -130,7 +132,7 @@ def test_tournament_singleton(rng):
 
 def test_vertex_separator_combine_p3(rng):
     g = path([5, 1, 5])
-    part = manual_partition(g, {0: 0, 1: SEPARATOR, 2: 1}, has_separator=True)
+    part = manual_partition(g, [0, SEPARATOR, 1], has_separator=True)
     left = make_individual(g, {0})
     right = make_individual(g, {2})
     o1, o2 = combine_vertex_separator(g, part, left, right, 200, rng)
@@ -141,7 +143,7 @@ def test_vertex_separator_combine_p3(rng):
 
 def test_vertex_separator_identical_parents(rng):
     g = path([5, 1, 5])
-    part = manual_partition(g, {0: 0, 1: SEPARATOR, 2: 1}, has_separator=True)
+    part = manual_partition(g, [0, SEPARATOR, 1], has_separator=True)
     ind = make_individual(g, {0, 2})
     o1, o2 = combine_vertex_separator(g, part, ind, ind, 200, rng)
     assert o1.members == ind.members == o2.members
@@ -149,7 +151,7 @@ def test_vertex_separator_identical_parents(rng):
 
 def test_vertex_separator_empty_parents(rng):
     g = path([5, 1, 5])
-    part = manual_partition(g, {0: 0, 1: SEPARATOR, 2: 1}, has_separator=True)
+    part = manual_partition(g, [0, SEPARATOR, 1], has_separator=True)
     empty = Individual(frozenset(), 0)
     o1, _ = combine_vertex_separator(g, part, empty, empty, 200, rng)
     assert_maximal(g, o1)  # maximization alone fills the offspring
@@ -158,7 +160,7 @@ def test_vertex_separator_empty_parents(rng):
 def test_multiway_vertex_separator_blockwise_winners(rng):
     # 4-block path of K2s; each block has a distinct winning parent
     g = build_graph([(0, 1), (2, 3), (4, 5), (6, 7)], [9, 1, 9, 1, 9, 1, 9, 1])
-    block_of = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
+    block_of = [0, 0, 1, 1, 2, 2, 3, 3]
     part = manual_partition(g, block_of, k=4, has_separator=True)
     parents = [make_individual(g, {0, 3, 5, 7}),
                make_individual(g, {1, 2, 5, 7}),
@@ -171,7 +173,7 @@ def test_multiway_vertex_separator_blockwise_winners(rng):
 
 def test_multiway_vertex_separator_k2_reduces_to_heavier_restriction(rng):
     g = path([5, 1, 5])
-    part = manual_partition(g, {0: 0, 1: SEPARATOR, 2: 1}, k=2, has_separator=True)
+    part = manual_partition(g, [0, SEPARATOR, 1], k=2, has_separator=True)
     a = make_individual(g, {0, 2})
     b = make_individual(g, {1})
     off = combine_multiway_vertex_separator(g, part, [a, b], 200, rng)
@@ -180,7 +182,7 @@ def test_multiway_vertex_separator_k2_reduces_to_heavier_restriction(rng):
 
 def test_multiway_identical_parents_reproduce(rng):
     g = path([5, 1, 5])
-    part = manual_partition(g, {0: 0, 1: SEPARATOR, 2: 1}, k=2, has_separator=True)
+    part = manual_partition(g, [0, SEPARATOR, 1], k=2, has_separator=True)
     ind = make_individual(g, {0, 2})
     off = combine_multiway_vertex_separator(g, part, [ind, ind], 200, rng)
     assert off.members == ind.members
@@ -188,7 +190,7 @@ def test_multiway_identical_parents_reproduce(rng):
 
 def test_edge_separator_combine_k2(rng):
     g = build_graph([(0, 1)], [1, 9])
-    part = manual_partition(g, {0: 0, 1: 1}, k=2)
+    part = manual_partition(g, [0, 1], k=2)
     light = make_individual(g, {0})
     heavy = make_individual(g, {1})
     o1, o2 = combine_edge_separator(g, part, light, heavy, 200, rng)
@@ -200,7 +202,7 @@ def test_edge_separator_combine_k2(rng):
 def test_edge_separator_repair_picks_lighter_endpoint(rng):
     # both endpoints of the single cut edge are outside the exchanged covers
     g = build_graph([(0, 1)], [2, 7])
-    part = manual_partition(g, {0: 0, 1: 1}, k=2)
+    part = manual_partition(g, [0, 1], k=2)
     all_in = make_individual(g, {0})  # cover {1}
     other = make_individual(g, {1})   # cover {0}
     o1, o2 = combine_edge_separator(g, part, all_in, other, 200, rng)
@@ -211,7 +213,7 @@ def test_edge_separator_repair_picks_lighter_endpoint(rng):
 
 def test_multiway_edge_separator_direct_union(rng):
     g = build_graph([(0, 1), (2, 3)], [9, 1, 9, 1])
-    part = manual_partition(g, {0: 0, 1: 0, 2: 1, 3: 1}, k=2)
+    part = manual_partition(g, [0, 0, 1, 1], k=2)
     a = make_individual(g, {0, 2})
     off = combine_multiway_edge_separator(g, part, [a, a], 200, rng)
     assert off.members == frozenset({0, 2})
@@ -221,7 +223,7 @@ def test_multiway_edge_separator_greedy_repair_triangle(rng):
     # each block's winning cover is empty inside it, so the whole triangle
     # is initially uncovered and the greedy repair has to rebuild a cover
     g = build_graph([(0, 1), (1, 2), (0, 2)], [5, 6, 7])
-    part = manual_partition(g, {0: 0, 1: 1, 2: 2}, k=3)
+    part = manual_partition(g, [0, 1, 2], k=3)
     parents = [make_individual(g, {0}), make_individual(g, {1}),
                make_individual(g, {2})]
     off = combine_multiway_edge_separator(g, part, parents, 200, rng)
@@ -267,6 +269,7 @@ def test_multiway_combines_match_kxk_scoring(k):
             g = build_graph(g.edges(), [rng.randint(0, 3) for _ in range(g.n_original)])
         for v in rng.sample(g.vertices(), 5):
             g.remove_vertex(v)
+        g = g.compact()[0]
         parents = initial_population(g, k, rng).individuals
         if trial % 3 == 0:
             parents[-1] = parents[0]
@@ -282,11 +285,11 @@ def test_multiway_combines_match_kxk_scoring(k):
 
 def test_combine_refuses_wrong_partition_kind(rng):
     g = path([1, 1, 1])
-    edge_part = manual_partition(g, {0: 0, 1: 0, 2: 1}, k=2)
+    edge_part = manual_partition(g, [0, 0, 1], k=2)
     ind = make_individual(g, {0, 2})
     with pytest.raises(ValueError):
         combine_vertex_separator(g, edge_part, ind, ind, 10, rng)
-    sep_part = manual_partition(g, {0: 0, 1: SEPARATOR, 2: 1}, k=2,
+    sep_part = manual_partition(g, [0, SEPARATOR, 1], k=2,
                                 has_separator=True)
     with pytest.raises(ValueError):
         combine_edge_separator(g, sep_part, ind, ind, 10, rng)
@@ -299,7 +302,7 @@ def test_combine_refuses_wrong_partition_kind(rng):
 def _old_block_weights(g, part, vertices):
     out = [0] * part.k
     for v in vertices:
-        b = part.block_of.get(v, SEPARATOR)
+        b = part.block_of[v]
         if b != SEPARATOR:
             out[b] += g.weight[v]
     return out
@@ -307,7 +310,7 @@ def _old_block_weights(g, part, vertices):
 
 def _old_split_blocks(part):
     out = [set() for _ in range(part.k)]
-    for v, b in part.block_of.items():
+    for v, b in enumerate(part.block_of):
         if b != SEPARATOR:
             out[b].add(v)
     return out
@@ -353,7 +356,7 @@ def old_multiway_vertex_separator(g, part, parents, ls_iterations, rng):
     winners = [max(range(len(parents)), key=lambda i: (inside[i][b], -i))
                for b in range(part.k)]
     raw = {v for b, i in enumerate(winners) for v in parents[i].members
-           if part.block_of.get(v, SEPARATOR) == b}
+           if part.block_of[v] == b}
     return evolution._finish(g, raw, ls_iterations, rng)
 
 
@@ -380,11 +383,11 @@ def old_edge_separator(g, part, first, second, ls_iterations, rng):
 
 def old_multiway_edge_separator(g, part, parents, ls_iterations, rng):
     alive = set(g.vertices())
-    block_w = _old_block_weights(g, part, part.block_of)
+    block_w = _old_block_weights(g, part, range(g.capacity))
     inside = [_old_block_weights(g, part, parent.members) for parent in parents]
     winners = [min(range(len(parents)), key=lambda i: (block_w[b] - inside[i][b], i))
                for b in range(part.k)]
-    cover = {v for v, b in part.block_of.items()
+    cover = {v for v, b in enumerate(part.block_of)
              if b != SEPARATOR and v not in parents[winners[b]].members}
     uncovered = _old_uncovered_edges(g, alive - cover)
     if uncovered:
@@ -401,8 +404,8 @@ def old_multiway_edge_separator(g, part, parents, ls_iterations, rng):
 
 
 def _equivalence_kernels(rng):
-    """Geometric and random graphs with dead ids, and reduced random graphs
-    with fold ids past n; weights 0-3 (ties) or 1-200."""
+    """Compact copies of geometric graphs with vertices removed and of
+    reduced random graphs; weights 0-3 (ties) or 1-200."""
     for trial in range(30):
         whi = (3, 200)[trial % 2]
         wlo = 0 if whi == 3 else 1
@@ -417,7 +420,7 @@ def _equivalence_kernels(rng):
             for v in rng.sample(g.vertices(), 5):
                 g.remove_vertex(v)
         if g.live_count >= 8:
-            yield g
+            yield g.compact()[0]
 
 
 def _parents(g, k, rng, trial):
@@ -468,7 +471,7 @@ def old_heaviest_owners(g, part, parents):
     inside = [[0] * part.k for _ in parents]
     for row, parent in zip(inside, parents):
         for v in parent.members:
-            b = block_of.get(v, SEPARATOR)
+            b = block_of[v]
             if b != SEPARATOR:
                 row[b] += weight[v]
     return [max(range(len(parents)), key=lambda i: inside[i][b]) for b in range(part.k)]
@@ -486,7 +489,7 @@ def test_heaviest_owners_match_the_keyed_max(k):
             owners = evolution._heaviest_owners(g, part, parents)
             assert owners == old_heaviest_owners(g, part, parents)
             for b, i in enumerate(owners):
-                block = {v for v, c in part.block_of.items() if c == b}
+                block = {v for v, c in enumerate(part.block_of) if c == b}
                 scores = [sum(g.weight[v] for v in p.members & block) for p in parents]
                 tied += scores.count(scores[i]) > 1
     assert tied >= 20, tied
@@ -630,17 +633,17 @@ def test_evolve_emits_improvements(rng):
 
 
 def _kernels():
-    """Reduced random graphs (dead ids, fold ids past n) and geometric
-    graphs with dead ids, as solve hands kernels to evolve."""
+    """Compact copies of reduced random graphs and of geometric graphs with
+    vertices removed, as solve hands kernels to evolve."""
     for seed in range(3):
         g = random_graph(random.Random(seed), 70, 0.08, wlo=0)
         exact_reduce(g)
-        yield g
+        yield g.compact()[0]
         rng = random.Random(100 + seed)
         g = geometric_graph(rng, 120, 8)
         for v in rng.sample(range(120), 12):
             g.remove_vertex(v)
-        yield g
+        yield g.compact()[0]
 
 
 def test_evolve_only_reads_the_kernel(monkeypatch):

@@ -122,3 +122,37 @@ def test_audit_catches_random_mutation_sequences():
                     g.add_edge(v, rng.choice(others))
             g.audit()
 
+
+
+def test_compact_renumbers_the_live_subgraph_read_only():
+    g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)], [5, 6, 7, 8, 9])
+    g.remove_vertex(0)
+    g.remove_vertex(3)
+    fold = g.add_vertex(4)
+    g.add_edge(fold, 1)
+    g.add_edge(fold, 4)
+    kernel, ids = g.compact()
+    assert ids == [1, 2, 4, 5]
+    assert kernel.weight == [6, 7, 9, 4]
+    assert kernel.adj == [(1, 2, 3), (0,), (0, 3), (0, 2)]
+    assert (kernel.capacity, kernel.live_count, kernel.live_edges) == (4, 4, 4)
+    kernel.audit()
+    with pytest.raises(AttributeError):  # tuples take no edits
+        kernel.add_edge(1, 2)
+    mutable = kernel.copy()
+    mutable.add_edge(1, 2)
+    mutable.remove_vertex(0)
+    mutable.audit()
+    assert kernel.adj[1] == (0,) and kernel.live_count == 4
+
+    rng = random.Random(11)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3]))
+        for v in rng.sample(g.vertices(), rng.randint(0, g.live_count)):
+            g.remove_vertex(v)
+        kernel, ids = g.compact()
+        kernel.audit()
+        assert ids == g.vertices() and kernel.vertices() == list(range(len(ids)))
+        assert kernel.weight == [g.weight[v] for v in ids]
+        assert [(ids[u], ids[v]) for u, v in kernel.edges()] == g.edges()
+        assert all(list(nbrs) == sorted(nbrs) for nbrs in kernel.adj)

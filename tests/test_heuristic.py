@@ -13,6 +13,14 @@ def two_individual_population(g, first, second):
     return Population([make_individual(g, first), make_individual(g, second)])
 
 
+def greedy_population(g, rng):
+    """One greedy individual of g's kernel in g's own ids, as solve maps a
+    population built on the compact copy back before forcing."""
+    kernel, ids = g.compact()
+    ind = build_initial(kernel, InitStrategy.GREEDY_WEIGHT_MWIS, rng)
+    return Population([make_individual(g, {ids[v] for v in ind.members})])
+
+
 def test_rate_hybrid_formula():
     g = star(5, [1, 2])
     pop = Population([make_individual(g, {0})])
@@ -98,7 +106,7 @@ def test_forced_sets_stay_globally_independent(rng):
     for _ in range(25):
         g = random_graph(rng, rng.randint(6, 16), 0.3)
         original = g.copy()
-        pop = Population([build_initial(g, InitStrategy.GREEDY_WEIGHT_MWIS, rng)])
+        pop = greedy_population(g, rng)
         events = []
         while g.live_count:
             before = g.live_count
@@ -106,8 +114,7 @@ def test_forced_sets_stay_globally_independent(rng):
             assert g.live_count < before  # strict progress
             assert is_independent(original, {v for ev in events for v in ev.decided})
             if g.live_count:
-                pop = Population([build_initial(
-                    g, InitStrategy.GREEDY_WEIGHT_MWIS, rng)])
+                pop = greedy_population(g, rng)
 
 
 def test_empty_population_rejected():
@@ -127,7 +134,7 @@ def test_forcing_is_one_journaled_take():
         events = exact_reduce(g).events
         if not g.live_count:
             continue
-        pop = Population([build_initial(g, InitStrategy.GREEDY_WEIGHT_MWIS, rng)])
+        pop = greedy_population(g, rng)
         before, count, weight = graph_state(g), len(events), list(g.weight)
         forced = heuristic_reduce(
             g, pop, SolverConfig(selection=SelectionStrategy.WEIGHT,

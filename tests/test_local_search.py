@@ -4,8 +4,8 @@ from collections import deque
 
 import pytest
 
-from mwis import (SearchState, brute_force, build_graph, maximize_greedy,
-                  omega_one_swap, one_two_swap, perturb, vnd)
+from mwis import (SearchState, brute_force, build_graph, edge_partition,
+                  maximize_greedy, omega_one_swap, one_two_swap, perturb, vnd)
 from mwis.local_search import _find_one_two_pair
 from conftest import clique, cycle, geometric_graph, path, random_graph, star
 
@@ -53,26 +53,21 @@ def test_maximize_random_needs_rng():
         maximize_greedy(state, "uniform_random")
 
 
-def _p3_without_its_last_vertex():
+def test_search_state_and_edge_partition_refuse_a_dead_vertex(rng):
+    # The search runs on compact() copies; a graph with a dead id is
+    # refused when the state or the partition is built, not per move.
     g = build_graph([(0, 1), (1, 2)], [5, 1, 5])
     g.remove_vertex(2)
-    return g
-
-
-def test_add_refuses_a_dead_vertex():
-    state = SearchState(_p3_without_its_last_vertex())
-    with pytest.raises(ValueError, match="not alive"):
-        state.add(2)
-    assert state.members() == set() and state.weight == 0
+    with pytest.raises(ValueError, match="1 dead ids"):
+        SearchState(g)
+    with pytest.raises(ValueError, match="1 dead ids"):
+        edge_partition(g, 2, 0.0, rng)
+    kernel, ids = g.compact()
+    state = SearchState(kernel, {1})
+    state.force_insert(0)
+    assert state.members() == {0} and state.weight == 5 and ids == [0, 1]
     state.audit()
-
-
-def test_force_insert_refuses_a_dead_vertex():
-    state = SearchState(_p3_without_its_last_vertex(), {1})
-    with pytest.raises(ValueError, match="not alive"):
-        state.force_insert(2)
-    assert state.members() == {1} and state.weight == 1
-    state.audit()
+    assert edge_partition(kernel, 2, 0.0, rng).block_of in ([0, 1], [1, 0])
 
 
 def test_omega_one_swap_on_p3():
@@ -269,6 +264,7 @@ def test_vnd_matches_rescanning_reference():
             g = random_graph(rng, n, rng.choice([0.05, 0.15, 0.4]), wlo=0, whi=3)
         for v in rng.sample(range(n), n // 8):
             g.remove_vertex(v)
+        g = g.compact()[0]
         start = SearchState(g)
         maximize_greedy(start, "uniform_random", rng)
         cap = rng.choice([15_000, rng.randint(0, 3 * n)])

@@ -565,7 +565,8 @@ def test_medium_kernel_has_an_empty_critical_set_and_rebuilds():
     assert 0 < g.live_count < original.live_count
     assert critical_set(g) == (set(), 0)
     assert dinic_min_cut(g) == set()
-    chosen = _greedy_kernel_solution(g)
+    compacted, ids = g.compact()
+    chosen = {ids[v] for v in _greedy_kernel_solution(compacted)}
     rebuilt = reconstruct(kernel, chosen)
     assert is_independent(original, rebuilt)
     assert (sum(original.weight[v] for v in rebuilt)

@@ -55,6 +55,30 @@ def test_random_instances_match_oracle():
         assert result.weight == alpha
 
 
+@pytest.mark.parametrize("stop_at_poll", [1, 2, None])
+def test_solve_maps_shifted_kernel_ids_back(stop_at_poll):
+    # Vertex 0 is isolated and heavy, so the first reduction takes it and
+    # each kernel vertex sits one id lower in the searched compact copy
+    # than in the working graph.  Stopping at the first poll ends on the
+    # greedy kernel fallback, at the second on the evolved population.
+    petersen = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    g = build_graph([(u + 1, v + 1) for u, v in petersen],
+                    [100] + [10 + 3 * v % 5 for v in range(10)])
+    polls = []
+
+    def should_stop() -> bool:
+        polls.append(1)
+        return len(polls) == stop_at_poll
+
+    result = solve(g, SolverConfig(time_limit=30, seed=1, **FAST), should_stop=should_stop)
+    assert 0 in result.solution and is_independent(g, result.solution)
+    assert all(result.solution & g.adj[v] for v in g.vertices() if v not in result.solution)
+    if stop_at_poll != 1:
+        assert result.kernel_trace[0].kernel_vertices == 10
+        assert result.weight == brute_force(g)[0] == 150
+
+
 def test_input_graph_is_not_mutated():
     g = path([5, 1, 5])
     before = ([set(s) for s in g.adj], list(g.weight), g.live_count)
