@@ -53,20 +53,41 @@ def test_maximize_random_needs_rng():
         maximize_greedy(state, "uniform_random")
 
 
-def test_search_state_and_edge_partition_refuse_a_dead_vertex(rng):
-    # The search runs on compact() copies; a graph with a dead id is
-    # refused when the state or the partition is built, not per move.
+def _p3_without_its_last_vertex():
     g = build_graph([(0, 1), (1, 2)], [5, 1, 5])
     g.remove_vertex(2)
+    return g
+
+
+# The search runs on compact() copies; a graph with a dead id is refused
+# when the state or the partition is built, so no move can reach one.
+def test_add_refuses_a_dead_vertex():
+    g = _p3_without_its_last_vertex()
     with pytest.raises(ValueError, match="1 dead ids"):
-        SearchState(g)
+        SearchState(g).add(2)
+    kernel, ids = g.compact()
+    state = SearchState(kernel)
+    state.add(0)
+    assert state.members() == {0} and state.weight == 5 and ids == [0, 1]
+    state.audit()
+
+
+def test_force_insert_refuses_a_dead_vertex():
+    g = _p3_without_its_last_vertex()
     with pytest.raises(ValueError, match="1 dead ids"):
-        edge_partition(g, 2, 0.0, rng)
+        SearchState(g, {1}).force_insert(2)
     kernel, ids = g.compact()
     state = SearchState(kernel, {1})
     state.force_insert(0)
     assert state.members() == {0} and state.weight == 5 and ids == [0, 1]
     state.audit()
+
+
+def test_edge_partition_refuses_a_dead_vertex(rng):
+    g = _p3_without_its_last_vertex()
+    with pytest.raises(ValueError, match="1 dead ids"):
+        edge_partition(g, 2, 0.0, rng)
+    kernel, _ = g.compact()
     assert edge_partition(kernel, 2, 0.0, rng).block_of in ([0, 1], [1, 0])
 
 
