@@ -22,7 +22,10 @@ Most rules are a guard in front of one of three shared moves:
   vertex): neighborhood folding and the fold cases of v-shape and twin.
 
 The v-shape rewiring, v-shape min and the three edge rules (basic and
-extended single edge, domination) write their own mutations.
+extended single edge, domination) write their own mutations.  Basic single
+edge subsumes the other two: where it comes before them in an ordering, the
+reduce loop does not queue them, since they could fire only where it
+already has.
 """
 
 from __future__ import annotations
@@ -617,6 +620,20 @@ def _try_twin(g: WeightedGraph, c: int, events: list[ReductionEvent]) -> bool:
 
 _EDGE_RULES = (Rule.BASIC_SINGLE_EDGE, Rule.EXTENDED_SINGLE_EDGE, Rule.DOMINATION)
 
+# Rules that cannot fire once basic single edge has drained its queue.
+# apply_domination(u, v) fires only where apply_basic_single_edge(v, u)
+# does (N[v] inside N[u] leaves v's exclusive neighbourhood empty), and
+# apply_extended_single_edge(u, v) only where apply_basic_single_edge(v, z)
+# holds for each common neighbour z (w(N(v) - u) <= w(v)).  Basic single
+# edge reads the neighbourhoods of an edge's two ends and the weights of
+# both ends and their neighbours.  An event that changes one of these
+# re-queues at least one end of the edge (mark_event queues each touched
+# vertex and its neighbours), and a queued vertex retries each of its edges
+# both ways (_try_edge_rule).  So once the cursor has passed basic single
+# edge, no edge holds a firing of it, and the two rules behind it would
+# only attempt and refuse.  Leaving them out changes no firing.
+_SUBSUMED_BY_BASIC_SINGLE_EDGE = (Rule.DOMINATION, Rule.EXTENDED_SINGLE_EDGE)
+
 
 def _resolve(rule: Rule):
     """The function ``attempt(g, c, events)`` that tries a queued rule at
@@ -655,6 +672,11 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
     cursor restarts at the front of the ordering (queues keep their state).
     Terminates when no rule fires on any pending candidate.
 
+    Domination and extended single edge are not queued when basic single
+    edge comes before them in the ordering: it subsumes both, so behind it
+    they could only refuse (``_SUBSUMED_BY_BASIC_SINGLE_EDGE``).  The events
+    and the kernel are those of a loop that queued them.
+
     Each queued rule's ``apply_*`` function is looked up by name in this
     module's namespace when the call starts (:func:`_resolve`), so a
     wrapper bound there before the call sees every attempt of that rule.
@@ -663,6 +685,10 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
     if events is None:
         events = []
     seq = ordering.sequence
+    if Rule.BASIC_SINGLE_EDGE in seq:
+        cut = seq.index(Rule.BASIC_SINGLE_EDGE) + 1
+        seq = seq[:cut] + tuple(r for r in seq[cut:]
+                                if r not in _SUBSUMED_BY_BASIC_SINGLE_EDGE)
     queued = [rule for rule in seq if rule is not Rule.CWIS]
     slot = [queued.index(rule) if rule is not Rule.CWIS else -1 for rule in seq]
     attempts = [_resolve(rule) for rule in queued]

@@ -328,25 +328,120 @@ def test_basic_single_edge_subsumes_domination_and_extended_single_edge():
     assert len(fired) == 2 and min(fired.values()) >= 100, fired
 
 
-def test_only_best_perm_lets_the_subsumed_edge_rules_fire():
+def test_only_best_perm_lets_the_subsumed_edge_rules_fire(monkeypatch):
     # The scheduler re-queues both ends of an edge whenever anything the
     # edge rules read changes, so once basic single edge drains its queue
     # the two rules it subsumes find nothing.  Only best_perm queues
     # domination before it; without basic single edge both rules fire.
+    # exact_reduce does not even attempt a rule that basic single edge
+    # precedes: counting wrappers bound in the module namespace, where it
+    # reads the apply_* functions, see no call of it.
+    subsumed = {Rule.DOMINATION, Rule.EXTENDED_SINGLE_EDGE}
+    attempted = set()
+
+    def counting(rule, apply):
+        def wrapper(*args):
+            attempted.add(rule)
+            return apply(*args)
+        return wrapper
+
+    for rule in subsumed:
+        name = f"apply_{rule.value}"
+        monkeypatch.setattr(reductions, name, counting(rule, getattr(reductions, name)))
     rng = random.Random(1616)
     graphs = [random_graph(rng, rng.randint(5, 30), rng.choice([0.1, 0.3, 0.6]),
                            0, rng.choice([3, 20])) for _ in range(60)]
     graphs += [geometric_graph(rng, rng.randint(20, 60), 6) for _ in range(60)]
     orderings = [ordering_preset(name) for name in sorted(ORDERING_PRESETS)]
     orderings.append(ordering_preset("baseline").without(Rule.BASIC_SINGLE_EDGE))
-    subsumed = {Rule.DOMINATION, Rule.EXTENDED_SINGLE_EDGE}
-    seen = {}
+    seen, tried = {}, {}
     for ordering in orderings:
+        attempted.clear()
         seen[ordering.name] = {ev.rule for g in graphs
                                for ev in exact_reduce(g.copy(), ordering).events} & subsumed
-    assert seen == {"baseline": set(), "best_perm": {Rule.DOMINATION}, "time": set(),
-                    "time_weight": set(), "weight": set(),
-                    "baseline-without-basic_single_edge": subsumed}
+        tried[ordering.name] = set(attempted)
+    expected = {"baseline": set(), "best_perm": {Rule.DOMINATION}, "time": set(),
+                "time_weight": set(), "weight": set(),
+                "baseline-without-basic_single_edge": subsumed}
+    assert seen == expected
+    assert tried == expected
+
+
+def reduce_queuing_every_rule(g, ordering):
+    """exact_reduce as it was before it left the subsumed edge rules out:
+    every rule of the ordering gets a queue and is attempted."""
+    events = []
+    seq = ordering.sequence
+    queued = [rule for rule in seq if rule is not Rule.CWIS]
+    slot = [queued.index(rule) if rule is not Rule.CWIS else -1 for rule in seq]
+    attempts = [_resolve(rule) for rule in queued]
+    sched = reductions._Scheduler(g, len(queued))
+    alive = g.alive
+    i = 0
+    while i < len(seq):
+        s = slot[i]
+        fired = False
+        if s < 0:
+            if sched.cwis_pending:
+                sched.cwis_pending = False
+                fired = apply_cwis(g, events, sched.flow)
+        else:
+            queue, flags, attempt = sched.queues[s], sched.queued[s], attempts[s]
+            while queue:
+                c = queue.popleft()
+                flags[c] = 0
+                if alive[c] and attempt(g, c, events):
+                    fired = True
+                    break
+        if fired:
+            sched.mark_event(events[-1])
+            i = 0
+        else:
+            i += 1
+    return Kernel(g, events)
+
+
+def identity_test_graphs(rng):
+    """Random graphs of 0-60 vertices at mixed densities and conftest
+    geometric graphs, about a third of each with weights in 0-3 so that ties
+    are common."""
+    graphs = []
+    for _ in range(120):
+        whi = rng.choice([3, 30, 200])
+        graphs.append(random_graph(rng, rng.randint(0, 60),
+                                   rng.choice([0.03, 0.08, 0.15, 0.3, 0.6]), 0, whi))
+    for _ in range(90):
+        g = geometric_graph(rng, rng.randint(1, 60), rng.choice([3, 6, 10]))
+        if rng.random() < 1 / 3:
+            g = build_graph(g.edges(), [rng.randint(0, 3) for _ in range(g.n_original)])
+        graphs.append(g)
+    return graphs
+
+
+def test_exact_reduce_matches_the_loop_that_queues_every_rule():
+    # Leaving out the rules basic single edge subsumes must change no event
+    # and no kernel, under every preset and under an ordering without basic
+    # single edge, where both rules are queued and fire.
+    rng = random.Random(1717)
+    graphs = identity_test_graphs(rng)
+    orderings = [ordering_preset(name) for name in sorted(ORDERING_PRESETS)]
+    orderings.append(ordering_preset("baseline").without(Rule.BASIC_SINGLE_EDGE))
+    fired = {ordering.name: collections.Counter() for ordering in orderings}
+    for g in graphs:
+        for ordering in orderings:
+            ref, new = g.copy(), g.copy()
+            ref_events = reduce_queuing_every_rule(ref, ordering).events
+            new_events = exact_reduce(new, ordering).events
+            assert ([(ev.rule, ev.undo_ops, ev.offset_delta, ev.decided, ev.rebuild)
+                     for ev in new_events]
+                    == [(ev.rule, ev.undo_ops, ev.offset_delta, ev.decided, ev.rebuild)
+                        for ev in ref_events]), ordering.name
+            assert graph_state(new) == graph_state(ref), ordering.name
+            fired[ordering.name].update(ev.rule for ev in ref_events)
+    # The graphs reach the cases where the ordering matters.
+    assert fired["best_perm"][Rule.DOMINATION] >= 20
+    without = fired["baseline-without-basic_single_edge"]
+    assert min(without[Rule.DOMINATION], without[Rule.EXTENDED_SINGLE_EDGE]) >= 20
 
 
 # -- twin ----------------------------------------------------------------------------
@@ -639,6 +734,62 @@ def test_decided_in_is_independent_in_original():
         kernel = exact_reduce(g)
         decided = kernel.decided_in()
         assert is_independent(original, decided)
+
+
+def components(g):
+    """The live vertices of each connected component of g, sorted."""
+    seen, out = set(), []
+    for s in g.vertices():
+        if s in seen:
+            continue
+        comp, stack = {s}, [s]
+        while stack:
+            for u in g.adj[stack.pop()]:
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        out.append(sorted(comp))
+    return out
+
+
+def alpha_by_components(g):
+    """alpha_w(g) and an optimal set, by brute force on each component."""
+    alpha, best = 0, set()
+    for comp in components(g):
+        index = {v: i for i, v in enumerate(comp)}
+        sub = build_graph([(index[u], index[v]) for u in comp for v in g.adj[u] if u < v],
+                          [g.weight[v] for v in comp])
+        a, witness = brute_force(sub)
+        alpha += a
+        best.update(comp[i] for i in witness)
+    return alpha, best
+
+
+def test_master_identity_on_a_thousand_vertex_union_of_components():
+    # Rules never join two components, so every kernel component stays
+    # within the oracle's reach and alpha_w of the whole graph is known.
+    rng = random.Random(1919)
+    edges, weights = [], []
+    for _ in range(70):
+        k, base = rng.randint(8, 20), len(weights)
+        p, whi = rng.choice([0.15, 0.3, 0.5]), rng.choice([3, 200])
+        edges += [(base + u, base + v) for u in range(k) for v in range(u + 1, k)
+                  if rng.random() < p]
+        weights += [rng.randint(0, whi) for _ in range(k)]
+    original = build_graph(edges, weights)
+    alpha0 = alpha_by_components(original)[0]
+    kernel_sizes = []
+    for name in ORDERING_PRESETS:
+        g = original.copy()
+        kernel = exact_reduce(g, ordering_preset(name))
+        alpha_k, witness = alpha_by_components(g)
+        assert kernel.offset + alpha_k == alpha0, name
+        rebuilt = reconstruct(kernel, witness)
+        assert is_independent(original, rebuilt), name
+        assert set_weight(original, rebuilt) == alpha0, name
+        kernel_sizes.append(g.live_count)
+    assert original.live_count > 900 and min(kernel_sizes) > 100, kernel_sizes
 
 
 def test_reconstruct_rejects_dependent_solution():
