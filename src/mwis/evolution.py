@@ -104,7 +104,7 @@ def _greedy_degree_mwis(g: WeightedGraph) -> Individual:
             continue
         labeled[v] = True
         state.add(v)
-        for u in sorted(g.adj[v]):
+        for u in g.adj[v]:
             if not labeled[u]:
                 labeled[u] = True
                 for z in g.adj[u]:

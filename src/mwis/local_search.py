@@ -90,7 +90,7 @@ class SearchState:
         """Put v into the solution, evicting its solution neighbors."""
         if self.in_sol[v]:
             return
-        for u in sorted(self.g.adj[v]):
+        for u in self.g.adj[v]:
             if self.in_sol[u]:
                 self.drop(u)
         self.add(v)

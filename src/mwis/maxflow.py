@@ -133,7 +133,9 @@ class DoubleCoverFlow:
     no flow to repair, so its walk reaches the sink at once and
     push-relabel does the work.  That call then balances the flow
     (:meth:`_balance`), which keeps the searches of later warm calls
-    short.
+    short.  Push-relabel's labels, excess and buckets live only inside
+    its call, so between calls the object holds the flow, the two spare
+    sets and the stale vertices, and nothing else.
 
     Why new paths start or end at freed copies: after the first call the
     flow was maximum before the repair, so the residual network held no
@@ -152,8 +154,7 @@ class DoubleCoverFlow:
     so the result never rests on this argument.
     """
 
-    __slots__ = ("out", "into", "sent", "received", "spare_l", "spare_r", "stale",
-                 "label_l", "label_r", "excess")
+    __slots__ = ("out", "into", "sent", "received", "spare_l", "spare_r", "stale")
 
     def __init__(self):
         self.out: list[dict[int, int]] = []
@@ -163,11 +164,6 @@ class DoubleCoverFlow:
         self.spare_l: set[int] = set()
         self.spare_r: set[int] = set()
         self.stale: set[int] = set()
-        # Push-relabel state by vertex id, clear between calls: the labels
-        # of both copies (``_UNREACHED``) and the left copy's excess (0).
-        self.label_l: list[int] = []
-        self.label_r: list[int] = []
-        self.excess: list[int] = []
 
     def invalidate(self, vertices) -> None:
         """Mark vertices whose weight or own arcs changed since the last cut."""
@@ -197,9 +193,8 @@ class DoubleCoverFlow:
         ``out`` and ``into`` must mirror each other with positive entries
         on alive edges only, ``sent`` and ``received`` must equal the row
         sums, at most the weight, and ``spare_l`` and ``spare_r`` must
-        name exactly the alive copies below their weight, and the
-        push-relabel state must be clear.  Holds right after
-        :meth:`min_cut`.
+        name exactly the alive copies below their weight.  Holds right
+        after :meth:`min_cut`.
         """
         alive, weight = g.alive, g.weight
         for v in range(g.capacity):
@@ -222,8 +217,6 @@ class DoubleCoverFlow:
             want = {v for v in g.vertices() if used[v] < weight[v]}
             if spare != want:
                 raise AssertionError(f"{name} is off by {sorted(spare ^ want)}")
-        if any(self.excess) or {*self.label_l, *self.label_r} - {_UNREACHED}:
-            raise AssertionError("push-relabel left excess or labels behind")
 
     def _repair(self, g: WeightedGraph) -> tuple[set[int], set[int]]:
         """Drop the flow at stale vertices; return the freed left and right
@@ -238,9 +231,6 @@ class DoubleCoverFlow:
             into.append({})
             sent.append(0)
             received.append(0)
-            self.label_l.append(_UNREACHED)
-            self.label_r.append(_UNREACHED)
-            self.excess.append(0)
             if alive[v] and weight[v]:
                 spare_l.add(v)
                 spare_r.add(v)
@@ -432,10 +422,12 @@ class DoubleCoverFlow:
         because whatever takes either away passes through it and becomes
         a sender.
 
-        :meth:`_relabel_all` sets the labels exactly at the start and
-        again whenever relabelling has scanned half as many arcs as that
-        BFS did; labels only grow, and every round discharges a copy, so
-        the loop ends.  Excess at copies that the BFS finds out of reach
+        :meth:`_relabel_all` returns exact labels at the start and again
+        whenever relabelling has scanned half as many arcs as that BFS
+        did; labels only grow, and every round discharges a copy, so the
+        loop ends.  The labels, the excess and the buckets of active
+        copies by label are locals of the call, so it leaves nothing to
+        reset.  Excess at copies that the BFS finds out of reach
         of the sink goes back to the source at the end, which lowers
         ``sent`` and puts the copy in ``spare_l``.  Only these copies are
         left with spare source capacity, and right copies leave
@@ -443,8 +435,8 @@ class DoubleCoverFlow:
         """
         adj, weight = g.adj, g.weight
         out, into, sent, received = self.out, self.into, self.sent, self.received
-        label_l, label_r, excess = self.label_l, self.label_r, self.excess
         spare_r = self.spare_r
+        excess = [0] * g.capacity
         active = []
         for v in self.spare_l:
             e = weight[v] - sent[v]
@@ -469,15 +461,15 @@ class DoubleCoverFlow:
                 active.append(v)
         held: list[int] = []  # out of reach of the sink
         emptied: list[int] = []  # senders whose flow a pass cancelled
-        reached_l: list[int] = []
-        reached_r: list[int] = []
         while active:
-            budget = self._relabel_all(g, reached_l, reached_r) // 2
-            buckets: list[list[int]] = [[] for _ in range(len(reached_r) + 2)]
+            label_l, label_r, arcs = self._relabel_all(g)
+            budget = arcs // 2
+            top = max((label_l[v] >> 1 for v in active if label_l[v] != _UNREACHED),
+                      default=0)
+            buckets: list[list[int]] = [[] for _ in range(top + 1)]
             for v in active:
                 d = label_l[v]
                 (held if d == _UNREACHED else buckets[d >> 1]).append(v)
-            top = len(buckets) - 1
             while True:
                 while top and not buckets[top]:
                     top -= 1
@@ -538,31 +530,19 @@ class DoubleCoverFlow:
             active = [v for bucket in buckets[:top + 1] for v in bucket]
         for v in held:
             sent[v] -= excess[v]
-            excess[v] = 0
         self.spare_l = set(held)
-        for v in reached_l:
-            label_l[v] = _UNREACHED
-        for u in reached_r:
-            label_r[u] = _UNREACHED
 
-    def _relabel_all(self, g: WeightedGraph, reached_l: list[int],
-                     reached_r: list[int]) -> int:
+    def _relabel_all(self, g: WeightedGraph) -> tuple[list[int], list[int], int]:
         """Label every copy with its distance to the sink in the residual
-        network, by a BFS backward from ``spare_r``, or ``_UNREACHED``.
+        network, by a BFS backward from ``spare_r``.
 
-        ``reached_l`` and ``reached_r`` hold the copies the previous run
-        labelled, which are the only ones relabelling can have touched;
-        they are cleared and refilled, so no list is walked whole.  Returns
-        the number of arcs the BFS scanned.
+        Returns new lists ``label_l`` and ``label_r``, indexed by vertex
+        id, with ``_UNREACHED`` at the copies the BFS does not reach, and
+        the number of arcs it scanned.
         """
         adj, out = g.adj, self.out
-        label_l, label_r = self.label_l, self.label_r
-        for v in reached_l:
-            label_l[v] = _UNREACHED
-        for u in reached_r:
-            label_r[u] = _UNREACHED
-        reached_l.clear()
-        reached_r[:] = layer = list(self.spare_r)
+        label_l, label_r = [_UNREACHED] * len(adj), [_UNREACHED] * len(adj)
+        layer = list(self.spare_r)
         for u in layer:
             label_r[u] = 1
         arcs = 0
@@ -575,7 +555,6 @@ class DoubleCoverFlow:
                     if label_l[v] == _UNREACHED:
                         label_l[v] = depth + 1
                         lefts.append(v)
-            reached_l += lefts
             depth += 2
             layer = []
             for v in lefts:
@@ -584,8 +563,7 @@ class DoubleCoverFlow:
                     if label_r[u] == _UNREACHED:
                         label_r[u] = depth
                         layer.append(u)
-            reached_r += layer
-        return arcs
+        return label_l, label_r, arcs
 
     def _augment(self, path: list[int], weight: list[int]) -> None:
         """Push the bottleneck along s -> path -> t."""

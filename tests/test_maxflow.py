@@ -9,7 +9,7 @@ from collections import deque
 import pytest
 
 from mwis import build_graph, exact_reduce, is_independent, ordering_preset, reconstruct
-from mwis.maxflow import DoubleCoverFlow, FlowNetwork
+from mwis.maxflow import _UNREACHED, DoubleCoverFlow, FlowNetwork
 from mwis.reductions import (ReductionEvent, Rule, _add_edge, _new_vertex, _rm, _rm_edge,
                              _Scheduler, _set_w, _take, critical_set)
 from mwis.solver import _greedy_kernel_solution
@@ -504,11 +504,11 @@ def test_push_relabel_cuts_match_dinic_on_random_graphs():
     first = []
     counts = {"returned": 0, "relabelled_out": 0}
 
-    def noting_relabel_all(self, h, reached_l, reached_r):
-        arcs = relabel_all(self, h, reached_l, reached_r)
+    def noting_relabel_all(self, h):
+        label_l, label_r, arcs = relabel_all(self, h)
         if not first:
-            first.append(set(reached_l))
-        return arcs
+            first.append({v for v, d in enumerate(label_l) if d != _UNREACHED})
+        return label_l, label_r, arcs
 
     def noting_push_relabel(self, h):
         first.clear()

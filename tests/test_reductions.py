@@ -10,9 +10,9 @@ import random
 
 import pytest
 
-from mwis import (Kernel, ORDERING_PRESETS, Rule, brute_force, build_graph,
+from mwis import (Kernel, ORDERING_PRESETS, Rule, SolverConfig, brute_force, build_graph,
                   exact_reduce, is_independent, ordering_preset, reconstruct,
-                  run_ordering_experiment, set_weight, undo_event)
+                  run_ordering_experiment, set_weight, solve, undo_event, verify)
 from mwis.reductions import (ALL_RULES, ReductionEvent, ReductionOrdering,
                              _add_edge, _is_clique, _new_vertex, _rm, _set_w,
                              apply_basic_single_edge, apply_cwis,
@@ -790,6 +790,77 @@ def test_master_identity_on_a_thousand_vertex_union_of_components():
         assert set_weight(original, rebuilt) == alpha0, name
         kernel_sizes.append(g.live_count)
     assert original.live_count > 900 and min(kernel_sizes) > 100, kernel_sizes
+
+
+def two_colouring(g):
+    """The side, 0 or 1, of every live vertex of g; fails on an odd cycle."""
+    side = {}
+    for s in g.vertices():
+        if s in side:
+            continue
+        side[s], stack = 0, [s]
+        while stack:
+            v = stack.pop()
+            for u in g.adj[v]:
+                if u not in side:
+                    side[u] = 1 - side[v]
+                    stack.append(u)
+                assert side[u] != side[v], f"odd cycle through the edge {v}-{u}"
+    return side
+
+
+def koenig(g):
+    """alpha_w of a bipartite g and an optimal set: the total weight less a
+    minimum weight vertex cover, the min cut of source -> side 0 -> side 1
+    -> sink with uncapacitated edges (Koenig)."""
+    side, live = two_colouring(g), g.vertices()
+    s, t = g.capacity, g.capacity + 1
+    net = FlowNetwork(g.capacity + 2)
+    total = sum(g.weight[v] for v in live)
+    for v in live:
+        if side[v]:
+            net.add_edge(v, t, g.weight[v])
+        else:
+            net.add_edge(s, v, g.weight[v])
+            for u in g.adj[v]:
+                net.add_edge(v, u, total + 1)
+    cover = net.max_flow(s, t)
+    reached = net.min_cut_source_side(s)
+    return total - cover, {v for v in live if (v in reached) != side[v]}
+
+
+def test_master_identity_on_thousand_vertex_bipartite_graphs():
+    # Every rule keeps a bipartite graph bipartite: folds land on the side
+    # opposite the folded vertex, v-shape rewirings join only vertices of
+    # opposite sides, and a simplicial vertex has degree at most 1.  So
+    # Koenig gives alpha_w of every kernel through the flow engine.  The
+    # critical-set rule empties these graphs under every preset, so each
+    # preset also runs without it, which leaves kernels of about 450.
+    rng = random.Random(2718)
+    for trial in range(2):
+        half = 500
+        pairs = set()
+        while len(pairs) < 4 * half:
+            pairs.add((rng.randrange(half), half + rng.randrange(half)))
+        original = build_graph(sorted(pairs), [rng.randint(1, 100) for _ in range(2 * half)])
+        alpha0, best = koenig(original)
+        assert is_independent(original, best) and set_weight(original, best) == alpha0
+        for preset in ORDERING_PRESETS:
+            for ordering in (ordering_preset(preset), ordering_preset(preset).without(Rule.CWIS)):
+                g = original.copy()
+                kernel = exact_reduce(g, ordering)
+                alpha_k, witness = koenig(g)
+                name = (trial, ordering.name)
+                assert kernel.offset + alpha_k == alpha0, name
+                rebuilt = reconstruct(kernel, witness)
+                assert is_independent(original, rebuilt), name
+                assert set_weight(original, rebuilt) == alpha0, name
+    polls = []
+    config = SolverConfig(time_limit=60, seed=3, population_size=20, pool_size=4,
+                          unsuccessful_limit=20, ls_iterations=1000)
+    result = solve(original, config, should_stop=lambda: polls.append(1) or len(polls) > 3)
+    assert result.weight == alpha0
+    assert verify(original, sorted(result.solution)).ok
 
 
 def test_reconstruct_rejects_dependent_solution():
