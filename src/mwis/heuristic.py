@@ -1,9 +1,15 @@
 """Heuristic vertex forcing between exact-reduction rounds.
 
 When the exact rules stall, the population is mined for vertices likely
-to belong to a heavy solution; the top-rated ones are taken like any
+to belong to a heavy solution; the top-ranked ones are taken like any
 reduction take (banked, deleted with their closed neighborhoods and
 journaled as one event), which reopens the reduction space.
+
+Each strategy ranks vertices by one exact sort key (:func:`rate`), highest
+first, ties to the lower id: weight ``w(v)``, degree ``-deg(v)``, hybrid
+``w(v) - w(N(v))``, weight/degree with every isolated vertex (always safe
+to take) above every ratio ``w(v)/deg(v)``, and participation by positive
+weight, then the number of individuals holding the vertex, then weight.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .evolution import Population
 from .graph import WeightedGraph
@@ -19,10 +25,6 @@ from .reductions import ReductionEvent, _take
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
-
-# Rank placed above every finite weight/degree ratio (degree-0 vertices
-# are always safe to take).
-_INFINITE_RANK = Fraction(2**63)
 
 
 class SelectionStrategy(Enum):
@@ -33,46 +35,47 @@ class SelectionStrategy(Enum):
     SOLUTION_PARTICIPATION = "solution_participation"
 
 
-def _participation(count: int, w: int, pop: Population) -> Fraction:
-    """Participation ``count`` with ties broken toward heavier vertices; a
-    zero-weight vertex ranks below every positive-weight one."""
-    if w == 0:
-        return Fraction(count) - (len(pop.individuals) + 2)
-    return Fraction(count) - Fraction(1, w)
+def _key(kind: SelectionStrategy, g: WeightedGraph,
+         pop: Population) -> Callable[[int], object]:
+    """The sort key of ``kind``; participation counts the population once."""
+    w = g.weight
+    if kind is SelectionStrategy.WEIGHT:
+        return w.__getitem__
+    if kind is SelectionStrategy.DEGREE:
+        return lambda v: -g.degree(v)
+    if kind is SelectionStrategy.WEIGHT_OVER_DEGREE:
+        def ratio(v: int) -> tuple[bool, object]:
+            d = g.degree(v)
+            return (True, w[v]) if d == 0 else (False, Fraction(w[v], d))
+        return ratio
+    if kind is SelectionStrategy.HYBRID:
+        return lambda v: w[v] - g.neighborhood_weight(v)
+    if kind is SelectionStrategy.SOLUTION_PARTICIPATION:
+        counts = Counter(v for ind in pop.individuals for v in ind.members)
+        return lambda v: (w[v] > 0, counts[v], w[v])
+    raise ValueError(f"unknown strategy {kind}")
 
 
 def rate(kind: SelectionStrategy, g: WeightedGraph, pop: Population,
-         v: int) -> Fraction:
-    """Deterministic score of one vertex; selection always takes the argmax.
+         v: int) -> object:
+    """Sort key of one vertex under ``kind``; forcing takes the largest.
 
-    Degree scores are negated so smaller degrees rank higher; the
-    participation score breaks count ties by subtracting 1/w(v).
+    Keys compare exactly: ints for weight, degree (negated, so smaller
+    degrees rank higher) and hybrid; ``(isolated, w or w/deg)`` for
+    weight/degree, so an isolated vertex outranks every ratio; and
+    ``(w > 0, count, w)`` for participation.  Equal keys go to the lower id.
     """
-    if kind is SelectionStrategy.WEIGHT:
-        return Fraction(g.weight[v])
-    if kind is SelectionStrategy.DEGREE:
-        return Fraction(-g.degree(v))
-    if kind is SelectionStrategy.WEIGHT_OVER_DEGREE:
-        d = g.degree(v)
-        if d == 0:
-            return _INFINITE_RANK + g.weight[v]
-        return Fraction(g.weight[v], d)
-    if kind is SelectionStrategy.HYBRID:
-        return Fraction(g.weight[v] - g.neighborhood_weight(v))
-    if kind is SelectionStrategy.SOLUTION_PARTICIPATION:
-        count = sum(1 for ind in pop.individuals if v in ind.members)
-        return _participation(count, g.weight[v], pop)
-    raise ValueError(f"unknown strategy {kind}")
+    return _key(kind, g, pop)(v)
 
 
 def heuristic_reduce(g: WeightedGraph, pop: Population, config: SolverConfig,
                      events: list[ReductionEvent]) -> set[int]:
-    """Force the top-rated vertices into the solution; return them.
+    """Force the top-ranked vertices into the solution; return them.
 
     Reads ``config.selection`` and ``config.selection_fraction``.  The
-    first four strategies rate only the fittest individual's vertices and
+    first four strategies rank only the fittest individual's vertices and
     force the top fraction of them (one vertex when the fraction is None),
-    so any forced subset is pairwise non-adjacent; participation rates the
+    so any forced subset is pairwise non-adjacent; participation ranks the
     whole graph and forces a single vertex.  The forced set is one take: an
     event (rule None) appended to ``events`` banks its weight in ``g``.
     """
@@ -82,22 +85,15 @@ def heuristic_reduce(g: WeightedGraph, pop: Population, config: SolverConfig,
     if kind is SelectionStrategy.SOLUTION_PARTICIPATION:
         candidates = g.vertices()
         take = 1
-        # One pass over the population instead of one per candidate.
-        counts = Counter(v for ind in pop.individuals for v in ind.members)
-
-        def score(v: int) -> Fraction:
-            return _participation(counts[v], g.weight[v], pop)
     else:
         candidates = sorted(pop.best().members)
         if fraction is None:
             take = 1
         else:
             take = max(1, int(fraction * len(candidates)))
-
-        def score(v: int) -> Fraction:
-            return rate(kind, g, pop, v)
-
-    ranked = sorted(candidates, key=lambda v: (-score(v), v))
+    # Candidates come in ascending id order and a reversed sort is stable,
+    # so equal keys keep the lower id first.
+    ranked = sorted(candidates, key=_key(kind, g, pop), reverse=True)
     forced = set(ranked[:take])
     _take(g, None, forced, events)
     return forced

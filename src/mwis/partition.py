@@ -159,47 +159,51 @@ def _refine(g: WeightedGraph, block_of: list[int], sizes: list[int],
     Moves respect the size cap; swaps keep sizes unchanged, which matters
     at epsilon=0 where every block is full.  The swap phase tries every
     pair of boundary vertices in two different blocks, in id order, and
-    takes each pair whose trade shrinks the cut.  It reads per-block
-    neighbor counts of the boundary vertices, built once per pass and
-    updated on every swap, so one pair test costs constant time.
+    takes each pair whose trade shrinks the cut.  Both phases read one
+    table of per-block neighbor counts, built once and updated on every
+    move and swap, so one move or pair test costs O(k) or constant time.
     """
+    adj = g.adj
+    counts = [[0] * k for _ in block_of]
+    for v, b in enumerate(block_of):
+        for u in adj[v]:
+            counts[u][b] += 1
+
+    def relabel(x: int, old: int, new: int) -> None:
+        block_of[x] = new
+        for z in adj[x]:
+            cz = counts[z]
+            cz[old] -= 1
+            cz[new] += 1
+
     for _ in range(passes):
         moved = False
         for v, b in enumerate(block_of):
-            counts: dict[int, int] = {}
-            for u in g.adj[v]:
-                bu = block_of[u]
-                counts[bu] = counts.get(bu, 0) + 1
-            here = counts.get(b, 0)
+            cv = counts[v]
+            here = cv[b]
             best_gain, target = 0, None
             for t in range(k):
                 if t == b or sizes[t] >= cap:
                     continue
-                gain = counts.get(t, 0) - here
+                gain = cv[t] - here
                 if gain > best_gain:
                     best_gain, target = gain, t
             if target is not None and sizes[b] > 1:
-                block_of[v] = target
+                relabel(v, b, target)
                 sizes[b] -= 1
                 sizes[target] += 1
                 moved = True
 
-        boundary = [v for v, b in enumerate(block_of)
-                    if any(block_of[u] != b for u in g.adj[v])]
-        nbr_counts: dict[int, list[int]] = {}
-        for x in boundary:
-            cx = nbr_counts[x] = [0] * k
-            for z in g.adj[x]:
-                cx[block_of[z]] += 1
+        boundary = [v for v, b in enumerate(block_of) if counts[v][b] < len(adj[v])]
         for i, u in enumerate(boundary):
             bu = block_of[u]
-            cu = nbr_counts[u]
-            adj_u = g.adj[u]
+            cu = counts[u]
+            adj_u = adj[u]
             for v in boundary[i + 1:]:
                 bv = block_of[v]
                 if bu == bv:
                     continue
-                cv = nbr_counts[v]
+                cv = counts[v]
                 # Change in the cut when u and v trade blocks.  The counts
                 # alone would score an edge u-v as healed at both ends, but
                 # it stays cut.
@@ -207,13 +211,8 @@ def _refine(g: WeightedGraph, block_of: list[int], sizes: list[int],
                 if v in adj_u:
                     delta += 2
                 if delta < 0:
-                    block_of[u], block_of[v] = bv, bu
-                    for x, old, new in ((u, bu, bv), (v, bv, bu)):
-                        for z in g.adj[x]:
-                            cz = nbr_counts.get(z)
-                            if cz is not None:
-                                cz[old] -= 1
-                                cz[new] += 1
+                    relabel(u, bu, bv)
+                    relabel(v, bv, bu)
                     bu = bv
                     moved = True
         if not moved:

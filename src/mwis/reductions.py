@@ -570,7 +570,6 @@ class _Scheduler:
         start = g.vertices()
         self.queues: list[deque[int]] = [deque(start) for _ in range(rules)]
         self.queued: list[bytearray] = [bytearray(g.alive) for _ in range(rules)]
-        self.cwis_pending = True
         self.flow = DoubleCoverFlow()
 
     def mark_event(self, ev: ReductionEvent) -> None:
@@ -590,7 +589,6 @@ class _Scheduler:
             for v in new:
                 flags[v] = 1
             queue.extend(new)
-        self.cwis_pending = True
 
 
 def _try_edge_rule(g, c, events, attempt) -> bool:
@@ -670,7 +668,9 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
 
     Each rule drains its dirty-candidate queue; after any firing the rule
     cursor restarts at the front of the ordering (queues keep their state).
-    Terminates when no rule fires on any pending candidate.
+    CWIS has no queue: it runs whenever the cursor reaches it, which after
+    the first pass happens only after a firing.  Terminates when no rule
+    fires on any pending candidate.
 
     Domination and extended single edge are not queued when basic single
     edge comes before them in the ordering: it subsumes both, so behind it
@@ -699,9 +699,7 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
         s = slot[i]
         fired = False
         if s < 0:
-            if sched.cwis_pending:
-                sched.cwis_pending = False
-                fired = apply_cwis(g, events, sched.flow)
+            fired = apply_cwis(g, events, sched.flow)
         else:
             queue, flags, attempt = sched.queues[s], sched.queued[s], attempts[s]
             while queue:

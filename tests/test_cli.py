@@ -1,11 +1,12 @@
 import argparse
 import dataclasses
 import json
+import os
 
 import pytest
 
 from mwis import ORDERING_PRESETS, SolverConfig
-from mwis.cli import _SELECTION_FLAGS, _build_parser, main
+from mwis.cli import _SELECTION_FLAGS, _build_parser, _write_atomic, main
 from mwis.oracle import OracleLimits
 
 P3 = "3 2 10\n5 2\n1 1 3\n5 2\n"
@@ -122,6 +123,22 @@ def test_exact_subcommand(instance, capsys):
     assert rc == 0
     record = json.loads(capsys.readouterr().out)
     assert record["alpha_w"] == 10
+
+
+def test_exact_exhausted_node_budget_exits_2(instance, capsys):
+    assert main(["exact", str(instance), "--node-budget", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: node budget 1 exhausted\n"
+
+
+def test_write_atomic_removes_its_temporary_file_when_replace_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        _write_atomic(tmp_path / "out.sol", "0\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ordering_bench_row_counts(instance, capsys):

@@ -28,11 +28,15 @@ def test_rate_hybrid_formula():
 
 
 def test_rate_participation_formula():
-    g = build_graph([], [4, 1])
-    inds = [make_individual(g, {0, 1})] * 200 + [make_individual(g, {1})] * 50
-    pop = Population(list(inds))
-    score = rate(SelectionStrategy.SOLUTION_PARTICIPATION, g, pop, 0)
-    assert score == Fraction(200) - Fraction(1, 4)
+    # Count dominates weight, equal counts go to the heavier vertex, and a
+    # zero-weight vertex ranks below every positive-weight one.
+    g = build_graph([], [1, 100, 4, 0])
+    pop = Population([make_individual(g, {0, 1, 2, 3})] * 3
+                     + [make_individual(g, {0, 2, 3})] * 2)
+    score = [rate(SelectionStrategy.SOLUTION_PARTICIPATION, g, pop, v) for v in range(4)]
+    assert score[0] > score[1]  # five appearances against three
+    assert score[0] < score[2]  # five each, weight 1 against 4
+    assert score[3] < score[1]  # five appearances at weight 0, three at 100
 
 
 def test_rate_weight_argmax():
@@ -52,9 +56,79 @@ def test_rate_degree_is_negated():
 def test_rate_weight_over_degree_handles_isolated():
     g = build_graph([(0, 1)], [6, 3, 2])
     pop = Population([make_individual(g, {0, 2})])
-    assert rate(SelectionStrategy.WEIGHT_OVER_DEGREE, g, pop, 0) == Fraction(6, 1)
-    isolated = rate(SelectionStrategy.WEIGHT_OVER_DEGREE, g, pop, 2)
-    assert isolated > Fraction(10**9)
+    isolated, six, three = (rate(SelectionStrategy.WEIGHT_OVER_DEGREE, g, pop, v)
+                            for v in (2, 0, 1))
+    assert isolated > six > three
+
+
+def test_weight_over_degree_forces_an_isolated_vertex_above_any_ratio():
+    # Vertex 0's ratio is 2**64, yet the isolated vertex 2 still ranks first.
+    g = build_graph([(0, 1)], [2**64, 1, 1])
+    pop = Population([make_individual(g, {0, 2})])
+    forced = heuristic_reduce(
+        g, pop, SolverConfig(selection=SelectionStrategy.WEIGHT_OVER_DEGREE), [])
+    assert forced == {2}
+
+
+def parent_ranking(g, pop, kind):
+    """Candidates in the order the Fraction scores ranked them before the
+    sort keys: a verbatim copy of that scoring, with 2**63 as the rank of an
+    isolated vertex."""
+    infinite_rank = Fraction(2**63)
+
+    def participation(count, w):
+        if w == 0:
+            return Fraction(count) - (len(pop.individuals) + 2)
+        return Fraction(count) - Fraction(1, w)
+
+    def score(v):
+        if kind is SelectionStrategy.WEIGHT:
+            return Fraction(g.weight[v])
+        if kind is SelectionStrategy.DEGREE:
+            return Fraction(-g.degree(v))
+        if kind is SelectionStrategy.WEIGHT_OVER_DEGREE:
+            d = g.degree(v)
+            if d == 0:
+                return infinite_rank + g.weight[v]
+            return Fraction(g.weight[v], d)
+        if kind is SelectionStrategy.HYBRID:
+            return Fraction(g.weight[v] - g.neighborhood_weight(v))
+        count = sum(1 for ind in pop.individuals if v in ind.members)
+        return participation(count, g.weight[v])
+
+    if kind is SelectionStrategy.SOLUTION_PARTICIPATION:
+        candidates = g.vertices()
+    else:
+        candidates = sorted(pop.best().members)
+    return sorted(candidates, key=lambda v: (-score(v), v))
+
+
+def random_independent_set(g, rng):
+    chosen = set()
+    for v in rng.sample(g.vertices(), g.live_count):
+        if (not chosen or rng.random() < 0.8) and not chosen & set(g.adj[v]):
+            chosen.add(v)
+    return chosen
+
+
+def test_sort_keys_force_what_the_fraction_scores_forced():
+    rng = random.Random(1919)
+    for case in range(2000):
+        whi = rng.choice([1, 3, 3, 300])
+        g = random_graph(rng, rng.randint(1, 30), rng.choice([0.05, 0.15, 0.4]), 0, whi)
+        pop = Population([make_individual(g, random_independent_set(g, rng))
+                          for _ in range(rng.randint(1, 6))])
+        for kind in SelectionStrategy:
+            ranked = parent_ranking(g, pop, kind)
+            keyed = sorted(sorted(ranked), key=lambda v: rate(kind, g, pop, v), reverse=True)
+            assert keyed == ranked, (case, kind)
+            participation = kind is SelectionStrategy.SOLUTION_PARTICIPATION
+            for fraction in (None, 0.1, 0.5, 1.0):
+                take = 1 if fraction is None or participation else \
+                    max(1, int(fraction * len(ranked)))
+                forced = heuristic_reduce(g.copy(), pop, SolverConfig(
+                    selection=kind, selection_fraction=fraction), [])
+                assert forced == set(ranked[:take]), (case, kind, fraction)
 
 
 def test_weight_selection_forces_heaviest():

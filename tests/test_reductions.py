@@ -369,7 +369,10 @@ def test_only_best_perm_lets_the_subsumed_edge_rules_fire(monkeypatch):
 
 def reduce_queuing_every_rule(g, ordering):
     """exact_reduce as it was before it left the subsumed edge rules out:
-    every rule of the ordering gets a queue and is attempted."""
+    every rule of the ordering gets a queue and is attempted.  CWIS runs only
+    while a flag is up that every firing raises, as the scheduler once
+    kept it; the cursor reaches CWIS again only after a firing, so the flag
+    never holds it back."""
     events = []
     seq = ordering.sequence
     queued = [rule for rule in seq if rule is not Rule.CWIS]
@@ -377,13 +380,14 @@ def reduce_queuing_every_rule(g, ordering):
     attempts = [_resolve(rule) for rule in queued]
     sched = reductions._Scheduler(g, len(queued))
     alive = g.alive
+    pending = True
     i = 0
     while i < len(seq):
         s = slot[i]
         fired = False
         if s < 0:
-            if sched.cwis_pending:
-                sched.cwis_pending = False
+            if pending:
+                pending = False
                 fired = apply_cwis(g, events, sched.flow)
         else:
             queue, flags, attempt = sched.queues[s], sched.queued[s], attempts[s]
@@ -395,6 +399,7 @@ def reduce_queuing_every_rule(g, ordering):
                     break
         if fired:
             sched.mark_event(events[-1])
+            pending = True
             i = 0
         else:
             i += 1
@@ -861,6 +866,67 @@ def test_master_identity_on_thousand_vertex_bipartite_graphs():
     result = solve(original, config, should_stop=lambda: polls.append(1) or len(polls) > 3)
     assert result.weight == alpha0
     assert verify(original, sorted(result.solution)).ok
+
+
+def random_forest(rng, n, trees):
+    """A forest of ``trees`` random recursive trees on n vertices in all,
+    weights 0-100; each vertex hangs from an earlier one of its tree."""
+    cuts = sorted(rng.sample(range(1, n), trees - 1))
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        edges += [(rng.randrange(lo, v), v) for v in range(lo + 1, hi)]
+    return build_graph(edges, [rng.randint(0, 100) for _ in range(n)])
+
+
+def forest_alpha(g):
+    """alpha_w of a forest by the tree DP: in[v] = w(v) + sum out[c] and
+    out[v] = sum max(in[c], out[c]) over v's children c."""
+    take, skip, seen, alpha = list(g.weight), [0] * g.capacity, set(), 0
+    for root in g.vertices():
+        if root in seen:
+            continue
+        order, parent = [root], {root: None}
+        seen.add(root)
+        for v in order:
+            for u in g.adj[v]:
+                if u != parent[v]:
+                    assert u not in seen, f"cycle through {u}"
+                    seen.add(u)
+                    parent[u] = v
+                    order.append(u)
+        for v in reversed(order):
+            p = parent[v]
+            if p is not None:
+                take[p] += skip[v]
+                skip[p] += max(take[v], skip[v])
+        alpha += max(take[root], skip[root])
+    return alpha
+
+
+def test_master_identity_on_ten_thousand_vertex_forests():
+    # The rules empty a forest, so the offset alone is alpha_w and the
+    # reconstruction of the empty kernel solution must reach it.
+    rng = random.Random(1010)
+    for _ in range(20):
+        small = random_forest(rng, 24, 3)
+        assert forest_alpha(small) == brute_force(small)[0]
+    original = random_forest(rng, 10_000, 40)
+    alpha0 = forest_alpha(original)
+    for preset in ORDERING_PRESETS:
+        g = original.copy()
+        kernel = exact_reduce(g, ordering_preset(preset))
+        assert g.live_count == 0, preset
+        assert kernel.offset == alpha0, preset
+        rebuilt = reconstruct(kernel, set())
+        assert is_independent(original, rebuilt), preset
+        assert set_weight(original, rebuilt) == alpha0, preset
+    small = random_forest(rng, 2_000, 8)
+    polls = []
+    config = SolverConfig(time_limit=60, seed=5, population_size=20, pool_size=4,
+                          unsuccessful_limit=20, ls_iterations=1000)
+    result = solve(small, config, should_stop=lambda: polls.append(1) or len(polls) > 3)
+    assert result.weight == forest_alpha(small)
+    assert verify(small, sorted(result.solution)).ok
 
 
 def test_reconstruct_rejects_dependent_solution():
