@@ -6,15 +6,17 @@ Two solver stages need them.  The edge-separator combine repair
 reduction runs many times on one slowly shrinking kernel, so
 :class:`DoubleCoverFlow` keeps its flow on the bipartite double cover
 between calls and reads the arcs straight from the graph's adjacency
-instead of building a network.  Each call repairs the flow at the
-vertices whose own arcs or weight changed, re-augments from the copies
-the repair freed (every new augmenting path starts or ends at one) with
-searches that run from both ends at once, and then proves the flow
+instead of building a network.  The first call starts from a greedy
+flow that every edge carries the same both ways; each later call
+repairs the kept flow at the vertices whose own arcs or weight changed.
+Either way the call then augments from the copies that this start
+leaves with spare capacity (every augmenting path starts or ends at one)
+with searches that run from both ends at once, and proves the flow
 maximum with one forward walk from the source, which also yields the
-cut; only when that walk reaches the sink, as on the first call, does
-push-relabel run.  It keeps the copies with spare capacity, so a warm
-call works in proportion to what changed, never to the graph's size.
-Capacities are plain Python ints, so weights never overflow.
+cut; only when that walk reaches the sink does push-relabel run.  It
+keeps the copies with spare capacity, so a warm call works in proportion
+to what changed, never to the graph's size.  Capacities are plain Python
+ints, so weights never overflow.
 """
 
 from __future__ import annotations
@@ -112,7 +114,10 @@ class DoubleCoverFlow:
        along unchanged edges between unchanged vertices and still respects
        every capacity, so it is a feasible flow.  The repair notes the
        copies it freed: L_x and R_x of each stale x, the left copies whose
-       ``sent`` and the right copies whose ``received`` it lowered.
+       ``sent`` and the right copies whose ``received`` it lowered.  The
+       first call has no flow to repair; it fills the zero flow greedily
+       instead (:meth:`_greedy`), and the copies that fill leaves with
+       spare capacity count as freed.
     2. Targeted re-augmentation: from each freed left copy with spare
        source capacity, and into each freed right copy with spare sink
        capacity, search an augmenting path and push it, until neither
@@ -129,16 +134,21 @@ class DoubleCoverFlow:
        check runs again.
 
     No step of a warm call scans the whole graph, and after a warm
-    re-augmentation the check almost always passes.  The first call has
-    no flow to repair, so its walk reaches the sink at once and
-    push-relabel does the work.  That call then balances the flow
-    (:meth:`_balance`), which keeps the searches of later warm calls
-    short.  Push-relabel's labels, excess and buckets live only inside
-    its call, so between calls the object holds the flow, the two spare
-    sets and the stale vertices, and nothing else.
+    re-augmentation the check almost always passes.  The first call's
+    greedy fill leaves spare capacity only at an independent set of
+    vertices.  On paths, stars, random bipartite graphs and road-like
+    graphs alike the searches from those finish the flow, and the check
+    passes at once; push-relabel stays as the fallback for when it does
+    not.  That call then balances the flow (:meth:`_balance`), which
+    keeps the searches of later warm calls short.  Push-relabel's labels, excess and
+    buckets live only inside its call, so between calls the object holds
+    the flow, the two spare sets and the stale vertices, and nothing
+    else.
 
-    Why new paths start or end at freed copies: after the first call the
-    flow was maximum before the repair, so the residual network held no
+    Why new paths start or end at freed copies: on the first call every
+    copy with spare capacity is freed, and every augmenting path starts
+    at a left one and ends at a right one.  After the first call the flow
+    was maximum before the repair, so the residual network held no
     s-t path.  Arcs between unchanged copies are as they were, less the
     back arcs of the dropped flow, and losing arcs only removes paths; so
     a removed vertex's neighbours keep their other arcs and need no
@@ -175,16 +185,19 @@ class DoubleCoverFlow:
         Returns the vertices whose left copy lies on the source side of
         the minimal minimum cut (the copies reachable from the source in
         the residual network) while their right copy does not.  The first
-        call balances its maximum flow (:meth:`_balance`) for the warm
-        calls after it.
+        call starts from the greedy symmetric flow (:meth:`_greedy`)
+        rather than from a repaired one, and balances its maximum flow
+        (:meth:`_balance`) for the warm calls after it.
         """
         cold = not self.sent
-        self._reaugment(g, *self._repair(g))
+        roots = self._repair(g)
+        if cold:
+            roots = self._greedy(g)
+        self._reaugment(g, *roots)
         while (cut := self._source_side(g)) is None:
             self._push_relabel(g)
-            if cold:
-                self._balance(g)
-                cold = False
+        if cold:
+            self._balance(g)
         return cut
 
     def audit(self, g: WeightedGraph) -> None:
@@ -257,6 +270,42 @@ class DoubleCoverFlow:
         self.stale = set()
         return lefts, rights
 
+    def _greedy(self, g: WeightedGraph) -> tuple[list[int], list[int]]:
+        """Fill the zero flow symmetrically; return the copies with spare
+        capacity, as the roots of the first re-augmentation.
+
+        Each edge {v, u}, taken once from its lower end v in ascending id
+        order, carries the smaller spare room of v and u on L_v -> R_u and
+        on L_u -> R_v.  Every copy then carries as much as its twin, so a
+        vertex's spare room is the same on both sides, and at least one
+        end of every edge has none left: the copies with spare capacity
+        belong to an independent set of vertices.
+        """
+        adj, weight = g.adj, g.weight
+        out, into, sent, received = self.out, self.into, self.sent, self.received
+        live = g.vertices()
+        for v in live:
+            room = weight[v] - sent[v]
+            if not room:
+                continue
+            for u in adj[v]:
+                if u < v:
+                    continue
+                f = weight[u] - sent[u]
+                if not f:
+                    continue
+                if f > room:
+                    f = room
+                out[v][u] = into[u][v] = out[u][v] = into[v][u] = f
+                sent[u] = received[u] = sent[u] + f
+                room -= f
+                if not room:
+                    break
+            sent[v] = received[v] = weight[v] - room
+        spare = [v for v in live if sent[v] < weight[v]]
+        self.spare_l, self.spare_r = set(spare), set(spare)
+        return spare, spare
+
     def _balance(self, g: WeightedGraph) -> None:
         """Make the flow on every edge the same both ways, keeping its value.
 
@@ -275,7 +324,7 @@ class DoubleCoverFlow:
         of the same vertices, by the same amounts, and each vertex mostly
         refills its own right copy through a triangle.  Removing a closed
         neighbourhood from 350-vertex road-like graphs, the warm call then
-        read a tenth of the neighbour sets it read from the unbalanced
+        read a tenth of the neighbour sets it read from an unbalanced
         push-relabel flow.
         """
         out, into, sent, received = self.out, self.into, self.sent, self.received

@@ -440,7 +440,9 @@ def critical_set(g: WeightedGraph,
     is independent by the closure constraints.
 
     ``flow`` carries a maximum flow over from an earlier call on the same
-    graph; without it the flow starts from zero.  Every vertex whose weight
+    graph; without it, or on its first call, the flow starts from a
+    greedy one that every edge carries the same both ways
+    (:meth:`DoubleCoverFlow.min_cut`).  Every vertex whose weight
     or own arcs changed since that call must have been passed to
     ``flow.invalidate``: removed, reweighted and appended vertices and one
     end of every added or removed edge (:meth:`ReductionEvent.changed`).

@@ -13,7 +13,7 @@ from mwis.maxflow import _UNREACHED, DoubleCoverFlow, FlowNetwork
 from mwis.reductions import (ReductionEvent, Rule, _add_edge, _new_vertex, _rm, _rm_edge,
                              _Scheduler, _set_w, _take, critical_set)
 from mwis.solver import _greedy_kernel_solution
-from conftest import geometric_graph, random_graph
+from conftest import geometric_graph, path, random_graph
 
 
 class DinicNetwork:
@@ -160,8 +160,10 @@ def dinic_blocking_flow(flow, g, lev_l, lev_r, t_level):
 
 
 def dinic_min_cut(g):
-    """The critical set by Dinic phases from the zero flow, as
-    ``DoubleCoverFlow.min_cut`` found it before it ran push-relabel."""
+    """The critical set by Dinic phases from the zero flow: a reference
+    that shares only ``_repair`` and ``_augment`` with
+    ``DoubleCoverFlow.min_cut``, which starts from a greedy symmetric flow
+    and augments by bidirectional searches and push-relabel."""
     flow = DoubleCoverFlow()
     flow._repair(g)
     while True:
@@ -250,8 +252,9 @@ def test_audit_catches_a_broken_flow():
 
 def test_warm_flow_ends_most_calls_after_one_search():
     # The targeted re-augmentation leaves a maximum flow, so the check
-    # mostly runs its one forward walk only to prove it: 134 walks for 133
-    # calls here, two of them in the cold call around push-relabel.
+    # mostly runs its one forward walk only to prove it: 133 walks for 133
+    # calls here, the cold call's among them, since its searches from the
+    # greedy start finish the flow without push-relabel.
     g = geometric_graph(random.Random(1), 200, 8)
     counts = {"min_cut": 0, "walks": 0}
     min_cut, source_side = DoubleCoverFlow.min_cut, DoubleCoverFlow._source_side
@@ -289,10 +292,11 @@ class CountingList(list):
 
 def test_warm_flow_searches_stay_local():
     # Re-augmentation works where the event changed the graph: on the graph
-    # of the test above, its searches read 10.1 neighbour sets of g.adj per
-    # min_cut (11.6 when both ends of each added or removed edge are
-    # invalidated).  Invalidating every neighbour of a removed vertex raises
-    # that to 24.2, a one-ended search to 17.4, and the two together to 30.5.
+    # of the test above, its searches read 11.9 neighbour sets of g.adj per
+    # min_cut: 8.8 in the warm calls, and 3.0 in the one cold call's
+    # searches from its greedy start.  Invalidating both ends of each added
+    # or removed edge, every neighbour of a removed vertex, or searching
+    # from one end only makes the warm calls read 20%, 152% and 90% more.
     g = geometric_graph(random.Random(1), 200, 8)
     counts = {"min_cut": 0, "adj": 0}
     min_cut, search = DoubleCoverFlow.min_cut, DoubleCoverFlow._search
@@ -324,8 +328,8 @@ def test_warm_cut_after_a_many_root_take():
     # Forcing takes up to 25 pairwise non-adjacent vertices in one event,
     # here ranked as the hybrid strategy ranks them: hundreds of copies are
     # freed at once.  The warm cut must equal the cold one, without a
-    # push-relabel run, and the searches read 5.2 neighbour sets of g.adj
-    # per freed copy (7.0 with a one-ended search).
+    # push-relabel run, and the searches read 3.0 neighbour sets of g.adj
+    # per freed copy (a one-ended search reads 19% more).
     rng = random.Random(1500)
     counts = {"freed": 0, "adj": 0, "push_relabel": 0}
     repair, search = DoubleCoverFlow._repair, DoubleCoverFlow._search
@@ -409,8 +413,8 @@ def test_warm_and_cold_flows_agree_under_every_undo_op():
     # exactly what the reduce loop passes (ReductionEvent.changed).  New
     # augmenting paths start or end at the copies that invalidation frees,
     # so re-augmentation mostly leaves a maximum flow and push-relabel runs
-    # after 29 of the 480 warm calls; when added edges are not invalidated,
-    # after 52.
+    # after 30 of the 480 warm calls; when added edges are not invalidated,
+    # after 54.
     rng = random.Random(4242)
     kinds = ("rm", "raise", "cut", "ea", "er", "nv")
     seen = set()
@@ -491,11 +495,12 @@ def test_warm_cut_reads_only_the_copies_it_reaches():
 
 
 def test_push_relabel_cuts_match_dinic_on_random_graphs():
-    # 1000 small graphs whose weights are often 0, 1 or tied, each cut cold
-    # and then warm after three vertex removals: the minimal minimum cut is
-    # unique, so every cut must equal the Dinic one.  The cold flow is
-    # balanced: an edge carries the same both ways, give or take one unit,
-    # and audit() sees every copy within its weight.  Excess that cannot
+    # 1000 small graphs whose weights are often 0, 1 or tied, each cut by
+    # push-relabel from the zero flow, then balanced as a cold call balances
+    # its flow, and then cut warm after three vertex removals: the minimal
+    # minimum cut is unique, so every cut must equal the Dinic one.  The
+    # balanced flow carries the same both ways on every edge, give or take
+    # one unit, and audit() sees every copy within its weight.  Excess that cannot
     # reach the sink goes back to the source and leaves its copy in
     # spare_l; a copy the first global relabelling reached that ends there
     # was put out of reach by a later one.
@@ -528,6 +533,9 @@ def test_push_relabel_cuts_match_dinic_on_random_graphs():
             g = build_graph([(u, v) for u in range(n) for v in range(u + 1, n)
                              if rng.random() < p], weights)
             flow = DoubleCoverFlow()
+            flow._repair(g)
+            flow._push_relabel(g)
+            flow._balance(g)
             for step in range(4):
                 if step:
                     live = g.vertices()
@@ -545,11 +553,14 @@ def test_push_relabel_cuts_match_dinic_on_random_graphs():
 
 
 def test_push_relabel_moves_when_the_relabelling_scans_one_arc():
-    # After the first pass only R4 has room, and the backward BFS scans one
-    # arc to L2, so relabelling may do no work before the next one; every
-    # round must still discharge a copy, or the call never ends.
+    # From the zero flow, after the first pass only R4 has room, and the
+    # backward BFS scans one arc to L2, so relabelling may do no work before
+    # the next one; every round must still discharge a copy, or the call
+    # never ends.  A cold min_cut would not run push-relabel here.
     g = build_graph([(0, 1), (0, 3), (1, 3), (2, 3), (2, 4)], [96, 138, 5, 136, 161])
     flow = DoubleCoverFlow()
+    flow._repair(g)
+    flow._push_relabel(g)
     assert flow.min_cut(g) == dinic_min_cut(g) == {4}
     flow.audit(g)
 
@@ -571,3 +582,41 @@ def test_medium_kernel_has_an_empty_critical_set_and_rebuilds():
     assert is_independent(original, rebuilt)
     assert (sum(original.weight[v] for v in rebuilt)
             == kernel.offset + sum(g.weight[v] for v in chosen))
+
+
+def test_cold_cut_from_the_greedy_start_needs_no_push_relabel():
+    # The first min_cut fills the zero flow greedily and symmetrically and
+    # finishes it with the warm calls' searches.  On a long weighted path,
+    # a random bipartite graph, a star whose centre outweighs its leaves and
+    # road-like graphs the check then passes at once, and the cut equals the
+    # Dinic one, the flow passes audit() and ends balanced for the warm
+    # calls.  From the zero flow, push-relabel took 5.7 s on a 5000-vertex
+    # weighted path.
+    rng = random.Random(2020)
+    n = 5000
+    half = 300
+    bipartite = {(rng.randrange(half), half + rng.randrange(half)) for _ in range(4 * half)}
+    leaves = [rng.randint(1, 100) for _ in range(59)]
+    graphs = [
+        path([rng.randint(1, 100) for _ in range(n)]),
+        build_graph(sorted(bipartite), [rng.randint(1, 100) for _ in range(2 * half)]),
+        build_graph([(0, v) for v in range(1, 60)], [sum(leaves) + 1] + leaves),
+    ]
+    graphs += [geometric_graph(rng, 300, 8) for _ in range(4)]
+    calls = []
+    push_relabel = DoubleCoverFlow._push_relabel
+
+    def counted_push_relabel(self, *args):
+        calls.append(1)
+        return push_relabel(self, *args)
+
+    for g in graphs:
+        flow = DoubleCoverFlow()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DoubleCoverFlow, "_push_relabel", counted_push_relabel)
+            cut = flow.min_cut(g)
+        assert cut == dinic_min_cut(g)
+        flow.audit(g)
+        assert all(abs(f - flow.out[u].get(v, 0)) <= 1
+                   for v in g.vertices() for u, f in flow.out[v].items())
+    assert not calls
