@@ -13,10 +13,10 @@ Either way the call then augments from the copies that this start
 leaves with spare capacity (every augmenting path starts or ends at one)
 with searches that run from both ends at once, and proves the flow
 maximum with one forward walk from the source, which also yields the
-cut; only when that walk reaches the sink does push-relabel run.  It
-keeps the copies with spare capacity, so a warm call works in proportion
-to what changed, never to the graph's size.  Capacities are plain Python
-ints, so weights never overflow.
+cut; when that walk reaches the sink, the searches run again from every
+copy the source feeds.  It keeps the copies with spare capacity, so a
+warm call works in proportion to what changed, never to the graph's
+size.  Capacities are plain Python ints, so weights never overflow.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .graph import WeightedGraph
-
-# Push-relabel label of a copy with no path to the sink.
-_UNREACHED = 1 << 62
-
 
 class FlowNetwork:
     """Directed flow network; ``add_edge`` creates the residual arc too.
@@ -129,21 +127,18 @@ class DoubleCoverFlow:
        the copies the source reaches, through the residual network.  It
        stops at the first right copy in ``spare_r``, a path to the sink;
        when it meets none the flow is maximum, and the copies it reached
-       form the minimal minimum cut.  Otherwise push-relabel
-       (:meth:`_push_relabel`) augments the flow to a maximum one, and the
-       check runs again.
+       form the minimal minimum cut.  Otherwise the searches run again,
+       forward from every copy in ``spare_l``, and the check runs again.
 
     No step of a warm call scans the whole graph, and after a warm
     re-augmentation the check almost always passes.  The first call's
     greedy fill leaves spare capacity only at an independent set of
     vertices.  On paths, stars, random bipartite graphs and road-like
     graphs alike the searches from those finish the flow, and the check
-    passes at once; push-relabel stays as the fallback for when it does
-    not.  That call then balances the flow (:meth:`_balance`), which
-    keeps the searches of later warm calls short.  Push-relabel's labels, excess and
-    buckets live only inside its call, so between calls the object holds
-    the flow, the two spare sets and the stale vertices, and nothing
-    else.
+    passes at once.  That call then balances the flow (:meth:`_balance`),
+    which keeps the searches of later warm calls short.  Between calls
+    the object holds the flow, the two spare sets and the stale vertices,
+    and nothing else.
 
     Why new paths start or end at freed copies: on the first call every
     copy with spare capacity is freed, and every augmenting path starts
@@ -162,6 +157,15 @@ class DoubleCoverFlow:
     second BFS starts from.  Augmenting can open paths between other
     copies again, which step 3 catches; it is the only termination check,
     so the result never rests on this argument.
+
+    Why the loop of steps 2 and 3 ends: every augmenting path starts at a
+    copy in ``spare_l``, and a search is exhaustive: it returns None only
+    when no augmenting path starts at its root.  After a failed check the
+    pass from every ``spare_l`` copy therefore pushes at least one unit,
+    since until a search pushes, the residual network is the one in which
+    the check found a path.  Capacities are integers, so the flow reaches
+    its maximum after finitely many passes; augmenting paths alone suffice
+    (Edmonds & Karp, J. ACM 1972).
     """
 
     __slots__ = ("out", "into", "sent", "received", "spare_l", "spare_r", "stale")
@@ -187,7 +191,9 @@ class DoubleCoverFlow:
         the residual network) while their right copy does not.  The first
         call starts from the greedy symmetric flow (:meth:`_greedy`)
         rather than from a repaired one, and balances its maximum flow
-        (:meth:`_balance`) for the warm calls after it.
+        (:meth:`_balance`) for the warm calls after it.  Whenever the check
+        finds an augmenting path, the searches run again from every copy
+        in ``spare_l``.
         """
         cold = not self.sent
         roots = self._repair(g)
@@ -195,7 +201,7 @@ class DoubleCoverFlow:
             roots = self._greedy(g)
         self._reaugment(g, *roots)
         while (cut := self._source_side(g)) is None:
-            self._push_relabel(g)
+            self._reaugment(g, list(self.spare_l), ())
         if cold:
             self._balance(g)
         return cut
@@ -324,8 +330,8 @@ class DoubleCoverFlow:
         of the same vertices, by the same amounts, and each vertex mostly
         refills its own right copy through a triangle.  Removing a closed
         neighbourhood from 350-vertex road-like graphs, the warm call then
-        read a tenth of the neighbour sets it read from an unbalanced
-        push-relabel flow.
+        read a tenth of the neighbour sets it read after an unbalanced
+        maximum flow.
         """
         out, into, sent, received = self.out, self.into, self.sent, self.received
         weight = g.weight
@@ -367,9 +373,12 @@ class DoubleCoverFlow:
             if received[v] < weight[v]:
                 self.spare_r.add(v)
 
-    def _reaugment(self, g: WeightedGraph, lefts: set[int], rights: set[int]) -> None:
-        """Augment from the freed left copies and into the freed right copies
-        until each is saturated or its search finds no augmenting path."""
+    def _reaugment(self, g: WeightedGraph, lefts: Iterable[int],
+                   rights: Iterable[int]) -> None:
+        """Augment from the left copies ``lefts`` and into the right copies
+        ``rights`` until each is saturated or its search finds no augmenting
+        path.  The roots are the copies a repair or the greedy fill freed,
+        or after a failed check every copy in ``spare_l``."""
         weight = g.weight
         for roots, forward, spare in ((lefts, True, self.spare_l),
                                       (rights, False, self.spare_r)):
@@ -450,169 +459,6 @@ class DoubleCoverFlow:
                 return None
             layer = _grow(rights, into, seen_l, (), ())[0]
         return {v for v in seen_l if v not in seen_r}
-
-    def _push_relabel(self, g: WeightedGraph) -> None:
-        """Augment the flow to a maximum one by push-relabel.
-
-        It saturates the source arc of every ``spare_l`` copy, so the
-        excess sits at those left copies only, and first pushes it
-        straight on to the sink through neighbours with spare capacity.
-        Then it discharges the left copy of highest label until none with
-        excess can reach the sink.  Labels are residual distances to the
-        sink, left copies even and right copies odd.  A left copy at label
-        d pushes through each right neighbour R at label d - 1 at once
-        (a double push): R passes the excess on into the sink, when d is
-        2, or back along the flow it receives from left copies at label
-        d - 2.  A right copy left with nothing to pass takes the smallest
-        label of the copies it could pass to, plus one; so does a left
-        copy that still has excess after its neighbours.  Right copies
-        thus never hold excess, and a relabel always stays finite: a right
-        copy with a label keeps spare sink capacity or a sender with one,
-        because whatever takes either away passes through it and becomes
-        a sender.
-
-        :meth:`_relabel_all` returns exact labels at the start and again
-        whenever relabelling has scanned half as many arcs as that BFS
-        did; labels only grow, and every round discharges a copy, so the
-        loop ends.  The labels, the excess and the buckets of active
-        copies by label are locals of the call, so it leaves nothing to
-        reset.  Excess at copies that the BFS finds out of reach
-        of the sink goes back to the source at the end, which lowers
-        ``sent`` and puts the copy in ``spare_l``.  Only these copies are
-        left with spare source capacity, and right copies leave
-        ``spare_r`` as they saturate.
-        """
-        adj, weight = g.adj, g.weight
-        out, into, sent, received = self.out, self.into, self.sent, self.received
-        spare_r = self.spare_r
-        excess = [0] * g.capacity
-        active = []
-        for v in self.spare_l:
-            e = weight[v] - sent[v]
-            sent[v] = weight[v]
-            flows = out[v]
-            for u in adj[v]:
-                room = weight[u] - received[u]
-                if not room:
-                    continue
-                if room > e:
-                    room = e
-                else:
-                    spare_r.discard(u)
-                received[u] += room
-                flows[u] = flows.get(u, 0) + room
-                into[u][v] = into[u].get(v, 0) + room
-                e -= room
-                if not e:
-                    break
-            if e:
-                excess[v] = e
-                active.append(v)
-        held: list[int] = []  # out of reach of the sink
-        emptied: list[int] = []  # senders whose flow a pass cancelled
-        while active:
-            label_l, label_r, arcs = self._relabel_all(g)
-            budget = arcs // 2
-            top = max((label_l[v] >> 1 for v in active if label_l[v] != _UNREACHED),
-                      default=0)
-            buckets: list[list[int]] = [[] for _ in range(top + 1)]
-            for v in active:
-                d = label_l[v]
-                (held if d == _UNREACHED else buckets[d >> 1]).append(v)
-            while True:
-                while top and not buckets[top]:
-                    top -= 1
-                if not top or budget < 0:
-                    break
-                v = buckets[top].pop()
-                d = top << 1
-                e = excess[v]
-                flows = out[v]
-                for u in adj[v]:
-                    if label_r[u] != d - 1:
-                        continue
-                    passed = 0
-                    room = weight[u] - received[u]
-                    if room:  # only at label 1
-                        if room > e:
-                            room = e
-                        else:
-                            spare_r.discard(u)
-                        received[u] += room
-                        passed = room
-                        e -= room
-                    back = into[u]
-                    if e:
-                        for z, f in back.items():
-                            if label_l[z] != d - 2:
-                                continue
-                            if f > e:
-                                back[z] = out[z][u] = f - e
-                                f = e
-                            else:
-                                emptied.append(z)
-                            if not excess[z]:
-                                buckets[top - 1].append(z)
-                            excess[z] += f
-                            passed += f
-                            e -= f
-                            if not e:
-                                break
-                        for z in emptied:
-                            del back[z], out[z][u]
-                        emptied.clear()
-                    if passed:
-                        flows[u] = flows.get(u, 0) + passed
-                        back[v] = back.get(v, 0) + passed
-                    if not e:
-                        break
-                    label_r[u] = min(map(label_l.__getitem__, back)) + 1
-                    budget -= len(back)
-                excess[v] = e
-                if e:
-                    d = label_l[v] = min(map(label_r.__getitem__, adj[v])) + 1
-                    budget -= len(adj[v])
-                    top = d >> 1
-                    while top >= len(buckets):
-                        buckets.append([])
-                    buckets[top].append(v)
-            active = [v for bucket in buckets[:top + 1] for v in bucket]
-        for v in held:
-            sent[v] -= excess[v]
-        self.spare_l = set(held)
-
-    def _relabel_all(self, g: WeightedGraph) -> tuple[list[int], list[int], int]:
-        """Label every copy with its distance to the sink in the residual
-        network, by a BFS backward from ``spare_r``.
-
-        Returns new lists ``label_l`` and ``label_r``, indexed by vertex
-        id, with ``_UNREACHED`` at the copies the BFS does not reach, and
-        the number of arcs it scanned.
-        """
-        adj, out = g.adj, self.out
-        label_l, label_r = [_UNREACHED] * len(adj), [_UNREACHED] * len(adj)
-        layer = list(self.spare_r)
-        for u in layer:
-            label_r[u] = 1
-        arcs = 0
-        depth = 1
-        while layer:
-            lefts = []
-            for u in layer:
-                arcs += len(adj[u])
-                for v in adj[u]:
-                    if label_l[v] == _UNREACHED:
-                        label_l[v] = depth + 1
-                        lefts.append(v)
-            depth += 2
-            layer = []
-            for v in lefts:
-                arcs += len(out[v])
-                for u in out[v]:
-                    if label_r[u] == _UNREACHED:
-                        label_r[u] = depth
-                        layer.append(u)
-        return label_l, label_r, arcs
 
     def _augment(self, path: list[int], weight: list[int]) -> None:
         """Push the bottleneck along s -> path -> t."""

@@ -1,15 +1,17 @@
 """Max-flow networks: deep augmenting paths, shortest augmenting paths
 against the Dinic network they replaced, the warm double-cover flow's
-invariants, how much whole-kernel work the warm flow does, and its cuts
-against the Dinic phases it used to run."""
+invariants, how much whole-kernel work the warm flow does, how often its
+check finds the flow short, and its cuts against the Dinic phases it used
+to run."""
 
 import random
 from collections import deque
+from contextlib import contextmanager
 
 import pytest
 
 from mwis import build_graph, exact_reduce, is_independent, ordering_preset, reconstruct
-from mwis.maxflow import _UNREACHED, DoubleCoverFlow, FlowNetwork
+from mwis.maxflow import DoubleCoverFlow, FlowNetwork
 from mwis.reductions import (ReductionEvent, Rule, _add_edge, _new_vertex, _rm, _rm_edge,
                              _Scheduler, _set_w, _take, critical_set)
 from mwis.solver import _greedy_kernel_solution
@@ -163,7 +165,7 @@ def dinic_min_cut(g):
     """The critical set by Dinic phases from the zero flow: a reference
     that shares only ``_repair`` and ``_augment`` with
     ``DoubleCoverFlow.min_cut``, which starts from a greedy symmetric flow
-    and augments by bidirectional searches and push-relabel."""
+    and augments by bidirectional searches only."""
     flow = DoubleCoverFlow()
     flow._repair(g)
     while True:
@@ -171,6 +173,24 @@ def dinic_min_cut(g):
         if t_level < 0:
             return {v for v in lev_l if v not in lev_r}
         dinic_blocking_flow(flow, g, lev_l, lev_r, t_level)
+
+
+@contextmanager
+def failed_checks():
+    """Note each ``_source_side`` check that finds an augmenting path, which
+    sends ``min_cut`` to search again from every copy in ``spare_l``."""
+    failed = []
+    source_side = DoubleCoverFlow._source_side
+
+    def noting_source_side(self, h):
+        cut = source_side(self, h)
+        if cut is None:
+            failed.append(1)
+        return cut
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DoubleCoverFlow, "_source_side", noting_source_side)
+        yield failed
 
 
 def test_flow_network_deep_chain():
@@ -254,7 +274,7 @@ def test_warm_flow_ends_most_calls_after_one_search():
     # The targeted re-augmentation leaves a maximum flow, so the check
     # mostly runs its one forward walk only to prove it: 133 walks for 133
     # calls here, the cold call's among them, since its searches from the
-    # greedy start finish the flow without push-relabel.
+    # greedy start finish the flow and its first check passes.
     g = geometric_graph(random.Random(1), 200, 8)
     counts = {"min_cut": 0, "walks": 0}
     min_cut, source_side = DoubleCoverFlow.min_cut, DoubleCoverFlow._source_side
@@ -327,13 +347,13 @@ def test_warm_flow_searches_stay_local():
 def test_warm_cut_after_a_many_root_take():
     # Forcing takes up to 25 pairwise non-adjacent vertices in one event,
     # here ranked as the hybrid strategy ranks them: hundreds of copies are
-    # freed at once.  The warm cut must equal the cold one, without a
-    # push-relabel run, and the searches read 3.0 neighbour sets of g.adj
-    # per freed copy (a one-ended search reads 19% more).
+    # freed at once.  The warm cut must equal the cold one, the searches
+    # from the freed copies must finish the flow, so that the first check
+    # passes, and they read 3.0 neighbour sets of g.adj per freed copy (a
+    # one-ended search reads 19% more).
     rng = random.Random(1500)
-    counts = {"freed": 0, "adj": 0, "push_relabel": 0}
+    counts = {"freed": 0, "adj": 0, "failed": 0}
     repair, search = DoubleCoverFlow._repair, DoubleCoverFlow._search
-    push_relabel = DoubleCoverFlow._push_relabel
 
     def counted_repair(self, h):
         lefts, rights = repair(self, h)
@@ -347,10 +367,6 @@ def test_warm_cut_after_a_many_root_take():
         finally:
             counts["adj"] += h.adj.reads
             h.adj = adj
-
-    def counted_push_relabel(self, *args):
-        counts["push_relabel"] += 1
-        return push_relabel(self, *args)
 
     for _ in range(3):
         g = geometric_graph(rng, 1500, 8)
@@ -367,15 +383,15 @@ def test_warm_cut_after_a_many_root_take():
             events = []
             _take(g, None, taken, events)
             flow.invalidate(events[0].changed())
-            with pytest.MonkeyPatch.context() as mp:
+            with pytest.MonkeyPatch.context() as mp, failed_checks() as failed:
                 mp.setattr(DoubleCoverFlow, "_repair", counted_repair)
                 mp.setattr(DoubleCoverFlow, "_search", counted_search)
-                mp.setattr(DoubleCoverFlow, "_push_relabel", counted_push_relabel)
                 warm = flow.min_cut(g)
+            counts["failed"] += len(failed)
             assert warm == critical_set(g)[0]
             flow.audit(g)
     assert counts["freed"] >= 1000
-    assert counts["push_relabel"] == 0
+    assert counts["failed"] == 0
     assert counts["adj"] <= 6 * counts["freed"]
 
 
@@ -412,22 +428,18 @@ def test_warm_and_cold_flows_agree_under_every_undo_op():
     # Random journaled edits of every undo-op kind, each invalidated with
     # exactly what the reduce loop passes (ReductionEvent.changed).  New
     # augmenting paths start or end at the copies that invalidation frees,
-    # so re-augmentation mostly leaves a maximum flow and push-relabel runs
-    # after 30 of the 480 warm calls; when added edges are not invalidated,
-    # after 54.
+    # so re-augmentation mostly leaves a maximum flow: the first check finds
+    # an augmenting path in 29 of the 480 warm calls, and one more pass of
+    # searches from every spare_l copy finishes each of them.
     rng = random.Random(4242)
     kinds = ("rm", "raise", "cut", "ea", "er", "nv")
     seen = set()
     counts = {"warm": 0, "phases": 0}
-    min_cut, push_relabel = DoubleCoverFlow.min_cut, DoubleCoverFlow._push_relabel
+    min_cut = DoubleCoverFlow.min_cut
 
     def counted_min_cut(self, h):
         counts["warm"] += 1
         return min_cut(self, h)
-
-    def counted_push_relabel(self, *args):
-        counts["phases"] += 1
-        return push_relabel(self, *args)
 
     for _ in range(4):
         g = geometric_graph(rng, 120, 6)
@@ -461,10 +473,10 @@ def test_warm_and_cold_flows_agree_under_every_undo_op():
                         _add_edge(g, fold, u, ops)
                 seen.add(kind)
             flow.invalidate(ReductionEvent(Rule.CWIS, ops).changed())
-            with pytest.MonkeyPatch.context() as mp:
+            with pytest.MonkeyPatch.context() as mp, failed_checks() as failed:
                 mp.setattr(DoubleCoverFlow, "min_cut", counted_min_cut)
-                mp.setattr(DoubleCoverFlow, "_push_relabel", counted_push_relabel)
                 warm = critical_set(g, flow)
+            counts["phases"] += bool(failed)
             assert warm == critical_set(g)
             flow.audit(g)
     assert seen == set(kinds)
@@ -494,74 +506,59 @@ def test_warm_cut_reads_only_the_copies_it_reaches():
     assert reads < 200
 
 
-def test_push_relabel_cuts_match_dinic_on_random_graphs():
-    # 1000 small graphs whose weights are often 0, 1 or tied, each cut by
-    # push-relabel from the zero flow, then balanced as a cold call balances
-    # its flow, and then cut warm after three vertex removals: the minimal
-    # minimum cut is unique, so every cut must equal the Dinic one.  The
-    # balanced flow carries the same both ways on every edge, give or take
-    # one unit, and audit() sees every copy within its weight.  Excess that cannot
-    # reach the sink goes back to the source and leaves its copy in
-    # spare_l; a copy the first global relabelling reached that ends there
-    # was put out of reach by a later one.
+def test_zero_flow_cuts_match_dinic_on_random_graphs():
+    # 1000 small graphs whose weights are often 0, 1 or tied.  Each flow
+    # starts at zero through a warm call with no roots, so only the check
+    # and the passes of searches from every spare_l copy build it; then it
+    # is balanced as a cold call balances its flow, and cut warm after
+    # three vertex removals: the minimal minimum cut is unique, so every
+    # cut must equal the Dinic one.  The balanced flow carries the same
+    # both ways on every edge, give or take one unit, and audit() sees
+    # every copy within its weight.  In 893 graphs the zero flow is not
+    # maximum, so the passes build it.
     rng = random.Random(1313)
-    relabel_all, push_relabel = DoubleCoverFlow._relabel_all, DoubleCoverFlow._push_relabel
-    first = []
-    counts = {"returned": 0, "relabelled_out": 0}
-
-    def noting_relabel_all(self, h):
-        label_l, label_r, arcs = relabel_all(self, h)
-        if not first:
-            first.append({v for v, d in enumerate(label_l) if d != _UNREACHED})
-        return label_l, label_r, arcs
-
-    def noting_push_relabel(self, h):
-        first.clear()
-        push_relabel(self, h)
-        counts["returned"] += bool(self.spare_l)
-        counts["relabelled_out"] += bool(first and self.spare_l & first[0])
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DoubleCoverFlow, "_relabel_all", noting_relabel_all)
-        mp.setattr(DoubleCoverFlow, "_push_relabel", noting_push_relabel)
-        for _ in range(1000):
-            n = rng.randint(0, 40)
-            p = rng.uniform(0.05, 0.4)
-            common = (0, 1, rng.randint(2, 200))
-            weights = [rng.choice(common) if rng.random() < 0.5 else rng.randint(0, 200)
-                       for _ in range(n)]
-            g = build_graph([(u, v) for u in range(n) for v in range(u + 1, n)
-                             if rng.random() < p], weights)
-            flow = DoubleCoverFlow()
-            flow._repair(g)
-            flow._push_relabel(g)
-            flow._balance(g)
-            for step in range(4):
-                if step:
-                    live = g.vertices()
-                    if not live:
-                        break
-                    ops = []
-                    _rm(g, rng.choice(live), ops)
-                    flow.invalidate(ReductionEvent(Rule.CWIS, ops).changed())
-                assert flow.min_cut(g) == dinic_min_cut(g)
-                flow.audit(g)
-                if not step:
-                    assert all(abs(f - flow.out[u].get(v, 0)) <= 1
-                               for v in g.vertices() for u, f in flow.out[v].items())
-    assert counts["returned"] and counts["relabelled_out"]
+    built = 0
+    for _ in range(1000):
+        n = rng.randint(0, 40)
+        p = rng.uniform(0.05, 0.4)
+        common = (0, 1, rng.randint(2, 200))
+        weights = [rng.choice(common) if rng.random() < 0.5 else rng.randint(0, 200)
+                   for _ in range(n)]
+        g = build_graph([(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < p], weights)
+        flow = DoubleCoverFlow()
+        flow._repair(g)
+        with failed_checks() as failed:
+            flow.min_cut(g)
+        built += bool(failed)
+        flow._balance(g)
+        for step in range(4):
+            if step:
+                live = g.vertices()
+                if not live:
+                    break
+                ops = []
+                _rm(g, rng.choice(live), ops)
+                flow.invalidate(ReductionEvent(Rule.CWIS, ops).changed())
+            assert flow.min_cut(g) == dinic_min_cut(g)
+            flow.audit(g)
+            if not step:
+                assert all(abs(f - flow.out[u].get(v, 0)) <= 1
+                           for v in g.vertices() for u, f in flow.out[v].items())
+    assert built >= 850
 
 
-def test_push_relabel_moves_when_the_relabelling_scans_one_arc():
-    # From the zero flow, after the first pass only R4 has room, and the
-    # backward BFS scans one arc to L2, so relabelling may do no work before
-    # the next one; every round must still discharge a copy, or the call
-    # never ends.  A cold min_cut would not run push-relabel here.
+def test_zero_flow_cut_of_a_five_vertex_graph():
+    # From the zero flow, one pass of searches from every spare_l copy must
+    # reach the maximum and the cut {4}; a cold call's greedy start would
+    # not need the pass here.
     g = build_graph([(0, 1), (0, 3), (1, 3), (2, 3), (2, 4)], [96, 138, 5, 136, 161])
     flow = DoubleCoverFlow()
     flow._repair(g)
-    flow._push_relabel(g)
-    assert flow.min_cut(g) == dinic_min_cut(g) == {4}
+    with failed_checks() as failed:
+        cut = flow.min_cut(g)
+    assert failed
+    assert cut == dinic_min_cut(g) == {4}
     flow.audit(g)
 
 
@@ -584,14 +581,13 @@ def test_medium_kernel_has_an_empty_critical_set_and_rebuilds():
             == kernel.offset + sum(g.weight[v] for v in chosen))
 
 
-def test_cold_cut_from_the_greedy_start_needs_no_push_relabel():
+def test_cold_cut_from_the_greedy_start_passes_its_first_check():
     # The first min_cut fills the zero flow greedily and symmetrically and
     # finishes it with the warm calls' searches.  On a long weighted path,
     # a random bipartite graph, a star whose centre outweighs its leaves and
     # road-like graphs the check then passes at once, and the cut equals the
     # Dinic one, the flow passes audit() and ends balanced for the warm
-    # calls.  From the zero flow, push-relabel took 5.7 s on a 5000-vertex
-    # weighted path.
+    # calls.
     rng = random.Random(2020)
     n = 5000
     half = 300
@@ -603,20 +599,35 @@ def test_cold_cut_from_the_greedy_start_needs_no_push_relabel():
         build_graph([(0, v) for v in range(1, 60)], [sum(leaves) + 1] + leaves),
     ]
     graphs += [geometric_graph(rng, 300, 8) for _ in range(4)]
-    calls = []
-    push_relabel = DoubleCoverFlow._push_relabel
-
-    def counted_push_relabel(self, *args):
-        calls.append(1)
-        return push_relabel(self, *args)
-
     for g in graphs:
         flow = DoubleCoverFlow()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(DoubleCoverFlow, "_push_relabel", counted_push_relabel)
+        with failed_checks() as failed:
             cut = flow.min_cut(g)
+        assert not failed
         assert cut == dinic_min_cut(g)
         flow.audit(g)
         assert all(abs(f - flow.out[u].get(v, 0)) <= 1
                    for v in g.vertices() for u, f in flow.out[v].items())
-    assert not calls
+
+
+def test_warm_cut_after_many_added_edges_needs_a_pass():
+    # 600 random edges added in one event to a 3000-vertex road-like graph:
+    # one end of each is invalidated, and the searches from the freed copies
+    # leave paths between other copies open, so the check fails at least
+    # once and the passes from every spare_l copy finish the flow.
+    rng = random.Random(77)
+    g = geometric_graph(rng, 3000, 6)
+    flow = DoubleCoverFlow()
+    flow.min_cut(g)
+    ops = []
+    live = g.vertices()
+    while len(ops) < 600:
+        v, u = rng.sample(live, 2)
+        if u not in g.adj[v]:
+            _add_edge(g, v, u, ops)
+    flow.invalidate(ReductionEvent(Rule.CWIS, ops).changed())
+    with failed_checks() as failed:
+        cut = flow.min_cut(g)
+    assert failed
+    assert cut == dinic_min_cut(g)
+    flow.audit(g)
