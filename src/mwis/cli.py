@@ -154,6 +154,7 @@ def _cmd_solve(args) -> int:
         "weight": result.weight,
         "elapsed_seconds": round(result.elapsed, 6),
         "rounds": result.rounds,
+        "proven_optimal": result.proven_optimal,
         "ordering": args.ordering,
         "strategy": args.selection,
     }

@@ -2,7 +2,8 @@
 
 Plain include/exclude branch and bound on bitmasks with the trivial
 remaining-weight bound.  Deliberately free of any reduction logic so it
-stays an independent check of the kernelizer and the memetic search.
+stays an independent check of the kernelizer and the memetic search;
+``solve`` also calls it to finish a kernel within the default limits.
 """
 
 from __future__ import annotations

@@ -5,8 +5,11 @@ exhaustive exact reduction, memetic search over the kernel, and heuristic
 forcing of high-rated solution vertices, all journaled as one event list.
 Each round's search runs on the kernel's ``compact()`` copy, and its
 population is mapped back to working ids before forcing.
-The loop ends when the kernel empties or the time budget runs out; the
-journal then expands the heaviest round's kernel solution to original ids.
+A kernel small enough for ``brute_force`` is solved exactly instead, which
+ends the loop: no later round can beat the optimum of the working graph.
+The loop also ends when the kernel empties or the time budget runs out;
+the journal then expands the heaviest round's kernel solution to original
+ids.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .evolution import Individual, evolve, initial_population
 from .graph import WeightedGraph, independence_violations, is_independent
 from .heuristic import SelectionStrategy, heuristic_reduce
 from .local_search import SearchState, maximize_greedy
+from .oracle import OracleBudgetError, OracleLimits, brute_force
 from .reductions import (ReductionEvent, exact_reduce, ordering_preset,
                          replay_events)
 
@@ -64,7 +68,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class RoundStats:
     """Kernel size, banked offset (forced weight included) and best evolved
-    weight of one round; ``offset + best_evolve_weight`` is its full weight."""
+    weight of one round; ``offset + best_evolve_weight`` is its full weight.
+    A round whose kernel was solved exactly holds the kernel optimum."""
 
     kernel_vertices: int
     offset: int
@@ -79,6 +84,8 @@ class SolveResult:
     rounds: int
     kernel_trace: list[RoundStats] = field(default_factory=list)
     seed: int = 0
+    # Nothing was forced and the first kernel was empty or solved exactly.
+    proven_optimal: bool = False
 
 
 ProgressFn = Callable[[str, dict], None]
@@ -95,10 +102,15 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
           should_stop: Callable[[], bool] | None = None) -> SolveResult:
     """Run the full solver on a copy of ``graph``.
 
+    Each round reduces exactly, then solves a kernel of at most
+    ``OracleLimits().max_vertices`` vertices with ``brute_force`` and ends,
+    or evolves a population on it and forces vertices.  The solve ends when
+    the kernel empties, is solved exactly or the time budget runs out.
     Deterministic for a fixed (graph, config) as long as the time limit
     does not bite.  ``should_stop`` is polled between phases, never inside
-    the exact-reduction routine, so the budget can be slightly overshot.
-    The heaviest round is returned; forcing can leave a later one lighter.
+    exact reduction or ``brute_force``, so the budget can be slightly
+    overshot.  The heaviest round is returned; forcing can leave a later
+    one lighter.
     """
     config = config or SolverConfig()
     start = time.monotonic()
@@ -122,10 +134,22 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
 
     while True:
         offset = exact_reduce(g, ordering, events).offset
-        if g.live_count == 0:
+        exact = g.live_count == 0
+        if exact:
             break
         emit("reduced", round=rounds, kernel_vertices=g.live_count, offset=offset)
         kernel, ids = g.compact()
+        if g.live_count <= OracleLimits().max_vertices:
+            try:
+                alpha, witness = brute_force(kernel)
+            except OracleBudgetError:
+                pass  # the evolve path below still answers
+            else:
+                exact = True
+                kernel_solution = {ids[v] for v in witness}
+                trace.append(RoundStats(kernel_vertices=g.live_count, offset=offset,
+                                        best_evolve_weight=alpha))
+                break
         if cut_short():
             kernel_solution = {ids[v] for v in _greedy_kernel_solution(kernel)}
             break
@@ -157,7 +181,8 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
     weight = sum(graph.weight[v] for v in solution)
     return SolveResult(solution=solution, weight=weight,
                        elapsed=time.monotonic() - start, rounds=rounds,
-                       kernel_trace=trace, seed=config.seed)
+                       kernel_trace=trace, seed=config.seed,
+                       proven_optimal=exact and rounds == 0)
 
 
 @dataclass

@@ -51,6 +51,7 @@ def test_solve_writes_solution_and_record(instance, tmp_path, capsys):
     assert record["n"] == 3 and record["m"] == 2
     assert record["seed"] == 1
     assert record["ordering"] == "baseline"
+    assert record["proven_optimal"] is True  # the reductions empty P3
     assert out.read_text(encoding="utf-8") == "0\n2\n"
 
 

@@ -55,16 +55,26 @@ def test_random_instances_match_oracle():
         assert result.weight == alpha
 
 
+PETERSEN = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+PETERSEN_WEIGHTS = [10 + 3 * v % 5 for v in range(10)]  # optimum 50
+
+
+def shifted_petersens(copies: int):
+    """Heavy isolated vertex 0 beside ``copies`` Petersen graphs on 1.."""
+    return build_graph([(10 * c + u + 1, 10 * c + v + 1) for c in range(copies)
+                        for u, v in PETERSEN], [100] + PETERSEN_WEIGHTS * copies)
+
+
 @pytest.mark.parametrize("stop_at_poll", [1, 2, None])
 def test_solve_maps_shifted_kernel_ids_back(stop_at_poll):
     # Vertex 0 is isolated and heavy, so the first reduction takes it and
     # each kernel vertex sits one id lower in the searched compact copy
-    # than in the working graph.  Stopping at the first poll ends on the
-    # greedy kernel fallback, at the second on the evolved population.
-    petersen = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
-    g = build_graph([(u + 1, v + 1) for u, v in petersen],
-                    [100] + [10 + 3 * v % 5 for v in range(10)])
+    # than in the working graph.  Four Petersen copies keep the kernel at
+    # 40 vertices, above the 30 that are finished exactly.  Stopping at the
+    # first poll ends on the greedy kernel fallback, at the second on the
+    # evolved population.
+    g = shifted_petersens(4)
     polls = []
 
     def should_stop() -> bool:
@@ -75,8 +85,8 @@ def test_solve_maps_shifted_kernel_ids_back(stop_at_poll):
     assert 0 in result.solution and is_independent(g, result.solution)
     assert all(result.solution & g.adj[v] for v in g.vertices() if v not in result.solution)
     if stop_at_poll != 1:
-        assert result.kernel_trace[0].kernel_vertices == 10
-        assert result.weight == brute_force(g)[0] == 150
+        assert result.kernel_trace[0].kernel_vertices == 40
+        assert result.weight == 100 + 4 * brute_force(build_graph(PETERSEN, PETERSEN_WEIGHTS))[0] == 300
 
 
 def test_input_graph_is_not_mutated():
@@ -172,7 +182,9 @@ def test_solve_hands_each_setting_to_its_layer(monkeypatch, mutation_prob):
     monkeypatch.setattr(evolution, "mutate", counted("mutate"))
     monkeypatch.setattr(evolution, "replace", counted("replace"))
     monkeypatch.setattr(solver, "heuristic_reduce", heuristic_reduce)
-    g = random_graph(random.Random(12), 50, 0.3, wlo=90, whi=110)
+    # Its kernels keep 50, 42 and 32 vertices, above the 30 that ``solve``
+    # finishes exactly, so three rounds evolve and force.
+    g = random_graph(random.Random(12), 50, 0.2, wlo=90, whi=110)
     config = SolverConfig(seed=3, population_size=12, unsuccessful_limit=30,
                           pool_size=3, max_blocks=4, ls_iterations=777,
                           mutation_prob=mutation_prob, selection_fraction=0.2)
@@ -231,20 +243,73 @@ def test_trace_offsets_never_decrease():
         assert offsets == sorted(offsets)
 
 
-def test_result_is_at_least_every_rounds_full_weight():
-    # Forcing is heuristic, so a later round can end lighter than an earlier
-    # one (seed 1 here does); the heaviest round is returned.
+def test_result_is_at_least_every_rounds_full_weight(monkeypatch):
+    # The first kernels keep more than 30 vertices; forcing shrinks them
+    # until one is small enough for ``brute_force``, which ends the solve.
+    # Forcing is heuristic, so an earlier round can still be heavier than
+    # that exact one (seed 1 here is); the heaviest round is returned.
+    from mwis import solver
+
+    kernels = []
+
+    def spy(kernel, *args, _fn=solver.brute_force):
+        kernels.append(kernel)
+        return _fn(kernel, *args)
+
+    monkeypatch.setattr(solver, "brute_force", spy)
     multi_round = 0
     for seed in range(16):
+        kernels.clear()
         g = random_graph(random.Random(seed), 40, 0.2, wlo=90, whi=110)
         result = solve(g, SolverConfig(seed=seed, population_size=30, pool_size=4,
                                        unsuccessful_limit=20, selection_fraction=0.1))
         assert verify(g, result.solution).ok
         assert result.weight == sum(g.weight[v] for v in result.solution)
-        for stats in result.kernel_trace:
-            assert result.weight >= stats.offset + stats.best_evolve_weight, seed
+        full = [s.offset + s.best_evolve_weight for s in result.kernel_trace]
+        assert result.weight == max(full), seed
+        *_, last = result.kernel_trace
+        [kernel] = kernels
+        assert last.kernel_vertices == kernel.capacity <= 30 < result.kernel_trace[0].kernel_vertices
+        assert last.best_evolve_weight == brute_force(kernel)[0]
+        assert result.rounds == len(full) - 1 and not result.proven_optimal
         multi_round += result.rounds >= 2
     assert multi_round >= 12
+
+
+def test_budget_exhausted_finish_falls_back_to_the_evolve_path(monkeypatch):
+    from mwis import OracleBudgetError, solver
+
+    calls = []
+
+    def exhausted(kernel, *args):
+        calls.append(kernel.capacity)
+        raise OracleBudgetError("node budget exhausted")
+
+    monkeypatch.setattr(solver, "brute_force", exhausted)
+    g = shifted_petersens(1)
+    result = solve(g, SolverConfig(time_limit=30, seed=1, **FAST))
+    assert verify(g, result.solution).ok and not result.proven_optimal
+    assert calls[0] == result.kernel_trace[0].kernel_vertices == 10
+    assert len(calls) == len(result.kernel_trace) == result.rounds >= 1
+    assert result.weight == 150
+
+
+def test_proven_optimal_results_are_optimal():
+    # The Petersen kernel of 10 vertices is finished exactly, its witness
+    # mapped back through the shifted ids: weight 150.
+    result = solve(shifted_petersens(1), SolverConfig(time_limit=30, seed=1, **FAST))
+    assert result.proven_optimal and result.weight == 150
+    assert result.kernel_trace[0].kernel_vertices == 10
+    assert not solve(shifted_petersens(4), SolverConfig(seed=1, **FAST)).proven_optimal
+    rng = random.Random(2207)
+    graphs = [path([5, 1, 5]), star(10, [1, 2, 3, 4])]
+    graphs += [random_graph(rng, rng.randint(20, 30), rng.choice([0.1, 0.2, 0.3]),
+                            wlo=90, whi=110) for _ in range(30)]
+    for seed, g in enumerate(graphs):
+        result = solve(g, SolverConfig(seed=seed, **FAST))
+        assert verify(g, result.solution).ok
+        assert result.proven_optimal and result.weight == brute_force(g)[0]
+        assert result.rounds == 0 and len(result.kernel_trace) <= 1
 
 
 def _benchmark_instances():
