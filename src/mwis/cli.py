@@ -81,9 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=defaults.seed)
     ps.add_argument("--population-size", type=int, default=defaults.population_size)
     ps.add_argument("--pool-size", type=int, default=defaults.pool_size)
-    ps.add_argument("--ls-iterations", type=int, default=defaults.ls_iterations)
-    ps.add_argument("--max-blocks", type=int, default=defaults.max_blocks)
-    ps.add_argument("--mutation-prob", type=float, default=defaults.mutation_prob)
     ps.add_argument("--unsuccessful-limit", type=int,
                     default=defaults.unsuccessful_limit)
     ps.add_argument("--ordering", default=defaults.ordering, choices=orderings)
@@ -129,8 +126,6 @@ def _cmd_solve(args) -> int:
         config = SolverConfig(
             time_limit=args.time_limit, seed=args.seed,
             population_size=args.population_size, pool_size=args.pool_size,
-            ls_iterations=args.ls_iterations, max_blocks=args.max_blocks,
-            mutation_prob=args.mutation_prob,
             unsuccessful_limit=args.unsuccessful_limit, ordering=args.ordering,
             selection=_SELECTION_FLAGS[args.selection],
             selection_fraction=args.selection_fraction)

@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 # Offers without an entry on merit after which ``replace`` forces the
 # offspring in over the most similar member.
 FORCE_AFTER = 100
+# Chance that ``evolve`` mutates an offspring before offering it.
+MUTATION_PROB = 0.10
 
 
 class InitStrategy(Enum):
@@ -184,12 +186,11 @@ def tournament_select(pop: Population, rng: random.Random) -> Individual:
 
 # -- combine operators --------------------------------------------------------
 
-def _finish(g: WeightedGraph, members: set[int], ls_iterations: int,
-            rng: random.Random) -> Individual:
+def _finish(g: WeightedGraph, members: set[int], rng: random.Random) -> Individual:
     """Maximalize by weight, then improve with one local-search descent."""
     state = SearchState(g, members)
     maximize_greedy(state, "by_weight")
-    vnd(state, ls_iterations, rng)
+    vnd(state, rng=rng)
     return _individual_from_state(state)
 
 
@@ -270,8 +271,7 @@ def _greedy_cover(g: WeightedGraph, edges: list[tuple[int, int]],
 
 def combine_vertex_separator(g: WeightedGraph, part: Partition,
                              first: Individual, second: Individual,
-                             ls_iterations: int, rng: random.Random
-                             ) -> tuple[Individual, Individual]:
+                             rng: random.Random) -> tuple[Individual, Individual]:
     """Exchange whole separator blocks between two parents.
 
     With no edges between blocks, both raw offspring are independent before
@@ -280,40 +280,39 @@ def combine_vertex_separator(g: WeightedGraph, part: Partition,
     if part.k != 2 or not part.has_separator:
         raise ValueError("needs a 2-way partition with a separator")
     parents = (first, second)
-    o1, o2 = (_finish(g, _exchange(g, part, parents, owners, None), ls_iterations, rng)
+    o1, o2 = (_finish(g, _exchange(g, part, parents, owners, None), rng)
               for owners in ((0, 1), (1, 0)))
     return o1, o2
 
 
 def combine_multiway_vertex_separator(g: WeightedGraph, part: Partition,
                                       parents: Sequence[Individual],
-                                      ls_iterations: int, rng: random.Random) -> Individual:
+                                      rng: random.Random) -> Individual:
     """Give each separator block to the parent weighing most inside it."""
     if not part.has_separator:
         raise ValueError("needs a partition with a separator")
     if len(parents) != part.k:
         raise ValueError(f"need {part.k} parents, got {len(parents)}")
     owners = _heaviest_owners(g, part, parents)
-    return _finish(g, _exchange(g, part, parents, owners, None), ls_iterations, rng)
+    return _finish(g, _exchange(g, part, parents, owners, None), rng)
 
 
 def combine_edge_separator(g: WeightedGraph, part: Partition,
                            first: Individual, second: Individual,
-                           ls_iterations: int, rng: random.Random
-                           ) -> tuple[Individual, Individual]:
+                           rng: random.Random) -> tuple[Individual, Individual]:
     """Exchange blocks across a 2-way edge partition; the cut edges left
     inside an offspring are repaired with an exact minimum-weight cover."""
     if part.k != 2 or part.has_separator:
         raise ValueError("needs a plain 2-way edge partition")
     parents = (first, second)
-    o1, o2 = (_finish(g, _exchange(g, part, parents, owners, _min_weight_bipartite_cover),
-                      ls_iterations, rng) for owners in ((0, 1), (1, 0)))
+    o1, o2 = (_finish(g, _exchange(g, part, parents, owners, _min_weight_bipartite_cover), rng)
+              for owners in ((0, 1), (1, 0)))
     return o1, o2
 
 
 def combine_multiway_edge_separator(g: WeightedGraph, part: Partition,
                                     parents: Sequence[Individual],
-                                    ls_iterations: int, rng: random.Random) -> Individual:
+                                    rng: random.Random) -> Individual:
     """Give each block to the parent weighing most inside it, which is the
     one with the lightest cover there, and repair the cut greedily."""
     if part.has_separator:
@@ -321,17 +320,17 @@ def combine_multiway_edge_separator(g: WeightedGraph, part: Partition,
     if len(parents) != part.k:
         raise ValueError(f"need {part.k} parents, got {len(parents)}")
     owners = _heaviest_owners(g, part, parents)
-    return _finish(g, _exchange(g, part, parents, owners, _greedy_cover), ls_iterations, rng)
+    return _finish(g, _exchange(g, part, parents, owners, _greedy_cover), rng)
 
 
 # -- mutation and replacement --------------------------------------------------
 
 def mutate(g: WeightedGraph, offspring: Individual, rng: random.Random,
-           strength: int, ls_iterations: int) -> Individual:
+           strength: int) -> Individual:
     """Force random vertices into the solution, then descend again."""
     state = SearchState(g, offspring.members)
     perturb(state, strength, rng)
-    vnd(state, ls_iterations, rng)
+    vnd(state, rng=rng)
     return _individual_from_state(state)
 
 
@@ -371,16 +370,14 @@ def evolve(g: WeightedGraph, pop: Population, rng: random.Random,
            on_improve: Callable[[int, int], None] | None = None) -> Population:
     """Run combine/mutate/replace rounds on ``pop`` until the budget is spent.
 
-    Reads ``unsuccessful_limit``, ``ls_iterations``, ``mutation_prob``,
-    ``pool_size`` and ``max_blocks`` from ``config``.  Stops after
-    ``unsuccessful_limit`` consecutive offers that did not enter the
+    Reads ``unsuccessful_limit`` and ``pool_size`` from ``config``.  Stops
+    after ``unsuccessful_limit`` consecutive offers that did not enter the
     population on merit (forced inserts do not reset the counter), or once
     ``time.monotonic()`` reaches ``deadline``.
     """
     if g.live_count < 2:
         return pop
-    pool = PartitionPool(g, capacity=config.pool_size, max_blocks=config.max_blocks)
-    ls_iterations = config.ls_iterations
+    pool = PartitionPool(g, capacity=config.pool_size)
 
     best_weight = pop.best().weight
     unsuccessful = 0
@@ -398,14 +395,12 @@ def evolve(g: WeightedGraph, pop: Population, rng: random.Random,
         # Looked up at each call, so a wrapper set on the module is used.
         combine = globals()[f"combine_{kind}"]
         if pair:
-            offspring = max(combine(g, part, *parents, ls_iterations=ls_iterations, rng=rng),
-                            key=lambda ind: ind.weight)
+            offspring = max(combine(g, part, *parents, rng=rng), key=lambda ind: ind.weight)
         else:
-            offspring = combine(g, part, parents, ls_iterations=ls_iterations, rng=rng)
+            offspring = combine(g, part, parents, rng=rng)
 
-        if rng.random() < config.mutation_prob:
-            offspring = mutate(g, offspring, rng, strength=strength,
-                               ls_iterations=ls_iterations)
+        if rng.random() < MUTATION_PROB:
+            offspring = mutate(g, offspring, rng, strength=strength)
 
         entry = replace(pop, offspring)
         if entry == "merit":

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from .graph import WeightedGraph
 
-SOLUTION_ENCODING = "utf-8"
-
 
 class GraphFormatError(ValueError):
     """Raised when a graph file violates the format contract."""

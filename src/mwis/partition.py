@@ -262,21 +262,19 @@ class _PoolEntry:
 class PartitionPool:
     """Cache of up to ``capacity`` partitions of one unchanging graph.
 
-    Block counts are drawn from ``POOL_BLOCK_CHOICES`` up to ``max_blocks``
-    (``evolve`` passes ``SolverConfig.pool_size`` and ``max_blocks``); every
-    partition is built under the ``POOL_EPSILON`` balance bound.
+    Block counts are drawn from the ``POOL_BLOCK_CHOICES`` that fit the
+    graph (``evolve`` passes ``SolverConfig.pool_size``); every partition is
+    built under the ``POOL_EPSILON`` balance bound.
     """
 
     g: WeightedGraph
     capacity: int
-    max_blocks: int
     _entries: list[_PoolEntry] = field(default_factory=list)
 
     def _fill(self, rng: random.Random) -> None:
-        top = min(self.g.live_count, self.max_blocks)
-        choices = [k for k in POOL_BLOCK_CHOICES if k <= top]
+        choices = [k for k in POOL_BLOCK_CHOICES if k <= self.g.live_count]
         if not choices:
-            raise ValueError(f"no block count from 2 to {top} fits the graph")
+            raise ValueError(f"no block count fits a graph of {self.g.live_count} vertices")
         self._entries = [
             _PoolEntry(k=k, edge=edge_partition(self.g, k, POOL_EPSILON, rng))
             for k in (rng.choice(choices) for _ in range(self.capacity))

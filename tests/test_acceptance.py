@@ -212,7 +212,7 @@ def test_criterion_5_combine_validity():
         raw1 = (parents[0].members & v1) | (parents[1].members & v2)
         raw2 = (parents[1].members & v1) | (parents[0].members & v2)
         assert is_independent(g, raw1) and is_independent(g, raw2)  # pre-maximization
-        for off in combine_vertex_separator(g, part, *parents, 800, rng):
+        for off in combine_vertex_separator(g, part, *parents, rng):
             assert_valid_offspring(g, off)
 
     for trial in range(per_op):  # multi-way vertex separator
@@ -223,7 +223,7 @@ def test_criterion_5_combine_validity():
         part = vertex_separator(g, k, 0.1, rng)
         parents = [build_initial(g, rng.choice(list(InitStrategy)), rng)
                    for _ in range(k)]
-        off = combine_multiway_vertex_separator(g, part, parents, 800, rng)
+        off = combine_multiway_vertex_separator(g, part, parents, rng)
         assert_valid_offspring(g, off)
 
     for trial in range(per_op):  # edge separator with exact repair
@@ -234,7 +234,7 @@ def test_criterion_5_combine_validity():
         for owners in ((0, 1), (1, 0)):  # repaired, before maximization
             raw = _exchange(g, part, parents, owners, _min_weight_bipartite_cover)
             assert is_independent(g, raw)
-        for off in combine_edge_separator(g, part, *parents, 800, rng):
+        for off in combine_edge_separator(g, part, *parents, rng):
             assert_valid_offspring(g, off)
 
     for trial in range(per_op):  # multi-way edge separator, greedy repair
@@ -245,7 +245,7 @@ def test_criterion_5_combine_validity():
         part = edge_partition(g, k, 0.1, rng)
         parents = [build_initial(g, rng.choice(list(InitStrategy)), rng)
                    for _ in range(k)]
-        off = combine_multiway_edge_separator(g, part, parents, 800, rng)
+        off = combine_multiway_edge_separator(g, part, parents, rng)
         assert_valid_offspring(g, off)
 
     report(5, f"combine validity, {per_op} invocations per operator")
@@ -282,8 +282,7 @@ def test_criterion_6_partition_contracts():
 def test_criterion_7_determinism(tmp_path):
     rng = random.Random(0xACCE907)
     flags = ["--time-limit", "30", "--population-size", "60",
-             "--unsuccessful-limit", "100", "--pool-size", "6",
-             "--ls-iterations", "2000"]
+             "--unsuccessful-limit", "100", "--pool-size", "6"]
     for idx in range(10):
         n = rng.randint(12, 28)
         g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5]))

@@ -5,13 +5,13 @@ import os
 
 import pytest
 
-from mwis import ORDERING_PRESETS, SolverConfig
+from mwis import ORDERING_PRESETS, SelectionStrategy, SolveResult, SolverConfig, cli
 from mwis.cli import _SELECTION_FLAGS, _build_parser, _write_atomic, main
 from mwis.oracle import OracleLimits
 
 P3 = "3 2 10\n5 2\n1 1 3\n5 2\n"
 SOLVE_FAST = ["--population-size", "30", "--unsuccessful-limit", "40",
-              "--pool-size", "4", "--ls-iterations", "500"]
+              "--pool-size", "4"]
 
 
 @pytest.fixture
@@ -39,6 +39,30 @@ def test_solve_flags_default_to_the_solver_config():
     assert (exact.max_vertices, exact.node_budget) == dataclasses.astuple(OracleLimits())
     for command in ("solve", "reduce"):
         assert _choices(parser, command, "ordering") == list(ORDERING_PRESETS)
+
+
+def test_every_solver_setting_has_a_flag(instance, tmp_path, monkeypatch, capsys):
+    # One flag per SolverConfig field, each set away from its default: a
+    # field without a flag, or a flag dropped on the way, fails here.
+    flags = {"time_limit": ("7.5", 7.5), "seed": ("9", 9),
+             "population_size": ("11", 11), "pool_size": ("3", 3),
+             "unsuccessful_limit": ("5", 5), "ordering": ("weight", "weight"),
+             "selection": ("degree", SelectionStrategy.DEGREE),
+             "selection_fraction": ("0.25", 0.25)}
+    defaults = SolverConfig()
+    assert sorted(flags) == sorted(f.name for f in dataclasses.fields(SolverConfig))
+    assert all(value != getattr(defaults, name) for name, (_, value) in flags.items())
+    configs = []
+
+    def capture(g, config, progress=None):
+        configs.append(config)
+        return SolveResult(solution={0, 2}, weight=10, elapsed=0.0, rounds=0)
+
+    monkeypatch.setattr(cli, "solve", capture)
+    argv = [arg for name, (text, _) in flags.items()
+            for arg in ("--" + name.replace("_", "-"), text)]
+    assert main(["solve", str(instance), "--output", str(tmp_path / "p3.sol"), *argv]) == 0
+    assert configs == [SolverConfig(**{name: value for name, (_, value) in flags.items()})]
 
 
 def test_solve_writes_solution_and_record(instance, tmp_path, capsys):
@@ -171,7 +195,6 @@ def test_usage_errors_exit_2(capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--population-size", "0"), ("--time-limit", "-1"), ("--time-limit", "nan"),
-    ("--max-blocks", "1"), ("--mutation-prob", "1.5"),
     ("--selection-fraction", "2")])
 def test_invalid_solver_config_exits_2(instance, tmp_path, capsys, flag, value):
     out = tmp_path / "p3.sol"

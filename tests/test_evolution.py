@@ -135,7 +135,7 @@ def test_vertex_separator_combine_p3(rng):
     part = manual_partition(g, [0, SEPARATOR, 1], has_separator=True)
     left = make_individual(g, {0})
     right = make_individual(g, {2})
-    o1, o2 = combine_vertex_separator(g, part, left, right, 200, rng)
+    o1, o2 = combine_vertex_separator(g, part, left, right, rng)
     assert o1.members == frozenset({0, 2})
     assert o1.weight == 10
     assert_maximal(g, o2)
@@ -145,7 +145,7 @@ def test_vertex_separator_identical_parents(rng):
     g = path([5, 1, 5])
     part = manual_partition(g, [0, SEPARATOR, 1], has_separator=True)
     ind = make_individual(g, {0, 2})
-    o1, o2 = combine_vertex_separator(g, part, ind, ind, 200, rng)
+    o1, o2 = combine_vertex_separator(g, part, ind, ind, rng)
     assert o1.members == ind.members == o2.members
 
 
@@ -153,7 +153,7 @@ def test_vertex_separator_empty_parents(rng):
     g = path([5, 1, 5])
     part = manual_partition(g, [0, SEPARATOR, 1], has_separator=True)
     empty = Individual(frozenset(), 0)
-    o1, _ = combine_vertex_separator(g, part, empty, empty, 200, rng)
+    o1, _ = combine_vertex_separator(g, part, empty, empty, rng)
     assert_maximal(g, o1)  # maximization alone fills the offspring
 
 
@@ -166,7 +166,7 @@ def test_multiway_vertex_separator_blockwise_winners(rng):
                make_individual(g, {1, 2, 5, 7}),
                make_individual(g, {1, 3, 4, 7}),
                make_individual(g, {1, 3, 5, 6})]
-    off = combine_multiway_vertex_separator(g, part, parents, 200, rng)
+    off = combine_multiway_vertex_separator(g, part, parents, rng)
     assert off.members == frozenset({0, 2, 4, 6})
     assert off.weight == 36
 
@@ -176,7 +176,7 @@ def test_multiway_vertex_separator_k2_reduces_to_heavier_restriction(rng):
     part = manual_partition(g, [0, SEPARATOR, 1], k=2, has_separator=True)
     a = make_individual(g, {0, 2})
     b = make_individual(g, {1})
-    off = combine_multiway_vertex_separator(g, part, [a, b], 200, rng)
+    off = combine_multiway_vertex_separator(g, part, [a, b], rng)
     assert off.members == frozenset({0, 2})
 
 
@@ -184,7 +184,7 @@ def test_multiway_identical_parents_reproduce(rng):
     g = path([5, 1, 5])
     part = manual_partition(g, [0, SEPARATOR, 1], k=2, has_separator=True)
     ind = make_individual(g, {0, 2})
-    off = combine_multiway_vertex_separator(g, part, [ind, ind], 200, rng)
+    off = combine_multiway_vertex_separator(g, part, [ind, ind], rng)
     assert off.members == ind.members
 
 
@@ -193,7 +193,7 @@ def test_edge_separator_combine_k2(rng):
     part = manual_partition(g, [0, 1], k=2)
     light = make_individual(g, {0})
     heavy = make_individual(g, {1})
-    o1, o2 = combine_edge_separator(g, part, light, heavy, 200, rng)
+    o1, o2 = combine_edge_separator(g, part, light, heavy, rng)
     for o in (o1, o2):
         assert_maximal(g, o)
     assert max(o1.weight, o2.weight) == 9
@@ -205,7 +205,7 @@ def test_edge_separator_repair_picks_lighter_endpoint(rng):
     part = manual_partition(g, [0, 1], k=2)
     all_in = make_individual(g, {0})  # cover {1}
     other = make_individual(g, {1})   # cover {0}
-    o1, o2 = combine_edge_separator(g, part, all_in, other, 200, rng)
+    o1, o2 = combine_edge_separator(g, part, all_in, other, rng)
     # cover exchange leaves (0,1) uncovered in one offspring; min-weight
     # repair adds vertex 0 (weight 2), keeping 1 (weight 7) in the solution
     assert frozenset({1}) in (o1.members, o2.members)
@@ -215,7 +215,7 @@ def test_multiway_edge_separator_direct_union(rng):
     g = build_graph([(0, 1), (2, 3)], [9, 1, 9, 1])
     part = manual_partition(g, [0, 0, 1, 1], k=2)
     a = make_individual(g, {0, 2})
-    off = combine_multiway_edge_separator(g, part, [a, a], 200, rng)
+    off = combine_multiway_edge_separator(g, part, [a, a], rng)
     assert off.members == frozenset({0, 2})
 
 
@@ -226,22 +226,22 @@ def test_multiway_edge_separator_greedy_repair_triangle(rng):
     part = manual_partition(g, [0, 1, 2], k=3)
     parents = [make_individual(g, {0}), make_individual(g, {1}),
                make_individual(g, {2})]
-    off = combine_multiway_edge_separator(g, part, parents, 200, rng)
+    off = combine_multiway_edge_separator(g, part, parents, rng)
     assert_maximal(g, off)
     assert off.members == frozenset({2})  # repair covers with {0, 1}
 
 
-def kxk_vertex_separator(g, part, parents, ls_iterations, rng):
+def kxk_vertex_separator(g, part, parents, rng):
     """Reference: score every block against every parent by set intersection."""
     raw = set()
     for block in map(set, part.blocks()):
         scores = [sum(g.weight[v] for v in parent.members & block) for parent in parents]
         winner = max(range(len(parents)), key=lambda i: (scores[i], -i))
         raw |= parents[winner].members & block
-    return evolution._finish(g, raw, ls_iterations, rng)
+    return evolution._finish(g, raw, rng)
 
 
-def kxk_edge_separator(g, part, parents, ls_iterations, rng):
+def kxk_edge_separator(g, part, parents, rng):
     """Reference: score every block against every parent by set difference,
     then the same greedy repair."""
     alive = set(g.vertices())
@@ -256,7 +256,7 @@ def kxk_edge_separator(g, part, parents, ls_iterations, rng):
     for u, v in uncovered:
         if u not in cover and v not in cover:
             cover.add(u if (g.weight[u] * udeg[v], u) <= (g.weight[v] * udeg[u], v) else v)
-    return evolution._finish(g, alive - cover, ls_iterations, rng)
+    return evolution._finish(g, alive - cover, rng)
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
@@ -279,8 +279,8 @@ def test_multiway_combines_match_kxk_scoring(k):
                 (combine_multiway_edge_separator, kxk_edge_separator, edge_part),
                 (combine_multiway_vertex_separator, kxk_vertex_separator, sep_part)):
             seed = rng.random()
-            got = combine(g, part, parents, 200, random.Random(seed))
-            assert got == reference(g, part, parents, 200, random.Random(seed))
+            got = combine(g, part, parents, random.Random(seed))
+            assert got == reference(g, part, parents, random.Random(seed))
 
 
 def test_combine_refuses_wrong_partition_kind(rng):
@@ -288,11 +288,11 @@ def test_combine_refuses_wrong_partition_kind(rng):
     edge_part = manual_partition(g, [0, 0, 1], k=2)
     ind = make_individual(g, {0, 2})
     with pytest.raises(ValueError):
-        combine_vertex_separator(g, edge_part, ind, ind, 10, rng)
+        combine_vertex_separator(g, edge_part, ind, ind, rng)
     sep_part = manual_partition(g, [0, SEPARATOR, 1], k=2,
                                 has_separator=True)
     with pytest.raises(ValueError):
-        combine_edge_separator(g, sep_part, ind, ind, 10, rng)
+        combine_edge_separator(g, sep_part, ind, ind, rng)
 
 
 # -- the four operators as separate bodies ---------------------------------------
@@ -343,21 +343,21 @@ def _old_min_weight_bipartite_cover(g, edges, left):
     return cover
 
 
-def old_vertex_separator(g, part, first, second, ls_iterations, rng):
+def old_vertex_separator(g, part, first, second, rng):
     v1, v2 = _old_split_blocks(part)
     raw1 = (first.members & v1) | (second.members & v2)
     raw2 = (second.members & v1) | (first.members & v2)
-    return (evolution._finish(g, set(raw1), ls_iterations, rng),
-            evolution._finish(g, set(raw2), ls_iterations, rng))
+    return (evolution._finish(g, set(raw1), rng),
+            evolution._finish(g, set(raw2), rng))
 
 
-def old_multiway_vertex_separator(g, part, parents, ls_iterations, rng):
+def old_multiway_vertex_separator(g, part, parents, rng):
     inside = [_old_block_weights(g, part, parent.members) for parent in parents]
     winners = [max(range(len(parents)), key=lambda i: (inside[i][b], -i))
                for b in range(part.k)]
     raw = {v for b, i in enumerate(winners) for v in parents[i].members
            if part.block_of[v] == b}
-    return evolution._finish(g, raw, ls_iterations, rng)
+    return evolution._finish(g, raw, rng)
 
 
 def old_exchanged_covers(g, part, first, second):
@@ -374,14 +374,14 @@ def old_exchanged_covers(g, part, first, second):
     return out
 
 
-def old_edge_separator(g, part, first, second, ls_iterations, rng):
+def old_edge_separator(g, part, first, second, rng):
     alive = set(g.vertices())
     covers = old_exchanged_covers(g, part, first, second)
-    o1, o2 = (evolution._finish(g, alive - c, ls_iterations, rng) for c in covers)
+    o1, o2 = (evolution._finish(g, alive - c, rng) for c in covers)
     return o1, o2
 
 
-def old_multiway_edge_separator(g, part, parents, ls_iterations, rng):
+def old_multiway_edge_separator(g, part, parents, rng):
     alive = set(g.vertices())
     block_w = _old_block_weights(g, part, range(g.capacity))
     inside = [_old_block_weights(g, part, parent.members) for parent in parents]
@@ -400,7 +400,7 @@ def old_multiway_edge_separator(g, part, parents, ls_iterations, rng):
                 continue
             pick = u if (g.weight[u] * udeg[v], u) <= (g.weight[v] * udeg[u], v) else v
             cover.add(pick)
-    return evolution._finish(g, alive - cover, ls_iterations, rng)
+    return evolution._finish(g, alive - cover, rng)
 
 
 def _equivalence_kernels(rng):
@@ -457,8 +457,8 @@ def test_block_exchange_matches_the_four_operator_bodies(monkeypatch):
             for combine, reference, part, args in cases:
                 seed = rng.random()
                 ours, theirs = random.Random(seed), random.Random(seed)
-                got = combine(g, part, *args, 150, ours)
-                assert got == reference(g, part, *args, 150, theirs), (combine.__name__, k)
+                got = combine(g, part, *args, ours)
+                assert got == reference(g, part, *args, theirs), (combine.__name__, k)
                 assert ours.getstate() == theirs.getstate()
                 compared[combine.__name__] += 1
     assert len(compared) == 4 and min(compared.values()) >= 30, compared
@@ -501,7 +501,7 @@ def test_mutate_preserves_validity(rng):
     for _ in range(20):
         g = random_graph(rng, 10, 0.3)
         ind = build_initial(g, InitStrategy.GREEDY_WEIGHT_MWIS, rng)
-        out = mutate(g, ind, rng, strength=2, ls_iterations=500)
+        out = mutate(g, ind, rng, strength=2)
         assert_maximal(g, out)
 
 
@@ -561,8 +561,7 @@ def test_armed_forcing_still_admits_on_merit(monkeypatch, rng):
         return next(entries)
 
     monkeypatch.setattr(evolution, "replace", replace_stub)
-    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=1, pool_size=2, max_blocks=4,
-                                     ls_iterations=200))
+    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=1, pool_size=2))
     assert len(offers) == 2
 
 
@@ -607,7 +606,7 @@ def test_evolve_p4_reaches_optimum():
     alpha, _ = brute_force(g)
     rng = random.Random(5)
     pop = initial_population(g, 20, rng)
-    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=80, ls_iterations=500))
+    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=80))
     assert pop.best().weight == alpha == 10
 
 
@@ -616,7 +615,7 @@ def test_evolve_population_invariants_hold(rng):
     pop = initial_population(g, 15, rng)
     size = len(pop)
     best_before = pop.best().weight
-    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=40, ls_iterations=300))
+    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=40))
     assert len(pop) == size
     assert pop.best().weight >= best_before
     for ind in pop.individuals:
@@ -627,7 +626,7 @@ def test_evolve_emits_improvements(rng):
     g = random_graph(rng, 16, 0.25)
     pop = initial_population(g, 12, rng)
     seen = []
-    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=60, ls_iterations=300),
+    evolve(g, pop, rng, SolverConfig(unsuccessful_limit=60),
            on_improve=lambda it, w: seen.append((it, w)))
     assert all(w2 > w1 for (_, w1), (_, w2) in zip(seen, seen[1:]))
 
@@ -663,8 +662,7 @@ def test_evolve_only_reads_the_kernel(monkeypatch):
                   g.live_count, g.live_edges)
         rng = random.Random(g.live_count)
         pop = initial_population(g, 12, rng)
-        evolve(g, pop, rng, SolverConfig(unsuccessful_limit=40, ls_iterations=300,
-                                         mutation_prob=0.5, pool_size=4))
+        evolve(g, pop, rng, SolverConfig(unsuccessful_limit=40, pool_size=4))
         after = ([set(a) for a in g.adj], list(g.weight), list(g.alive),
                  g.live_count, g.live_edges)
         assert after == before
@@ -675,7 +673,7 @@ def test_evolve_calls_the_combines_bound_in_the_module(monkeypatch):
     # A tracer wraps combine_* functions where the module namespace binds
     # them; evolve must look each one up there at every call.
     g = geometric_graph(random.Random(3), 80, 6)
-    config = SolverConfig(unsuccessful_limit=40, ls_iterations=200, pool_size=4)
+    config = SolverConfig(unsuccessful_limit=40, pool_size=4)
 
     def run():
         rng = random.Random(9)

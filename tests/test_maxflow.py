@@ -10,11 +10,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from mwis import build_graph, exact_reduce, is_independent, ordering_preset, reconstruct
+from mwis import (InitStrategy, build_graph, build_initial, exact_reduce, is_independent,
+                  ordering_preset, reconstruct)
 from mwis.maxflow import DoubleCoverFlow, FlowNetwork
 from mwis.reductions import (ReductionEvent, Rule, _add_edge, _new_vertex, _rm, _rm_edge,
                              _Scheduler, _set_w, _take, critical_set)
-from mwis.solver import _greedy_kernel_solution
 from conftest import geometric_graph, path, random_graph
 
 
@@ -574,7 +574,8 @@ def test_medium_kernel_has_an_empty_critical_set_and_rebuilds():
     assert critical_set(g) == (set(), 0)
     assert dinic_min_cut(g) == set()
     compacted, ids = g.compact()
-    chosen = {ids[v] for v in _greedy_kernel_solution(compacted)}
+    greedy = build_initial(compacted, InitStrategy.GREEDY_WEIGHT_MWIS, random.Random(0))
+    chosen = {ids[v] for v in greedy.members}
     rebuilt = reconstruct(kernel, chosen)
     assert is_independent(original, rebuilt)
     assert (sum(original.weight[v] for v in rebuilt)

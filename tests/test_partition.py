@@ -144,14 +144,14 @@ def test_determinism_per_seed():
 
 def test_pool_fills_to_capacity(rng):
     g = random_graph(random.Random(2), 30, 0.2)
-    pool = PartitionPool(g, capacity=10, max_blocks=64)
+    pool = PartitionPool(g, capacity=10)
     pool.fetch(want_separator=False, rng=rng)
     assert len(pool._entries) == 10
 
 
 def test_pool_builds_separator_on_demand(rng):
     g = random_graph(random.Random(4), 16, 0.3)
-    pool = PartitionPool(g, capacity=3, max_blocks=64)
+    pool = PartitionPool(g, capacity=3)
     part = pool.fetch(want_separator=True, rng=rng, k=2)
     assert part.has_separator and part.k == 2
     assert validate_partition(g, part) == []
@@ -159,7 +159,7 @@ def test_pool_builds_separator_on_demand(rng):
 
 def test_pool_respects_block_bound(rng):
     g = random_graph(random.Random(5), 40, 0.15)
-    pool = PartitionPool(g, capacity=8, max_blocks=64)
+    pool = PartitionPool(g, capacity=8)
     for _ in range(8):
         part = pool.fetch(want_separator=False, rng=rng)
         assert 2 <= part.k <= 64
@@ -167,7 +167,7 @@ def test_pool_respects_block_bound(rng):
 
 def test_pool_rejects_tiny_graph(rng):
     g = build_graph([], [1])
-    pool = PartitionPool(g, capacity=2, max_blocks=64)
+    pool = PartitionPool(g, capacity=2)
     with pytest.raises(ValueError):
         pool.fetch(want_separator=False, rng=rng)
 

@@ -862,7 +862,7 @@ def test_master_identity_on_thousand_vertex_bipartite_graphs():
                 assert set_weight(original, rebuilt) == alpha0, name
     polls = []
     config = SolverConfig(time_limit=60, seed=3, population_size=20, pool_size=4,
-                          unsuccessful_limit=20, ls_iterations=1000)
+                          unsuccessful_limit=20)
     result = solve(original, config, should_stop=lambda: polls.append(1) or len(polls) > 3)
     assert result.weight == alpha0
     assert verify(original, sorted(result.solution)).ok
@@ -923,7 +923,7 @@ def test_master_identity_on_ten_thousand_vertex_forests():
     small = random_forest(rng, 2_000, 8)
     polls = []
     config = SolverConfig(time_limit=60, seed=5, population_size=20, pool_size=4,
-                          unsuccessful_limit=20, ls_iterations=1000)
+                          unsuccessful_limit=20)
     result = solve(small, config, should_stop=lambda: polls.append(1) or len(polls) > 3)
     assert result.weight == forest_alpha(small)
     assert verify(small, sorted(result.solution)).ok

@@ -11,8 +11,10 @@ from mwis import (OracleLimits, SolverConfig, brute_force, build_graph,
 from conftest import cycle, path, random_graph, star
 
 
-FAST = dict(population_size=40, unsuccessful_limit=80, pool_size=6,
-            ls_iterations=2000)
+FAST = dict(population_size=40, unsuccessful_limit=80, pool_size=6)
+# The benchmark's road-forcing settings: short evolves, then forcing.
+ROAD_FORCING = dict(ordering="baseline", population_size=30, pool_size=4,
+                    unsuccessful_limit=20, selection_fraction=0.1)
 
 
 def test_empty_graph():
@@ -140,32 +142,24 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(population_size=0)
     with pytest.raises(ValueError):
-        SolverConfig(mutation_prob=1.5)
-    with pytest.raises(ValueError):
         SolverConfig(ordering="bogus")
     with pytest.raises(ValueError):
         SolverConfig(time_limit=0)
     with pytest.raises(ValueError, match="time_limit"):
         SolverConfig(time_limit=float("nan"))
-    with pytest.raises(ValueError, match="max_blocks"):
-        SolverConfig(max_blocks=1)
 
 
 @pytest.mark.parametrize("mutation_prob", [0.0, 1.0])
 def test_solve_hands_each_setting_to_its_layer(monkeypatch, mutation_prob):
-    # The benchmark runs these settings at their defaults, so only a spy
-    # sees one of them dropped on the way down.
+    # A setting dropped on the way down falls back to its default and the
+    # solve still succeeds, so only a spy sees it.
     from mwis import evolution, solver
 
-    caps, pools, calls, forced = [], [], Counter(), []
+    pools, calls, forced = [], Counter(), []
 
-    def vnd(state, max_iterations, rng, _fn=evolution.vnd):
-        caps.append(max_iterations)
-        return _fn(state, max_iterations, rng)
-
-    def pool(g, capacity, max_blocks, _cls=evolution.PartitionPool):
-        pools.append((capacity, max_blocks))
-        return _cls(g, capacity=capacity, max_blocks=max_blocks)
+    def pool(g, capacity, _cls=evolution.PartitionPool):
+        pools.append(capacity)
+        return _cls(g, capacity=capacity)
 
     def counted(name):
         def wrapper(*args, _fn=getattr(evolution, name), **kwargs):
@@ -177,7 +171,7 @@ def test_solve_hands_each_setting_to_its_layer(monkeypatch, mutation_prob):
         want = max(1, int(config.selection_fraction * len(pop.best().members)))
         forced.append((len(_fn(g, pop, config, events)), want))
 
-    monkeypatch.setattr(evolution, "vnd", vnd)
+    monkeypatch.setattr(evolution, "MUTATION_PROB", mutation_prob)
     monkeypatch.setattr(evolution, "PartitionPool", pool)
     monkeypatch.setattr(evolution, "mutate", counted("mutate"))
     monkeypatch.setattr(evolution, "replace", counted("replace"))
@@ -186,13 +180,12 @@ def test_solve_hands_each_setting_to_its_layer(monkeypatch, mutation_prob):
     # finishes exactly, so three rounds evolve and force.
     g = random_graph(random.Random(12), 50, 0.2, wlo=90, whi=110)
     config = SolverConfig(seed=3, population_size=12, unsuccessful_limit=30,
-                          pool_size=3, max_blocks=4, ls_iterations=777,
-                          mutation_prob=mutation_prob, selection_fraction=0.2)
+                          pool_size=3, selection_fraction=0.2)
     result = solve(g, config)
 
     assert result.rounds >= 2 and len(forced) == result.rounds
-    assert caps and set(caps) == {777}
-    assert pools and set(pools) == {(3, 4)}
+    assert pools and set(pools) == {3}
+    # evolution.MUTATION_PROB is read when each offspring is made.
     assert calls["replace"] > 0
     assert calls["mutate"] == (calls["replace"] if mutation_prob else 0)
     assert all(n == want for n, want in forced) and max(n for n, _ in forced) > 1
@@ -296,10 +289,15 @@ def test_budget_exhausted_finish_falls_back_to_the_evolve_path(monkeypatch):
 
 def test_proven_optimal_results_are_optimal():
     # The Petersen kernel of 10 vertices is finished exactly, its witness
-    # mapped back through the shifted ids: weight 150.
-    result = solve(shifted_petersens(1), SolverConfig(time_limit=30, seed=1, **FAST))
+    # mapped back through the shifted ids: weight 150, of which the kernel
+    # optimum, reported in the "solved" event, is 50.
+    events = []
+    result = solve(shifted_petersens(1), SolverConfig(time_limit=30, seed=1, **FAST),
+                   progress=lambda kind, payload: events.append((kind, payload)))
     assert result.proven_optimal and result.weight == 150
     assert result.kernel_trace[0].kernel_vertices == 10
+    assert [kind for kind, _ in events] == ["reduced", "solved"]
+    assert events[1][1] == dict(round=0, kernel_vertices=10, weight=50)
     assert not solve(shifted_petersens(4), SolverConfig(seed=1, **FAST)).proven_optimal
     rng = random.Random(2207)
     graphs = [path([5, 1, 5]), star(10, [1, 2, 3, 4])]
@@ -327,15 +325,31 @@ def test_road_forcing_config_is_optimal_on_most_small_geometric_graphs():
     # 20 graphs, in about 7 s on a two-core x86-64 VM with CPython 3.11;
     # the bound leaves one instance for a change of search trajectory.
     generate = _benchmark_instances().geometric
-    config = dict(ordering="baseline", population_size=30, pool_size=4,
-                  unsuccessful_limit=20, selection_fraction=0.1)
     optimal = 0
     for i in range(20):
         g = parse_metis(generate(60, 10, 50000 + i))
         kernel = exact_reduce(g.copy(), ordering_preset("baseline"))
         alpha, _ = brute_force(kernel.graph, OracleLimits(max_vertices=64))
-        result = solve(g, SolverConfig(seed=50000 + i, **config))
+        result = solve(g, SolverConfig(seed=50000 + i, **ROAD_FORCING))
         assert verify(g, sorted(result.solution)).ok
         assert result.weight <= kernel.offset + alpha
         optimal += result.weight == kernel.offset + alpha
     assert optimal >= 17, optimal
+
+
+def test_disjoint_small_components_reach_their_summed_optimum():
+    # Forty random components of 24 vertices: each is small enough for
+    # brute_force, so the optimum of their union is known, while the union
+    # keeps a first kernel of several hundred vertices that must evolve and
+    # be forced.  The road-forcing settings reached the optimum in about
+    # 2 s on a two-core x86-64 VM with CPython 3.11.
+    rng = random.Random(12)
+    parts = [random_graph(rng, 24, 6 / 23, 1, 100) for _ in range(40)]
+    optimum = sum(brute_force(part)[0] for part in parts)
+    g = build_graph([(24 * i + u, 24 * i + v) for i, part in enumerate(parts)
+                     for u, v in part.edges()],
+                    [w for part in parts for w in part.weight])
+    result = solve(g, SolverConfig(seed=1, **ROAD_FORCING))
+    assert verify(g, sorted(result.solution)).ok
+    assert 0.999 * optimum <= result.weight <= optimum
+    assert result.kernel_trace[0].kernel_vertices > 30
