@@ -165,15 +165,20 @@ def initial_population(g: WeightedGraph, size: int, rng: random.Random,
                        deadline: float | None = None) -> Population:
     """Fill a population, drawing a constructor uniformly per individual.
 
-    Stops early, with at least two individuals, once ``time.monotonic()``
-    reaches ``deadline``.
+    Only ``RANDOM_MWIS`` draws from ``rng``, so each other constructor is
+    built once and its individual repeated.  Stops early, with at least two
+    individuals, once ``time.monotonic()`` reaches ``deadline``.
     """
     strategies = list(InitStrategy)
+    built: dict[InitStrategy, Individual] = {}
     individuals: list[Individual] = []
     for _ in range(size):
         if len(individuals) >= 2 and deadline is not None and time.monotonic() >= deadline:
             break
-        individuals.append(build_initial(g, rng.choice(strategies), rng))
+        strategy = rng.choice(strategies)
+        if strategy is InitStrategy.RANDOM_MWIS or strategy not in built:
+            built[strategy] = build_initial(g, strategy, rng)
+        individuals.append(built[strategy])
     return Population(individuals)
 
 

@@ -4,12 +4,11 @@ Rounds alternate three phases on a private working copy of the input:
 exhaustive exact reduction, memetic search over the kernel, and heuristic
 forcing of high-rated solution vertices, all journaled as one event list.
 Each round's search runs on the kernel's ``compact()`` copy, and its
-population is mapped back to working ids before forcing.
-A kernel small enough for ``brute_force`` is solved exactly instead, which
-ends the loop: no later round can beat the optimum of the working graph.
-The loop also ends when the kernel empties or the time budget runs out;
-the journal then expands the heaviest round's kernel solution to original
-ids.
+population is mapped back to working ids before forcing.  Every round ends
+with one kernel solution: ``brute_force``'s for a small or emptied kernel
+(no later round can beat that optimum, so the loop ends), a greedy one
+when the time budget runs out first (the loop ends too), or evolve's
+fittest.  The journal expands the heaviest one to original ids.
 """
 
 from __future__ import annotations
@@ -63,9 +62,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RoundStats:
-    """Kernel size, banked offset (forced weight included) and best evolved
-    weight of one round; ``offset + best_evolve_weight`` is its full weight.
-    A round whose kernel was solved exactly holds the kernel optimum."""
+    """Kernel size, banked offset (forced weight included) and the weight of
+    one round's kernel solution: evolve's fittest, the kernel optimum (0 for
+    an emptied kernel) or the greedy fallback's when the budget ran out
+    before evolve.  ``offset + best_evolve_weight`` is the round's weight."""
 
     kernel_vertices: int
     offset: int
@@ -92,15 +92,18 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
           should_stop: Callable[[], bool] | None = None) -> SolveResult:
     """Run the full solver on a copy of ``graph``.
 
-    Each round reduces exactly, then solves a kernel of at most
-    ``OracleLimits().max_vertices`` vertices with ``brute_force`` and ends,
-    or evolves a population on it and forces vertices.  The solve ends when
-    the kernel empties, is solved exactly or the time budget runs out.
-    Deterministic for a fixed (graph, config) as long as the time limit
-    does not bite.  ``should_stop`` is polled between phases, never inside
-    exact reduction or ``brute_force``, so the budget can be slightly
-    overshot.  The heaviest round is returned; forcing can leave a later
-    one lighter.  ``progress`` receives the events ``reduced``,
+    Each round reduces exactly and takes one kernel solution: the optimum
+    from ``brute_force`` for a kernel of at most
+    ``OracleLimits().max_vertices`` vertices (0 once emptied), or a greedy
+    one when the budget has run out, either of which ends the solve; else
+    the fittest of a population evolved on the kernel, whose vertices are
+    then forced unless the budget ran out meanwhile.  Each round appends
+    one ``RoundStats``, so ``kernel_trace`` has ``rounds + 1`` entries; the
+    heaviest round, the later on a tie, is returned.  Deterministic for a
+    fixed (graph, config) as long as the time limit does not bite.
+    ``should_stop`` is polled after each reduce not finished exactly and
+    after each evolve, never inside exact reduction or ``brute_force``, so
+    the budget can be slightly overshot.  ``progress`` receives ``reduced``,
     ``evolve_best``, ``forced`` and ``solved`` (an exact finish).
     """
     config = config or SolverConfig()
@@ -111,9 +114,8 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
     events: list[ReductionEvent] = []
     trace: list[RoundStats] = []
     rounds = 0
-    kernel_solution: set[int] = set()
-    # (full weight, len(events), kernel members) of the heaviest round.
-    best: tuple[int, int, frozenset[int]] = (-1, 0, frozenset())
+    # (full weight, len(events), kernel solution) of the heaviest round.
+    best: tuple[int, int, set[int]] = (-1, 0, set())
     ordering = ordering_preset(config.ordering)
 
     def emit(kind: str, **payload) -> None:
@@ -125,50 +127,42 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
 
     while True:
         offset = exact_reduce(g, ordering, events).offset
-        exact = g.live_count == 0
-        if exact:
-            break
         emit("reduced", round=rounds, kernel_vertices=g.live_count, offset=offset)
         kernel, ids = g.compact()
-        if g.live_count <= OracleLimits().max_vertices:
+        pop = None
+        exact = g.live_count <= OracleLimits().max_vertices
+        if exact:
             try:
-                alpha, witness = brute_force(kernel)
+                kernel_weight, witness = brute_force(kernel)  # (0, set()) once emptied
             except OracleBudgetError:
-                pass  # the evolve path below still answers
+                exact = False  # the evolve path below still answers
             else:
-                exact = True
-                kernel_solution = {ids[v] for v in witness}
-                trace.append(RoundStats(kernel_vertices=g.live_count, offset=offset,
-                                        best_evolve_weight=alpha))
-                emit("solved", round=rounds, kernel_vertices=g.live_count, weight=alpha)
-                break
-        if cut_short():
-            greedy = build_initial(kernel, InitStrategy.GREEDY_WEIGHT_MWIS, rng)
-            kernel_solution = {ids[v] for v in greedy.members}
+                emit("solved", round=rounds, kernel_vertices=g.live_count, weight=kernel_weight)
+        if not exact:
+            if cut_short():
+                fittest = build_initial(kernel, InitStrategy.GREEDY_WEIGHT_MWIS, rng)
+            else:
+                pop = initial_population(kernel, config.population_size, rng, deadline)
+                evolve(kernel, pop, rng, config, deadline,
+                       on_improve=lambda it, w: emit("evolve_best", round=rounds,
+                                                     iteration=it, weight=w))
+                fittest = pop.best()
+            kernel_weight, witness = fittest.weight, fittest.members
+        trace.append(RoundStats(kernel_vertices=g.live_count, offset=offset,
+                                best_evolve_weight=kernel_weight))
+        if offset + kernel_weight >= best[0]:
+            best = (offset + kernel_weight, len(events), {ids[v] for v in witness})
+        if pop is None or cut_short():
             break
-        pop = initial_population(kernel, config.population_size, rng, deadline)
-        evolve(kernel, pop, rng, config, deadline,
-               on_improve=lambda it, w: emit("evolve_best", round=rounds,
-                                             iteration=it, weight=w))
-        # Back to working ids, which forcing and the journal use.
+        # Back to working ids, which forcing uses.
         pop.individuals[:] = [Individual(frozenset({ids[v] for v in ind.members}), ind.weight)
                               for ind in pop.individuals]
-        fittest = pop.best()
-        trace.append(RoundStats(kernel_vertices=g.live_count, offset=offset,
-                                best_evolve_weight=fittest.weight))
-        if offset + fittest.weight > best[0]:
-            best = (offset + fittest.weight, len(events), fittest.members)
-        if cut_short():
-            kernel_solution = set(fittest.members)
-            break
         heuristic_reduce(g, pop, config, events)
         rounds += 1
         emit("forced", round=rounds, kernel_vertices=g.live_count)
 
-    if best[0] > offset + sum(g.weight[v] for v in kernel_solution):
-        # The journal as it stood then rebuilds that round's kernel solution.
-        events, kernel_solution = events[:best[1]], best[2]
-    solution = replay_events(events, kernel_solution)
+    # The journal as it stood then rebuilds that round's kernel solution.
+    solution = replay_events(events[:best[1]], best[2])
     if not is_independent(graph, solution):  # pragma: no cover - safety net
         raise AssertionError("reconstructed solution is not independent")
     weight = sum(graph.weight[v] for v in solution)

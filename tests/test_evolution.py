@@ -573,6 +573,30 @@ def test_initial_population_size_and_validity(rng):
         assert_maximal(g, ind)
 
 
+def test_initial_population_builds_each_rng_free_constructor_once(monkeypatch):
+    # Only RANDOM_MWIS draws from rng, so every other constructor is built
+    # at most once per call and repeated; the population and the rng state
+    # after it equal those of a population built slot by slot.
+    g = geometric_graph(random.Random(8), 60, 6)
+    strategies = list(InitStrategy)
+    rng = random.Random(3)
+    slot_by_slot = [build_initial(g, rng.choice(strategies), rng) for _ in range(30)]
+    after = rng.getstate()
+    built = Counter()
+
+    def spy(graph, strategy, r, _fn=evolution.build_initial):
+        built[strategy] += 1
+        return _fn(graph, strategy, r)
+
+    monkeypatch.setattr(evolution, "build_initial", spy)
+    rng = random.Random(3)
+    assert initial_population(g, 30, rng).individuals == slot_by_slot
+    assert rng.getstate() == after
+    rng_free = [s for s in strategies if s is not InitStrategy.RANDOM_MWIS]
+    assert all(built[s] == 1 for s in rng_free), built
+    assert sum(built.values()) < 30
+
+
 def test_initial_population_stops_at_the_deadline(rng):
     # A passed deadline leaves two individuals; one that does not bite
     # changes nothing, the random draws included.

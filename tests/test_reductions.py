@@ -1271,6 +1271,74 @@ def test_shared_moves_match_the_per_rule_bodies():
     assert {key for key, count in seen.items() if count >= 10} >= branches, seen
 
 
+# -- journal completeness ------------------------------------------------------------
+
+VERTEX_RULES = (apply_neighborhood_removal, apply_degree_one, apply_triangle, apply_v_shape,
+                apply_v_shape_min, apply_isolated_clique, apply_simplicial_transfer,
+                apply_neighborhood_folding)
+PAIR_RULES = (apply_basic_single_edge, apply_extended_single_edge, apply_domination,
+              apply_twin)
+
+
+def _state_diff(before, after):
+    """Between two ``graph_state`` snapshots: the vertices whose adjacency,
+    weight or alive flag changed; the removed, reweighted and appended
+    vertices; and the edges between alive vertices added or removed."""
+    (adj0, w0, alive0, *_), (adj1, w1, alive1, *_) = before, after
+    appended = set(range(len(adj0), len(adj1)))
+    touched = {v for v in range(len(adj0))
+               if (adj0[v], w0[v], alive0[v]) != (adj1[v], w1[v], alive1[v])}
+    dropped = {v for v in range(len(adj0))
+               if (alive0[v] and not alive1[v]) or w0[v] != w1[v]}
+
+    def edges(adj, alive):
+        return {(u, v) for u in range(len(adj)) if alive[u] for v in adj[u] if u < v}
+
+    return touched | appended, dropped | appended, edges(adj0, alive0) ^ edges(adj1, alive1)
+
+
+def test_journal_names_every_change_a_firing_makes():
+    # The warm critical-set flow drops the flow at ev.changed() after each
+    # firing and nowhere else, so the undo journal must record every vertex
+    # and edge a rule changes.  Each step tries one random rule on its live
+    # arguments in random order until it fires, on one graph in sequence,
+    # so later firings meet folded, rewired and reweighted vertices.
+    rng = random.Random(4242)
+    fired = collections.Counter()
+    for _ in range(400):
+        g = reference_test_graph(rng)
+        cwis_step = rng.randrange(8)
+        for step in range(8):
+            live = g.vertices()
+            rule = apply_cwis if step == cwis_step else rng.choice(VERTEX_RULES + PAIR_RULES)
+            if rule is apply_cwis:
+                candidates = [()]
+            elif rule in VERTEX_RULES:
+                candidates = [(v,) for v in live]
+            elif rule is apply_twin:
+                candidates = [(u, v) for u in live for v in live
+                              if u != v and g.adj[u] == g.adj[v]]
+            else:
+                candidates = [(u, v) for u in live for v in sorted(g.adj[u])]
+            rng.shuffle(candidates)
+            for args in candidates:
+                before, events = graph_state(g), []
+                if rule(g, *args, events):
+                    break
+                assert graph_state(g) == before and not events
+            else:
+                continue
+            (ev,) = events
+            fired[rule.__name__] += 1
+            touched, dropped, edges = _state_diff(before, graph_state(g))
+            assert touched <= ev.touched(), (rule.__name__, touched - ev.touched())
+            assert dropped <= ev.changed(), (rule.__name__, dropped - ev.changed())
+            assert all(u in ev.changed() or v in ev.changed() for u, v in edges), rule.__name__
+    rules = {rule.__name__ for rule in VERTEX_RULES + PAIR_RULES + (apply_cwis,)}
+    # The rarest, apply_v_shape_min, fires 10 times.
+    assert set(fired) == rules and min(fired.values()) >= 8, fired
+
+
 # -- early-exit guards against the full sums -----------------------------------------
 # old_neighborhood_removal, old_isolated_clique and old_neighborhood_folding
 # above still test the whole neighborhood sum, the heaviest mate and

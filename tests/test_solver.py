@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from mwis import (OracleLimits, SolverConfig, brute_force, build_graph,
-                  exact_reduce, is_independent, ordering_preset, parse_metis,
-                  solve, verify)
+from mwis import (OracleLimits, RoundStats, SolverConfig, brute_force,
+                  build_graph, exact_reduce, is_independent, ordering_preset,
+                  parse_metis, solve, verify)
 from conftest import cycle, path, random_graph, star
 
 
@@ -28,7 +28,8 @@ def test_p3_solved_by_reduction_alone():
     result = solve(path([5, 1, 5]), SolverConfig(time_limit=5, **FAST))
     assert result.weight == 10
     assert result.solution == {0, 2}
-    assert result.kernel_trace == []  # never reached the memetic phase
+    # The emptied graph is finished exactly: one round, nothing evolved.
+    assert result.kernel_trace == [RoundStats(0, 10, 0)]
 
 
 def test_fixture_zoo_hits_optimum():
@@ -275,7 +276,10 @@ def test_budget_exhausted_finish_falls_back_to_the_evolve_path(monkeypatch):
     calls = []
 
     def exhausted(kernel, *args):
+        # An emptied kernel is answered before any search, as brute_force does.
         calls.append(kernel.capacity)
+        if kernel.capacity == 0:
+            return 0, set()
         raise OracleBudgetError("node budget exhausted")
 
     monkeypatch.setattr(solver, "brute_force", exhausted)
@@ -283,7 +287,7 @@ def test_budget_exhausted_finish_falls_back_to_the_evolve_path(monkeypatch):
     result = solve(g, SolverConfig(time_limit=30, seed=1, **FAST))
     assert verify(g, result.solution).ok and not result.proven_optimal
     assert calls[0] == result.kernel_trace[0].kernel_vertices == 10
-    assert len(calls) == len(result.kernel_trace) == result.rounds >= 1
+    assert len(calls) == len(result.kernel_trace) == result.rounds + 1 >= 2
     assert result.weight == 150
 
 
@@ -317,6 +321,45 @@ def _benchmark_instances():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _emptied_after_forcing():
+    # A reduce after forcing empties this graph, so the last round finishes
+    # an empty kernel.
+    g = parse_metis(_benchmark_instances().geometric(60, 10, 1))
+    return g, dict(pool_size=4, ordering="weight", selection_fraction=0.1, seed=3)
+
+
+@pytest.mark.parametrize("instance, stop_at_poll", [
+    pytest.param(lambda: (path([5, 1, 5]), FAST), None, id="reductions-alone"),
+    pytest.param(lambda: (shifted_petersens(1), FAST), None, id="exact-finish"),
+    pytest.param(lambda: (shifted_petersens(4), FAST), 1, id="greedy-fallback"),
+    pytest.param(lambda: (shifted_petersens(4), FAST), 2, id="cut-after-evolve"),
+    pytest.param(_emptied_after_forcing, None, id="emptied-after-forcing"),
+])
+def test_every_solve_keeps_the_round_invariants(instance, stop_at_poll):
+    g, settings = instance()
+    polls, events = [], []
+
+    def should_stop() -> bool:
+        polls.append(1)
+        return len(polls) == stop_at_poll
+
+    result = solve(g, SolverConfig(**settings), should_stop=should_stop,
+                   progress=lambda kind, payload: events.append((kind, payload)))
+    assert verify(g, result.solution).ok
+    trace = result.kernel_trace
+    assert len(trace) == result.rounds + 1
+    assert result.weight == max(s.offset + s.best_evolve_weight for s in trace)
+    first_reduce = next(payload for kind, payload in events if kind == "reduced")
+    assert trace[0].kernel_vertices == first_reduce["kernel_vertices"]
+    cut_short = len(polls) == stop_at_poll
+    assert (events[-1][0] == "solved") == (not cut_short)
+    if instance is _emptied_after_forcing:
+        assert result.rounds >= 1
+        assert events[-2:] == [
+            ("reduced", dict(round=result.rounds, kernel_vertices=0, offset=trace[-1].offset)),
+            ("solved", dict(round=result.rounds, kernel_vertices=0, weight=0))]
 
 
 def test_road_forcing_config_is_optimal_on_most_small_geometric_graphs():
