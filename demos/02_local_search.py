@@ -30,13 +30,13 @@ if omega_one_swap(state, 0):
     print(f"insertion swap took vertex 0 -> weight {state.weight}")
 
 # Full descent: alternates both neighborhoods until no move improves.
-vnd(state, max_iterations=15_000, rng=rng)
+vnd(state, max_iterations=15_000)
 print(f"after descent: weight {state.weight}, members {sorted(state.members())}")
 
 # Perturbation forces random vertices in (evicting their neighbors) and
 # re-maximalizes; descent then repairs the damage or keeps the gain.
 perturb(state, strength=2, rng=rng)
-vnd(state, rng=rng)
+vnd(state)
 print(f"after perturb + descent: weight {state.weight}")
 
 # Two-for-one trades fire on states where one heavy vertex blocks two

@@ -40,10 +40,10 @@ print(f"parents weigh {a.weight} and {b.weight}")
 
 # Block exchange across the separator: offspring inherit one block from
 # each parent and are independent before any repair.
-o1, o2 = combine_vertex_separator(g, sep, a, b, rng=rng)
+o1, o2 = combine_vertex_separator(g, sep, a, b)
 print(f"separator offspring weigh {o1.weight} and {o2.weight}")
 
 # The edge-partition variant trades vertex covers instead and repairs
 # the uncovered cut edges with an exact bipartite minimum-weight cover.
-o3, o4 = combine_edge_separator(g, part, a, b, rng=rng)
+o3, o4 = combine_edge_separator(g, part, a, b)
 print(f"cover-exchange offspring weigh {o3.weight} and {o4.weight}")

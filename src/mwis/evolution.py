@@ -8,7 +8,9 @@ between taken vertices get one of three repairs (none across a vertex
 separator, an exact bipartite cover across a 2-way edge partition, a
 greedy cover across a k-way one).  The offspring is improved with local
 search, optionally mutated, and offered to the population under a
-similarity-based replacement rule.
+similarity-based replacement rule.  The improvement is deterministic, so
+one ``evolve`` call polishes each distinct exchanged set once and looks
+up every repeat (:class:`FinishMemo`).
 """
 
 from __future__ import annotations
@@ -191,12 +193,57 @@ def tournament_select(pop: Population, rng: random.Random) -> Individual:
 
 # -- combine operators --------------------------------------------------------
 
-def _finish(g: WeightedGraph, members: set[int], rng: random.Random) -> Individual:
-    """Maximalize by weight, then improve with one local-search descent."""
+def _finish(g: WeightedGraph, members: set[int]) -> Individual:
+    """Maximalize by weight, then improve with one local-search descent.
+
+    Draws no random numbers, so the same ``members`` on the same graph
+    always give the same individual; :class:`FinishMemo` relies on this.
+    """
     state = SearchState(g, members)
     maximize_greedy(state, "by_weight")
-    vnd(state, rng=rng)
+    vnd(state)
     return _individual_from_state(state)
+
+
+def _bits(members) -> int:
+    """The vertex set as an int with bit v set for each member v."""
+    mask = 0
+    for v in members:
+        mask |= 1 << v
+    return mask
+
+
+class FinishMemo:
+    """``_finish`` results of one ``evolve`` call on one graph.
+
+    Most offspring repeat an exchanged set seen earlier in the same
+    ``evolve``: the population holds few distinct sets and the pool few
+    partitions.  Keys and values are bitmasks (see :func:`_bits`), far
+    smaller than the sets themselves; a hit sums its weight afresh.  The
+    table is emptied when it reaches ``limit`` entries, so it never holds
+    more; ``evolve`` makes a fresh memo per call and drops it on return.
+    """
+
+    def __init__(self, g: WeightedGraph, limit: int):
+        self.g = g
+        self.limit = limit
+        self.table: dict[int, int] = {}
+
+    def finish(self, g: WeightedGraph, members: set[int]) -> Individual:
+        """``_finish(g, members)``, computed once per exchanged set."""
+        if g is not self.g:
+            raise ValueError("this memo belongs to another graph")
+        key = _bits(members)
+        mask = self.table.get(key)
+        if mask is not None:
+            # Copied from a set, as in _individual_from_state.
+            out = {v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"}
+            return Individual(frozenset(out), sum(map(g.weight.__getitem__, out)))
+        ind = _finish(g, members)
+        if len(self.table) >= self.limit:
+            self.table.clear()
+        self.table[key] = _bits(ind.members)
+        return ind
 
 
 def _exchange(g: WeightedGraph, part: Partition, parents: Sequence[Individual],
@@ -276,56 +323,61 @@ def _greedy_cover(g: WeightedGraph, edges: list[tuple[int, int]],
 
 def combine_vertex_separator(g: WeightedGraph, part: Partition,
                              first: Individual, second: Individual,
-                             rng: random.Random) -> tuple[Individual, Individual]:
+                             memo: FinishMemo | None = None) -> tuple[Individual, Individual]:
     """Exchange whole separator blocks between two parents.
 
     With no edges between blocks, both raw offspring are independent before
     any repair; separator vertices only re-enter through maximization.
+    Each offspring is polished through ``memo`` when one is given.
     """
     if part.k != 2 or not part.has_separator:
         raise ValueError("needs a 2-way partition with a separator")
+    finish = _finish if memo is None else memo.finish
     parents = (first, second)
-    o1, o2 = (_finish(g, _exchange(g, part, parents, owners, None), rng)
+    o1, o2 = (finish(g, _exchange(g, part, parents, owners, None))
               for owners in ((0, 1), (1, 0)))
     return o1, o2
 
 
 def combine_multiway_vertex_separator(g: WeightedGraph, part: Partition,
                                       parents: Sequence[Individual],
-                                      rng: random.Random) -> Individual:
+                                      memo: FinishMemo | None = None) -> Individual:
     """Give each separator block to the parent weighing most inside it."""
     if not part.has_separator:
         raise ValueError("needs a partition with a separator")
     if len(parents) != part.k:
         raise ValueError(f"need {part.k} parents, got {len(parents)}")
+    finish = _finish if memo is None else memo.finish
     owners = _heaviest_owners(g, part, parents)
-    return _finish(g, _exchange(g, part, parents, owners, None), rng)
+    return finish(g, _exchange(g, part, parents, owners, None))
 
 
 def combine_edge_separator(g: WeightedGraph, part: Partition,
                            first: Individual, second: Individual,
-                           rng: random.Random) -> tuple[Individual, Individual]:
+                           memo: FinishMemo | None = None) -> tuple[Individual, Individual]:
     """Exchange blocks across a 2-way edge partition; the cut edges left
     inside an offspring are repaired with an exact minimum-weight cover."""
     if part.k != 2 or part.has_separator:
         raise ValueError("needs a plain 2-way edge partition")
+    finish = _finish if memo is None else memo.finish
     parents = (first, second)
-    o1, o2 = (_finish(g, _exchange(g, part, parents, owners, _min_weight_bipartite_cover), rng)
+    o1, o2 = (finish(g, _exchange(g, part, parents, owners, _min_weight_bipartite_cover))
               for owners in ((0, 1), (1, 0)))
     return o1, o2
 
 
 def combine_multiway_edge_separator(g: WeightedGraph, part: Partition,
                                     parents: Sequence[Individual],
-                                    rng: random.Random) -> Individual:
+                                    memo: FinishMemo | None = None) -> Individual:
     """Give each block to the parent weighing most inside it, which is the
     one with the lightest cover there, and repair the cut greedily."""
     if part.has_separator:
         raise ValueError("needs an edge partition, not a separator")
     if len(parents) != part.k:
         raise ValueError(f"need {part.k} parents, got {len(parents)}")
+    finish = _finish if memo is None else memo.finish
     owners = _heaviest_owners(g, part, parents)
-    return _finish(g, _exchange(g, part, parents, owners, _greedy_cover), rng)
+    return finish(g, _exchange(g, part, parents, owners, _greedy_cover))
 
 
 # -- mutation and replacement --------------------------------------------------
@@ -335,7 +387,7 @@ def mutate(g: WeightedGraph, offspring: Individual, rng: random.Random,
     """Force random vertices into the solution, then descend again."""
     state = SearchState(g, offspring.members)
     perturb(state, strength, rng)
-    vnd(state, rng=rng)
+    vnd(state)
     return _individual_from_state(state)
 
 
@@ -375,14 +427,21 @@ def evolve(g: WeightedGraph, pop: Population, rng: random.Random,
            on_improve: Callable[[int, int], None] | None = None) -> Population:
     """Run combine/mutate/replace rounds on ``pop`` until the budget is spent.
 
-    Reads ``unsuccessful_limit`` and ``pool_size`` from ``config``.  Stops
-    after ``unsuccessful_limit`` consecutive offers that did not enter the
-    population on merit (forced inserts do not reset the counter), or once
-    ``time.monotonic()`` reaches ``deadline``.
+    Reads ``unsuccessful_limit``, ``pool_size`` and ``population_size``
+    from ``config``.  Stops after ``unsuccessful_limit`` consecutive offers
+    that did not enter the population on merit (forced inserts do not reset
+    the counter), or once ``time.monotonic()`` reaches ``deadline``.
+
+    Every combine polishes through one :class:`FinishMemo` of this call, so
+    an exchanged set seen before costs a lookup instead of a descent.  It
+    holds at most ``population_size * pool_size`` entries and is dropped
+    on return; the results, and the random draws, are those of a fresh
+    ``_finish`` every time.
     """
     if g.live_count < 2:
         return pop
     pool = PartitionPool(g, capacity=config.pool_size)
+    memo = FinishMemo(g, config.population_size * config.pool_size)
 
     best_weight = pop.best().weight
     unsuccessful = 0
@@ -400,9 +459,9 @@ def evolve(g: WeightedGraph, pop: Population, rng: random.Random,
         # Looked up at each call, so a wrapper set on the module is used.
         combine = globals()[f"combine_{kind}"]
         if pair:
-            offspring = max(combine(g, part, *parents, rng=rng), key=lambda ind: ind.weight)
+            offspring = max(combine(g, part, *parents, memo=memo), key=lambda ind: ind.weight)
         else:
-            offspring = combine(g, part, parents, rng=rng)
+            offspring = combine(g, part, parents, memo=memo)
 
         if rng.random() < MUTATION_PROB:
             offspring = mutate(g, offspring, rng, strength=strength)

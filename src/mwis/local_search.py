@@ -8,7 +8,11 @@ monotone along every trajectory.  :class:`SearchState` keeps each
 vertex's count and weight of solution neighbors, and :func:`vnd` tests
 every move from those tallies first: it calls the move function only
 for an insertion that improves, or for a member whose 1-tight neighbors
-together outweigh it.  The graph is a ``compact()`` copy: every id is live.
+together outweigh it.  :func:`vnd` draws no random numbers: its queue
+starts with the improving insertions only, and a vertex joins it when it
+or a neighbor flips, so a descent costs in proportion to what moves
+rather than to the graph.  The graph is a ``compact()`` copy: every id
+is live.
 """
 
 from __future__ import annotations
@@ -192,25 +196,28 @@ def one_two_swap(state: SearchState, v: int) -> list[int]:
     return [v, x, y]
 
 
-def vnd(state: SearchState, max_iterations: int = 15_000,
-        rng: random.Random | None = None) -> int:
+def vnd(state: SearchState, max_iterations: int = 15_000) -> int:
     """Descend through both neighborhoods until locally optimal or capped.
 
     Insertion swaps are exhausted first; any two-for-one success returns
     to them.  Every attempted move counts against ``max_iterations``.
-    Each attempt is tested from the kept tallies first (see the module
-    docstring), so most cost no call.  Returns the number of attempts
-    spent.
+    The insertion queue starts with the vertices that improve on
+    insertion, largest gain first (ties: lower id); every other vertex
+    is queued when it or a neighbor flips, which is the only way its
+    tallies change, so no improving insertion is missed.  Each attempt
+    is tested from the kept tallies first (see the module docstring), so
+    most cost no call.  Returns the number of attempts spent.
     """
     g = state.g
     adj, weight = g.adj, g.weight
     in_sol, tight, nbw = state.in_sol, state.tight, state.nbw
     ids = range(len(in_sol))
-    order = list(ids)
-    if rng is not None:
-        rng.shuffle(order)
-    queue = deque(order)
-    inq = [True] * len(in_sol)
+    gainers = sorted((v for v in ids if not in_sol[v] and weight[v] > nbw[v]),
+                     key=lambda v: nbw[v] - weight[v])
+    queue = deque(gainers)
+    inq = [False] * len(in_sol)
+    for v in gainers:
+        inq[v] = True
     attempts = 0
 
     def requeue_around(flipped) -> None:

@@ -164,7 +164,7 @@ def test_criterion_4_local_search_optimality():
             state = SearchState(g)
             maximize_greedy(state, "uniform_random", rng)
             before = state.weight
-            vnd(state, rng=rng)
+            vnd(state)
             assert state.weight >= before  # monotone
             assert no_improving_move(state)
             tested += 1
@@ -173,7 +173,7 @@ def test_criterion_4_local_search_optimality():
             state = SearchState(g)
             maximize_greedy(state, "uniform_random", rng)
             before = state.weight
-            vnd(state, rng=rng)
+            vnd(state)
             assert state.weight >= before
             assert no_improving_move(state)
             tested += 1
@@ -212,7 +212,7 @@ def test_criterion_5_combine_validity():
         raw1 = (parents[0].members & v1) | (parents[1].members & v2)
         raw2 = (parents[1].members & v1) | (parents[0].members & v2)
         assert is_independent(g, raw1) and is_independent(g, raw2)  # pre-maximization
-        for off in combine_vertex_separator(g, part, *parents, rng):
+        for off in combine_vertex_separator(g, part, *parents):
             assert_valid_offspring(g, off)
 
     for trial in range(per_op):  # multi-way vertex separator
@@ -223,7 +223,7 @@ def test_criterion_5_combine_validity():
         part = vertex_separator(g, k, 0.1, rng)
         parents = [build_initial(g, rng.choice(list(InitStrategy)), rng)
                    for _ in range(k)]
-        off = combine_multiway_vertex_separator(g, part, parents, rng)
+        off = combine_multiway_vertex_separator(g, part, parents)
         assert_valid_offspring(g, off)
 
     for trial in range(per_op):  # edge separator with exact repair
@@ -234,7 +234,7 @@ def test_criterion_5_combine_validity():
         for owners in ((0, 1), (1, 0)):  # repaired, before maximization
             raw = _exchange(g, part, parents, owners, _min_weight_bipartite_cover)
             assert is_independent(g, raw)
-        for off in combine_edge_separator(g, part, *parents, rng):
+        for off in combine_edge_separator(g, part, *parents):
             assert_valid_offspring(g, off)
 
     for trial in range(per_op):  # multi-way edge separator, greedy repair
@@ -245,7 +245,7 @@ def test_criterion_5_combine_validity():
         part = edge_partition(g, k, 0.1, rng)
         parents = [build_initial(g, rng.choice(list(InitStrategy)), rng)
                    for _ in range(k)]
-        off = combine_multiway_edge_separator(g, part, parents, rng)
+        off = combine_multiway_edge_separator(g, part, parents)
         assert_valid_offspring(g, off)
 
     report(5, f"combine validity, {per_op} invocations per operator")

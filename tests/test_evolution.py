@@ -1,6 +1,7 @@
 import heapq
 import random
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -130,34 +131,34 @@ def test_tournament_singleton(rng):
 
 # -- combines ----------------------------------------------------------------------
 
-def test_vertex_separator_combine_p3(rng):
+def test_vertex_separator_combine_p3():
     g = path([5, 1, 5])
     part = manual_partition(g, [0, SEPARATOR, 1], has_separator=True)
     left = make_individual(g, {0})
     right = make_individual(g, {2})
-    o1, o2 = combine_vertex_separator(g, part, left, right, rng)
+    o1, o2 = combine_vertex_separator(g, part, left, right)
     assert o1.members == frozenset({0, 2})
     assert o1.weight == 10
     assert_maximal(g, o2)
 
 
-def test_vertex_separator_identical_parents(rng):
+def test_vertex_separator_identical_parents():
     g = path([5, 1, 5])
     part = manual_partition(g, [0, SEPARATOR, 1], has_separator=True)
     ind = make_individual(g, {0, 2})
-    o1, o2 = combine_vertex_separator(g, part, ind, ind, rng)
+    o1, o2 = combine_vertex_separator(g, part, ind, ind)
     assert o1.members == ind.members == o2.members
 
 
-def test_vertex_separator_empty_parents(rng):
+def test_vertex_separator_empty_parents():
     g = path([5, 1, 5])
     part = manual_partition(g, [0, SEPARATOR, 1], has_separator=True)
     empty = Individual(frozenset(), 0)
-    o1, _ = combine_vertex_separator(g, part, empty, empty, rng)
+    o1, _ = combine_vertex_separator(g, part, empty, empty)
     assert_maximal(g, o1)  # maximization alone fills the offspring
 
 
-def test_multiway_vertex_separator_blockwise_winners(rng):
+def test_multiway_vertex_separator_blockwise_winners():
     # 4-block path of K2s; each block has a distinct winning parent
     g = build_graph([(0, 1), (2, 3), (4, 5), (6, 7)], [9, 1, 9, 1, 9, 1, 9, 1])
     block_of = [0, 0, 1, 1, 2, 2, 3, 3]
@@ -166,82 +167,82 @@ def test_multiway_vertex_separator_blockwise_winners(rng):
                make_individual(g, {1, 2, 5, 7}),
                make_individual(g, {1, 3, 4, 7}),
                make_individual(g, {1, 3, 5, 6})]
-    off = combine_multiway_vertex_separator(g, part, parents, rng)
+    off = combine_multiway_vertex_separator(g, part, parents)
     assert off.members == frozenset({0, 2, 4, 6})
     assert off.weight == 36
 
 
-def test_multiway_vertex_separator_k2_reduces_to_heavier_restriction(rng):
+def test_multiway_vertex_separator_k2_reduces_to_heavier_restriction():
     g = path([5, 1, 5])
     part = manual_partition(g, [0, SEPARATOR, 1], k=2, has_separator=True)
     a = make_individual(g, {0, 2})
     b = make_individual(g, {1})
-    off = combine_multiway_vertex_separator(g, part, [a, b], rng)
+    off = combine_multiway_vertex_separator(g, part, [a, b])
     assert off.members == frozenset({0, 2})
 
 
-def test_multiway_identical_parents_reproduce(rng):
+def test_multiway_identical_parents_reproduce():
     g = path([5, 1, 5])
     part = manual_partition(g, [0, SEPARATOR, 1], k=2, has_separator=True)
     ind = make_individual(g, {0, 2})
-    off = combine_multiway_vertex_separator(g, part, [ind, ind], rng)
+    off = combine_multiway_vertex_separator(g, part, [ind, ind])
     assert off.members == ind.members
 
 
-def test_edge_separator_combine_k2(rng):
+def test_edge_separator_combine_k2():
     g = build_graph([(0, 1)], [1, 9])
     part = manual_partition(g, [0, 1], k=2)
     light = make_individual(g, {0})
     heavy = make_individual(g, {1})
-    o1, o2 = combine_edge_separator(g, part, light, heavy, rng)
+    o1, o2 = combine_edge_separator(g, part, light, heavy)
     for o in (o1, o2):
         assert_maximal(g, o)
     assert max(o1.weight, o2.weight) == 9
 
 
-def test_edge_separator_repair_picks_lighter_endpoint(rng):
+def test_edge_separator_repair_picks_lighter_endpoint():
     # both endpoints of the single cut edge are outside the exchanged covers
     g = build_graph([(0, 1)], [2, 7])
     part = manual_partition(g, [0, 1], k=2)
     all_in = make_individual(g, {0})  # cover {1}
     other = make_individual(g, {1})   # cover {0}
-    o1, o2 = combine_edge_separator(g, part, all_in, other, rng)
+    o1, o2 = combine_edge_separator(g, part, all_in, other)
     # cover exchange leaves (0,1) uncovered in one offspring; min-weight
     # repair adds vertex 0 (weight 2), keeping 1 (weight 7) in the solution
     assert frozenset({1}) in (o1.members, o2.members)
 
 
-def test_multiway_edge_separator_direct_union(rng):
+def test_multiway_edge_separator_direct_union():
     g = build_graph([(0, 1), (2, 3)], [9, 1, 9, 1])
     part = manual_partition(g, [0, 0, 1, 1], k=2)
     a = make_individual(g, {0, 2})
-    off = combine_multiway_edge_separator(g, part, [a, a], rng)
+    off = combine_multiway_edge_separator(g, part, [a, a])
     assert off.members == frozenset({0, 2})
 
 
-def test_multiway_edge_separator_greedy_repair_triangle(rng):
+def test_multiway_edge_separator_greedy_repair_triangle():
     # each block's winning cover is empty inside it, so the whole triangle
     # is initially uncovered and the greedy repair has to rebuild a cover
     g = build_graph([(0, 1), (1, 2), (0, 2)], [5, 6, 7])
     part = manual_partition(g, [0, 1, 2], k=3)
     parents = [make_individual(g, {0}), make_individual(g, {1}),
                make_individual(g, {2})]
-    off = combine_multiway_edge_separator(g, part, parents, rng)
+    off = combine_multiway_edge_separator(g, part, parents)
     assert_maximal(g, off)
     assert off.members == frozenset({2})  # repair covers with {0, 1}
 
 
-def kxk_vertex_separator(g, part, parents, rng):
+def kxk_vertex_separator(g, part, parents):
     """Reference: score every block against every parent by set intersection."""
     raw = set()
     for block in map(set, part.blocks()):
         scores = [sum(g.weight[v] for v in parent.members & block) for parent in parents]
         winner = max(range(len(parents)), key=lambda i: (scores[i], -i))
         raw |= parents[winner].members & block
-    return evolution._finish(g, raw, rng)
+    return evolution._finish(g, raw)
 
 
-def kxk_edge_separator(g, part, parents, rng):
+def kxk_edge_separator(g, part, parents):
     """Reference: score every block against every parent by set difference,
     then the same greedy repair."""
     alive = set(g.vertices())
@@ -256,7 +257,7 @@ def kxk_edge_separator(g, part, parents, rng):
     for u, v in uncovered:
         if u not in cover and v not in cover:
             cover.add(u if (g.weight[u] * udeg[v], u) <= (g.weight[v] * udeg[u], v) else v)
-    return evolution._finish(g, alive - cover, rng)
+    return evolution._finish(g, alive - cover)
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
@@ -278,21 +279,19 @@ def test_multiway_combines_match_kxk_scoring(k):
         for combine, reference, part in (
                 (combine_multiway_edge_separator, kxk_edge_separator, edge_part),
                 (combine_multiway_vertex_separator, kxk_vertex_separator, sep_part)):
-            seed = rng.random()
-            got = combine(g, part, parents, random.Random(seed))
-            assert got == reference(g, part, parents, random.Random(seed))
+            assert combine(g, part, parents) == reference(g, part, parents)
 
 
-def test_combine_refuses_wrong_partition_kind(rng):
+def test_combine_refuses_wrong_partition_kind():
     g = path([1, 1, 1])
     edge_part = manual_partition(g, [0, 0, 1], k=2)
     ind = make_individual(g, {0, 2})
     with pytest.raises(ValueError):
-        combine_vertex_separator(g, edge_part, ind, ind, rng)
+        combine_vertex_separator(g, edge_part, ind, ind)
     sep_part = manual_partition(g, [0, SEPARATOR, 1], k=2,
                                 has_separator=True)
     with pytest.raises(ValueError):
-        combine_edge_separator(g, sep_part, ind, ind, rng)
+        combine_edge_separator(g, sep_part, ind, ind)
 
 
 # -- the four operators as separate bodies ---------------------------------------
@@ -343,21 +342,21 @@ def _old_min_weight_bipartite_cover(g, edges, left):
     return cover
 
 
-def old_vertex_separator(g, part, first, second, rng):
+def old_vertex_separator(g, part, first, second):
     v1, v2 = _old_split_blocks(part)
     raw1 = (first.members & v1) | (second.members & v2)
     raw2 = (second.members & v1) | (first.members & v2)
-    return (evolution._finish(g, set(raw1), rng),
-            evolution._finish(g, set(raw2), rng))
+    return (evolution._finish(g, set(raw1)),
+            evolution._finish(g, set(raw2)))
 
 
-def old_multiway_vertex_separator(g, part, parents, rng):
+def old_multiway_vertex_separator(g, part, parents):
     inside = [_old_block_weights(g, part, parent.members) for parent in parents]
     winners = [max(range(len(parents)), key=lambda i: (inside[i][b], -i))
                for b in range(part.k)]
     raw = {v for b, i in enumerate(winners) for v in parents[i].members
            if part.block_of[v] == b}
-    return evolution._finish(g, raw, rng)
+    return evolution._finish(g, raw)
 
 
 def old_exchanged_covers(g, part, first, second):
@@ -374,14 +373,14 @@ def old_exchanged_covers(g, part, first, second):
     return out
 
 
-def old_edge_separator(g, part, first, second, rng):
+def old_edge_separator(g, part, first, second):
     alive = set(g.vertices())
     covers = old_exchanged_covers(g, part, first, second)
-    o1, o2 = (evolution._finish(g, alive - c, rng) for c in covers)
+    o1, o2 = (evolution._finish(g, alive - c) for c in covers)
     return o1, o2
 
 
-def old_multiway_edge_separator(g, part, parents, rng):
+def old_multiway_edge_separator(g, part, parents):
     alive = set(g.vertices())
     block_w = _old_block_weights(g, part, range(g.capacity))
     inside = [_old_block_weights(g, part, parent.members) for parent in parents]
@@ -400,7 +399,7 @@ def old_multiway_edge_separator(g, part, parents, rng):
                 continue
             pick = u if (g.weight[u] * udeg[v], u) <= (g.weight[v] * udeg[u], v) else v
             cover.add(pick)
-    return evolution._finish(g, alive - cover, rng)
+    return evolution._finish(g, alive - cover)
 
 
 def _equivalence_kernels(rng):
@@ -442,6 +441,9 @@ def test_block_exchange_matches_the_four_operator_bodies(monkeypatch):
             return cover
         monkeypatch.setattr(evolution, name, counted)
     for trial, g in enumerate(_equivalence_kernels(rng)):
+        # Half the cases polish through one small memo per kernel, which
+        # must answer as a fresh _finish does, across a clear included.
+        memo = evolution.FinishMemo(g, 6)
         for k in (2, 2, 3, 4, 8):
             edge_part = edge_partition(g, k, 0.03, rng)
             sep_part = separator_from(g, edge_part)
@@ -455,13 +457,12 @@ def test_block_exchange_matches_the_four_operator_bodies(monkeypatch):
                           (combine_vertex_separator, old_vertex_separator,
                            sep_part, _parents(g, 2, rng, trial))]
             for combine, reference, part, args in cases:
-                seed = rng.random()
-                ours, theirs = random.Random(seed), random.Random(seed)
-                got = combine(g, part, *args, ours)
-                assert got == reference(g, part, *args, theirs), (combine.__name__, k)
-                assert ours.getstate() == theirs.getstate()
+                via = memo if rng.random() < 0.5 else None
+                got = combine(g, part, *args, memo=via)
+                assert got == reference(g, part, *args), (combine.__name__, k)
                 compared[combine.__name__] += 1
-    assert len(compared) == 4 and min(compared.values()) >= 30, compared
+                compared["memo"] += via is not None
+    assert len(compared) == 5 and min(compared.values()) >= 30, compared
     assert min(repaired.values()) >= 30 and len(repaired) == 2, repaired
 
 
@@ -715,3 +716,91 @@ def test_evolve_calls_the_combines_bound_in_the_module(monkeypatch):
         monkeypatch.setattr(evolution, name, counted)
     assert run() == plain
     assert len(calls) == 4 and min(calls.values()) >= 5, calls
+
+
+class _RecordingMemo(evolution.FinishMemo):
+    """A ``FinishMemo`` that records its size after every lookup."""
+
+    made: list = []
+
+    def __init__(self, g, limit):
+        super().__init__(g, limit)
+        self.sizes = []
+        _RecordingMemo.made.append(self)
+
+    def finish(self, g, members):
+        out = super().finish(g, members)
+        self.sizes.append(len(self.table))
+        return out
+
+
+class _FreshFinish(evolution.FinishMemo):
+    """A ``FinishMemo`` that remembers nothing: every lookup recomputes."""
+
+    def finish(self, g, members):
+        return evolution._finish(g, members)
+
+
+def _memo_runs(monkeypatch, memo_class):
+    """Population and rng state after one evolve per kernel, polishing
+    through ``memo_class``; the limit is 6 * 2 = 12 entries."""
+    monkeypatch.setattr(evolution, "FinishMemo", memo_class)
+    config = SolverConfig(unsuccessful_limit=40, population_size=6, pool_size=2)
+    out = []
+    for g in _kernels():
+        rng = random.Random(g.live_count)
+        pop = initial_population(g, 10, rng)
+        evolve(g, pop, rng, config)
+        out.append((pop.individuals, rng.getstate()))
+    return out
+
+
+def test_evolve_memo_changes_no_offspring_and_no_draw(monkeypatch):
+    _RecordingMemo.made = []
+    memoized = _memo_runs(monkeypatch, _RecordingMemo)
+    assert memoized == _memo_runs(monkeypatch, _FreshFinish)
+    sizes = [m.sizes for m in _RecordingMemo.made]
+    assert len(sizes) == 6
+    # A lookup that leaves the size as it was is a hit; one that shrinks
+    # it follows a clear.
+    hits = sum(b == a for s in sizes for a, b in zip(s, s[1:]))
+    clears = sum(b < a for s in sizes for a, b in zip(s, s[1:]))
+    assert hits >= 50 and clears >= 3, (hits, clears)
+
+
+def test_evolve_memo_never_exceeds_population_times_pool(monkeypatch):
+    _RecordingMemo.made = []
+    _memo_runs(monkeypatch, _RecordingMemo)
+    assert all(m.limit == 12 for m in _RecordingMemo.made)
+    assert max(max(m.sizes) for m in _RecordingMemo.made) == 12
+
+
+def test_memo_answers_for_its_own_graph_and_dies_with_evolve(monkeypatch):
+    # The same ids and the same exchanged set on two graphs: each memo
+    # gives its own graph's polish and refuses the other graph.
+    heavy_ends = path([5, 1, 5])
+    heavy_middle = path([1, 9, 1])
+    first = evolution.FinishMemo(heavy_ends, 4)
+    second = evolution.FinishMemo(heavy_middle, 4)
+    for _ in range(2):  # the second lookup is a hit
+        assert first.finish(heavy_ends, {1}).members == frozenset({0, 2})
+        assert second.finish(heavy_middle, {1}).members == frozenset({1})
+    with pytest.raises(ValueError):
+        first.finish(heavy_middle, {1})
+
+    # Each evolve makes its own memo, and nothing keeps it once it returns.
+    alive = []
+
+    class Watched(evolution.FinishMemo):
+        def __init__(self, g, limit):
+            super().__init__(g, limit)
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(evolution, "FinishMemo", Watched)
+    module_state = dict(vars(evolution))
+    for g in list(_kernels())[:2]:
+        rng = random.Random(4)
+        evolve(g, initial_population(g, 8, rng), rng,
+               SolverConfig(unsuccessful_limit=20, pool_size=2))
+    assert len(alive) == 2 and all(ref() is None for ref in alive)
+    assert dict(vars(evolution)) == module_state
