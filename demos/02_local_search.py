@@ -20,9 +20,10 @@ weights = [1 if i % 2 else 8 for i in range(n)]
 g = build_graph([(i, (i + 1) % n) for i in range(n)], weights)
 print(f"ring optimum: {brute_force(g)[0]}")
 
-# Seed the state with a single light vertex and maximalize greedily.
+# Seed the state with a single light vertex and add free vertices,
+# heaviest first, until the set is maximal.
 state = SearchState(g, {1})
-maximize_greedy(state, "by_weight")
+maximize_greedy(state)
 print(f"greedy from a bad seed: weight {state.weight}, members {sorted(state.members())}")
 
 # A single insertion swap: vertex 0 outweighs its solution neighbors.

@@ -14,6 +14,7 @@ path that is a directory or whose directory cannot be written),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,14 +35,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BAD_INSTANCE = 3
 EXIT_BAD_SOLUTION = 4
-
-_SELECTION_FLAGS = {
-    "weight": SelectionStrategy.WEIGHT,
-    "degree": SelectionStrategy.DEGREE,
-    "weight-degree": SelectionStrategy.WEIGHT_OVER_DEGREE,
-    "hybrid": SelectionStrategy.HYBRID,
-    "participation": SelectionStrategy.SOLUTION_PARTICIPATION,
-}
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -84,9 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--unsuccessful-limit", type=int,
                     default=defaults.unsuccessful_limit)
     ps.add_argument("--ordering", default=defaults.ordering, choices=orderings)
-    ps.add_argument("--selection", choices=sorted(_SELECTION_FLAGS),
-                    default=next(flag for flag, kind in _SELECTION_FLAGS.items()
-                                 if kind is defaults.selection))
+    ps.add_argument("--selection", choices=sorted(s.value for s in SelectionStrategy),
+                    default=defaults.selection.value)
     ps.add_argument("--selection-fraction", type=float,
                     default=defaults.selection_fraction,
                     help="force this fraction of the fittest solution per round "
@@ -122,13 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
+    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
+    settings["selection"] = SelectionStrategy(args.selection)
     try:
-        config = SolverConfig(
-            time_limit=args.time_limit, seed=args.seed,
-            population_size=args.population_size, pool_size=args.pool_size,
-            unsuccessful_limit=args.unsuccessful_limit, ordering=args.ordering,
-            selection=_SELECTION_FLAGS[args.selection],
-            selection_fraction=args.selection_fraction)
+        config = SolverConfig(**settings)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -199,7 +188,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = _load_instance(args.instance)
-    limits = OracleLimits(max_vertices=args.max_vertices, node_budget=args.node_budget)
+    limits = OracleLimits(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(OracleLimits)})
     try:
         alpha, witness = brute_force(g, limits)
     except (OracleLimitError, OracleBudgetError) as exc:

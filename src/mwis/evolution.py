@@ -80,11 +80,15 @@ def build_initial(g: WeightedGraph, strategy: InitStrategy,
         raise ValueError("graph is empty")
     if strategy is InitStrategy.RANDOM_MWIS:
         state = SearchState(g)
-        maximize_greedy(state, "uniform_random", rng)
+        tight, free = state.tight, state.free()
+        while free:
+            v = rng.choice(free)
+            state.add(v)
+            free = [u for u in free if u != v and not tight[u]]
         return _individual_from_state(state)
     if strategy is InitStrategy.GREEDY_WEIGHT_MWIS:
         state = SearchState(g)
-        maximize_greedy(state, "by_weight")
+        maximize_greedy(state)
         return _individual_from_state(state)
     if strategy is InitStrategy.GREEDY_DEGREE_MWIS:
         return _greedy_degree_mwis(g)
@@ -145,7 +149,7 @@ def _cover_complement(g: WeightedGraph, by_weight: bool) -> Individual:
                     if uncov[u] > 0:
                         heapq.heappush(heap, (-uncov[u], u))
     state = SearchState(g, (v for v in range(g.capacity) if v not in cover))
-    maximize_greedy(state, "by_weight")
+    maximize_greedy(state)
     return _individual_from_state(state)
 
 
@@ -200,7 +204,7 @@ def _finish(g: WeightedGraph, members: set[int]) -> Individual:
     always give the same individual; :class:`FinishMemo` relies on this.
     """
     state = SearchState(g, members)
-    maximize_greedy(state, "by_weight")
+    maximize_greedy(state)
     vnd(state)
     return _individual_from_state(state)
 

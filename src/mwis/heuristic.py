@@ -28,16 +28,25 @@ if TYPE_CHECKING:
 
 
 class SelectionStrategy(Enum):
+    """Forcing strategies; each value is the ``mwis solve --selection`` name."""
+
     WEIGHT = "weight"
     DEGREE = "degree"
-    WEIGHT_OVER_DEGREE = "weight_over_degree"
+    WEIGHT_OVER_DEGREE = "weight-degree"
     HYBRID = "hybrid"
-    SOLUTION_PARTICIPATION = "solution_participation"
+    SOLUTION_PARTICIPATION = "participation"
 
 
-def _key(kind: SelectionStrategy, g: WeightedGraph,
+def rate(kind: SelectionStrategy, g: WeightedGraph,
          pop: Population) -> Callable[[int], object]:
-    """The sort key of ``kind``; participation counts the population once."""
+    """The sort key of ``kind``; forcing takes the largest.
+
+    Keys compare exactly: ints for weight, degree (negated, so smaller
+    degrees rank higher) and hybrid; ``(isolated, w or w/deg)`` for
+    weight/degree, so an isolated vertex outranks every ratio; and
+    ``(w > 0, count, w)`` for participation, which counts the population
+    once.  Equal keys go to the lower id.
+    """
     w = g.weight
     if kind is SelectionStrategy.WEIGHT:
         return w.__getitem__
@@ -54,18 +63,6 @@ def _key(kind: SelectionStrategy, g: WeightedGraph,
         counts = Counter(v for ind in pop.individuals for v in ind.members)
         return lambda v: (w[v] > 0, counts[v], w[v])
     raise ValueError(f"unknown strategy {kind}")
-
-
-def rate(kind: SelectionStrategy, g: WeightedGraph, pop: Population,
-         v: int) -> object:
-    """Sort key of one vertex under ``kind``; forcing takes the largest.
-
-    Keys compare exactly: ints for weight, degree (negated, so smaller
-    degrees rank higher) and hybrid; ``(isolated, w or w/deg)`` for
-    weight/degree, so an isolated vertex outranks every ratio; and
-    ``(w > 0, count, w)`` for participation.  Equal keys go to the lower id.
-    """
-    return _key(kind, g, pop)(v)
 
 
 def heuristic_reduce(g: WeightedGraph, pop: Population, config: SolverConfig,
@@ -93,7 +90,7 @@ def heuristic_reduce(g: WeightedGraph, pop: Population, config: SolverConfig,
             take = max(1, int(fraction * len(candidates)))
     # Candidates come in ascending id order and a reversed sort is stable,
     # so equal keys keep the lower id first.
-    ranked = sorted(candidates, key=_key(kind, g, pop), reverse=True)
+    ranked = sorted(candidates, key=rate(kind, g, pop), reverse=True)
     forced = set(ranked[:take])
     _take(g, None, forced, events)
     return forced

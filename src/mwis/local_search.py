@@ -118,31 +118,15 @@ class SearchState:
             raise AssertionError(f"weight drift: {self.weight} != {total}")
 
 
-def maximize_greedy(state: SearchState, order: str = "by_weight",
-                    rng: random.Random | None = None) -> None:
-    """Add free vertices until the solution is maximal.
-
-    ``by_weight`` takes the heaviest free vertex first (ties: lower id);
-    ``uniform_random`` draws uniformly and needs ``rng``.
-    """
+def maximize_greedy(state: SearchState) -> None:
+    """Add free vertices, heaviest first (ties: lower id), until maximal."""
     tight = state.tight
-    if order == "by_weight":
-        # Adding only ever shrinks the free set, so one pass in heaviest-
-        # first order picks what a fresh maximum at every step would.  The
-        # reverse sort is stable, so ties keep id order.
-        for v in sorted(state.free(), key=state.g.weight.__getitem__, reverse=True):
-            if not tight[v]:
-                state.add(v)
-    elif order == "uniform_random":
-        if rng is None:
-            raise ValueError("uniform_random order needs an rng")
-        free = state.free()
-        while free:
-            v = rng.choice(free)
+    # Adding only ever shrinks the free set, so one pass in heaviest-first
+    # order picks what a fresh maximum at every step would.  The reverse
+    # sort is stable, so ties keep id order.
+    for v in sorted(state.free(), key=state.g.weight.__getitem__, reverse=True):
+        if not tight[v]:
             state.add(v)
-            free = [u for u in free if u != v and not tight[u]]
-    else:
-        raise ValueError(f"unknown order {order!r}")
 
 
 def omega_one_swap(state: SearchState, v: int) -> list[int]:

@@ -253,7 +253,6 @@ def vertex_separator(g: WeightedGraph, k: int, epsilon: float,
 
 @dataclass
 class _PoolEntry:
-    k: int
     edge: Partition
     sep: Partition | None = None
 
@@ -276,7 +275,7 @@ class PartitionPool:
         if not choices:
             raise ValueError(f"no block count fits a graph of {self.g.live_count} vertices")
         self._entries = [
-            _PoolEntry(k=k, edge=edge_partition(self.g, k, POOL_EPSILON, rng))
+            _PoolEntry(edge_partition(self.g, k, POOL_EPSILON, rng))
             for k in (rng.choice(choices) for _ in range(self.capacity))
         ]
 
@@ -289,9 +288,9 @@ class PartitionPool:
         """
         if not self._entries:
             self._fill(rng)
-        matching = [e for e in self._entries if k is None or e.k == k]
+        matching = [e for e in self._entries if k is None or e.edge.k == k]
         if not matching:
-            entry = _PoolEntry(k=k, edge=edge_partition(self.g, k, POOL_EPSILON, rng))
+            entry = _PoolEntry(edge_partition(self.g, k, POOL_EPSILON, rng))
             self._entries[rng.randrange(len(self._entries))] = entry
         else:
             entry = matching[rng.randrange(len(matching))]

@@ -1,10 +1,12 @@
-"""Shared fixtures: graph builders and the naive enumeration oracle."""
+"""Shared fixtures: graph builders, the naive enumeration oracle and a
+reference max-flow network."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -65,6 +67,83 @@ def clique(weights) -> WeightedGraph:
 def star(center_weight: int, leaf_weights) -> WeightedGraph:
     weights = [center_weight] + list(leaf_weights)
     return build_graph([(0, i + 1) for i in range(len(leaf_weights))], weights)
+
+
+class DinicNetwork:
+    """Max flow by Dinic phases: BFS levels and an iterative DFS with current
+    arcs.  The tests' flow reference, sharing no code with the package.
+
+    ``min_cut_source_side`` after ``max_flow`` is the set reachable from the
+    source in the residual network: the minimal minimum cut, the same for
+    every maximum flow.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.head = [[] for _ in range(n)]
+        self.to = []
+        self.cap = []
+
+    def add_edge(self, u, v, capacity):
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def max_flow(self, s, t):
+        flow = 0
+        while True:
+            level = self._bfs_levels(s)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+            while True:
+                pushed = self._dfs(s, t, level, it)
+                if pushed == 0:
+                    break
+                flow += pushed
+
+    def _bfs_levels(self, s):
+        level = [-1] * self.n
+        level[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    q.append(v)
+        return level
+
+    def _dfs(self, s, t, level, it):
+        head, to, cap = self.head, self.to, self.cap
+        path = []  # arcs from s to u
+        u = s
+        while u != t:
+            arcs, i, want = head[u], it[u], level[u] + 1
+            while i < len(arcs) and (cap[arcs[i]] <= 0 or level[to[arcs[i]]] != want):
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+                continue
+            level[u] = -1
+            if not path:
+                return 0
+            u = to[path.pop() ^ 1]
+            it[u] += 1
+        pushed = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= pushed
+            cap[e ^ 1] += pushed
+        return pushed
+
+    def min_cut_source_side(self, s):
+        return {v for v, lv in enumerate(self._bfs_levels(s)) if lv >= 0}
 
 
 @pytest.fixture

@@ -17,10 +17,9 @@ from mwis import (GraphFormatError, InitStrategy, Partition, SEPARATOR,
                   combine_multiway_edge_separator,
                   combine_multiway_vertex_separator, combine_vertex_separator,
                   edge_partition, evolve, exact_reduce, initial_population,
-                  is_independent, maximize_greedy, ordering_preset,
-                  parse_metis, reconstruct, run_ordering_experiment,
-                  separator_from, solve, validate_partition, verify,
-                  vertex_separator, vnd, write_metis)
+                  is_independent, ordering_preset, parse_metis, reconstruct,
+                  run_ordering_experiment, separator_from, solve,
+                  validate_partition, verify, vertex_separator, vnd, write_metis)
 from mwis.evolution import _exchange, _min_weight_bipartite_cover
 from mwis.local_search import _find_one_two_pair
 from mwis.reductions import ALL_RULES, ORDERING_PRESETS, ReductionOrdering
@@ -161,8 +160,7 @@ def test_criterion_4_local_search_optimality():
     for n in range(1, 6):  # exhaustive: every labeled connected graph, n <= 5
         for edges in all_connected_graphs(n):
             g = build_graph(edges, [rng.randint(1, 30) for _ in range(n)])
-            state = SearchState(g)
-            maximize_greedy(state, "uniform_random", rng)
+            state = SearchState(g, build_initial(g, InitStrategy.RANDOM_MWIS, rng).members)
             before = state.weight
             vnd(state)
             assert state.weight >= before  # monotone
@@ -170,8 +168,7 @@ def test_criterion_4_local_search_optimality():
             tested += 1
     for g in named_catalog(rng):  # named connected graphs up to n = 10
         for _ in range(3):
-            state = SearchState(g)
-            maximize_greedy(state, "uniform_random", rng)
+            state = SearchState(g, build_initial(g, InitStrategy.RANDOM_MWIS, rng).members)
             before = state.weight
             vnd(state)
             assert state.weight >= before

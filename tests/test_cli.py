@@ -6,7 +6,7 @@ import os
 import pytest
 
 from mwis import ORDERING_PRESETS, SelectionStrategy, SolveResult, SolverConfig, cli
-from mwis.cli import _SELECTION_FLAGS, _build_parser, _write_atomic, main
+from mwis.cli import _build_parser, _write_atomic, main
 from mwis.oracle import OracleLimits
 
 P3 = "3 2 10\n5 2\n1 1 3\n5 2\n"
@@ -32,7 +32,7 @@ def test_solve_flags_default_to_the_solver_config():
     defaults = dataclasses.asdict(SolverConfig())
     shared = sorted(defaults.keys() & args.keys())
     assert sorted(defaults.keys() - args.keys()) == []
-    args["selection"] = _SELECTION_FLAGS[args["selection"]]
+    args["selection"] = SelectionStrategy(args["selection"])
     assert {k: args[k] for k in shared} == {k: defaults[k] for k in shared}
     assert parser.parse_args(["reduce", "g.graph"]).ordering == SolverConfig().ordering
     exact = parser.parse_args(["exact", "g.graph"])

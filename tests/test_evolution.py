@@ -16,8 +16,7 @@ from mwis import (Individual, InitStrategy, Partition, Population, SEPARATOR,
                   make_individual, maximize_greedy, mutate, replace, separator_from,
                   tournament_select)
 from mwis.evolution import FORCE_AFTER
-from mwis.maxflow import FlowNetwork
-from conftest import geometric_graph, path, random_graph, star
+from conftest import DinicNetwork, geometric_graph, path, random_graph, star
 
 
 def manual_partition(g, block_of, k=2, has_separator=False):
@@ -96,7 +95,7 @@ def old_cover_complement(g, by_weight):
                     heapq.heappush(heap, (-uncov[u], u))
         uncov[v] = 0
     state = SearchState(g, (v for v in g.vertices() if v not in cover))
-    maximize_greedy(state, "by_weight")
+    maximize_greedy(state)
     return evolution._individual_from_state(state)
 
 
@@ -326,7 +325,7 @@ def _old_min_weight_bipartite_cover(g, edges, left):
     ri = {v: i + len(left_ids) for i, v in enumerate(right_ids)}
     s = len(left_ids) + len(right_ids)
     t = s + 1
-    net = FlowNetwork(t + 1)
+    net = DinicNetwork(t + 1)
     inf = sum(g.weight[v] for v in left_ids + right_ids) + 1
     for v in left_ids:
         net.add_edge(s, li[v], g.weight[v])
@@ -402,10 +401,10 @@ def old_multiway_edge_separator(g, part, parents):
     return evolution._finish(g, alive - cover)
 
 
-def _equivalence_kernels(rng):
+def _equivalence_kernels(rng, trials=30):
     """Compact copies of geometric graphs with vertices removed and of
     reduced random graphs; weights 0-3 (ties) or 1-200."""
-    for trial in range(30):
+    for trial in range(trials):
         whi = (3, 200)[trial % 2]
         wlo = 0 if whi == 3 else 1
         if trial % 3 == 2:
@@ -440,7 +439,9 @@ def test_block_exchange_matches_the_four_operator_bodies(monkeypatch):
             repaired[_name] += bool(cover)
             return cover
         monkeypatch.setattr(evolution, name, counted)
-    for trial, g in enumerate(_equivalence_kernels(rng)):
+    # Kernels are drawn until every floor below is met, so the floors do not
+    # hold by the luck of one draw sequence; the cap bounds the time.
+    for trial, g in enumerate(_equivalence_kernels(rng, trials=90)):
         # Half the cases polish through one small memo per kernel, which
         # must answer as a fresh _finish does, across a clear included.
         memo = evolution.FinishMemo(g, 6)
@@ -462,6 +463,9 @@ def test_block_exchange_matches_the_four_operator_bodies(monkeypatch):
                 assert got == reference(g, part, *args), (combine.__name__, k)
                 compared[combine.__name__] += 1
                 compared["memo"] += via is not None
+        if len(compared) == 5 and min(compared.values()) >= 30 \
+                and len(repaired) == 2 and min(repaired.values()) >= 30:
+            break
     assert len(compared) == 5 and min(compared.values()) >= 30, compared
     assert min(repaired.values()) >= 30 and len(repaired) == 2, repaired
 

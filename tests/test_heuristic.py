@@ -24,7 +24,7 @@ def greedy_population(g, rng):
 def test_rate_hybrid_formula():
     g = star(5, [1, 2])
     pop = Population([make_individual(g, {0})])
-    assert rate(SelectionStrategy.HYBRID, g, pop, 0) == Fraction(2)
+    assert rate(SelectionStrategy.HYBRID, g, pop)(0) == Fraction(2)
 
 
 def test_rate_participation_formula():
@@ -33,7 +33,7 @@ def test_rate_participation_formula():
     g = build_graph([], [1, 100, 4, 0])
     pop = Population([make_individual(g, {0, 1, 2, 3})] * 3
                      + [make_individual(g, {0, 2, 3})] * 2)
-    score = [rate(SelectionStrategy.SOLUTION_PARTICIPATION, g, pop, v) for v in range(4)]
+    score = [rate(SelectionStrategy.SOLUTION_PARTICIPATION, g, pop)(v) for v in range(4)]
     assert score[0] > score[1]  # five appearances against three
     assert score[0] < score[2]  # five each, weight 1 against 4
     assert score[3] < score[1]  # five appearances at weight 0, three at 100
@@ -42,21 +42,21 @@ def test_rate_participation_formula():
 def test_rate_weight_argmax():
     g = build_graph([], [9, 3])
     pop = Population([make_individual(g, {0, 1})])
-    assert rate(SelectionStrategy.WEIGHT, g, pop, 0) > \
-        rate(SelectionStrategy.WEIGHT, g, pop, 1)
+    assert rate(SelectionStrategy.WEIGHT, g, pop)(0) > \
+        rate(SelectionStrategy.WEIGHT, g, pop)(1)
 
 
 def test_rate_degree_is_negated():
     g = star(1, [1, 1])
     pop = Population([make_individual(g, {1, 2})])
-    assert rate(SelectionStrategy.DEGREE, g, pop, 1) > \
-        rate(SelectionStrategy.DEGREE, g, pop, 0)
+    assert rate(SelectionStrategy.DEGREE, g, pop)(1) > \
+        rate(SelectionStrategy.DEGREE, g, pop)(0)
 
 
 def test_rate_weight_over_degree_handles_isolated():
     g = build_graph([(0, 1)], [6, 3, 2])
     pop = Population([make_individual(g, {0, 2})])
-    isolated, six, three = (rate(SelectionStrategy.WEIGHT_OVER_DEGREE, g, pop, v)
+    isolated, six, three = (rate(SelectionStrategy.WEIGHT_OVER_DEGREE, g, pop)(v)
                             for v in (2, 0, 1))
     assert isolated > six > three
 
@@ -120,7 +120,7 @@ def test_sort_keys_force_what_the_fraction_scores_forced():
                           for _ in range(rng.randint(1, 6))])
         for kind in SelectionStrategy:
             ranked = parent_ranking(g, pop, kind)
-            keyed = sorted(sorted(ranked), key=lambda v: rate(kind, g, pop, v), reverse=True)
+            keyed = sorted(sorted(ranked), key=rate(kind, g, pop), reverse=True)
             assert keyed == ranked, (case, kind)
             participation = kind is SelectionStrategy.SOLUTION_PARTICIPATION
             for fraction in (None, 0.1, 0.5, 1.0):

@@ -4,8 +4,9 @@ from collections import deque
 
 import pytest
 
-from mwis import (SearchState, brute_force, build_graph, edge_partition,
-                  maximize_greedy, omega_one_swap, one_two_swap, perturb, vnd)
+from mwis import (InitStrategy, SearchState, brute_force, build_graph,
+                  build_initial, edge_partition, maximize_greedy, omega_one_swap,
+                  one_two_swap, perturb, vnd)
 from mwis.local_search import _find_one_two_pair
 from conftest import clique, cycle, geometric_graph, path, random_graph, star
 
@@ -28,7 +29,7 @@ def no_improving_move_exists(state) -> bool:
 
 def test_maximize_by_weight_p3():
     state = SearchState(path([5, 1, 5]))
-    maximize_greedy(state, "by_weight")
+    maximize_greedy(state)
     assert state.members() == {0, 2}
     assert state.weight == 10
 
@@ -36,21 +37,15 @@ def test_maximize_by_weight_p3():
 def test_maximize_fixpoint_on_maximal_input():
     g = path([5, 1, 5])
     state = SearchState(g, {0, 2})
-    maximize_greedy(state, "by_weight")
+    maximize_greedy(state)
     assert state.members() == {0, 2}
 
 
 def test_maximize_k3_takes_heaviest():
     state = SearchState(clique([1, 2, 3]))
-    maximize_greedy(state, "by_weight")
+    maximize_greedy(state)
     assert state.members() == {2}
     assert state.weight == 3
-
-
-def test_maximize_random_needs_rng():
-    state = SearchState(path([1, 1, 1]))
-    with pytest.raises(ValueError):
-        maximize_greedy(state, "uniform_random")
 
 
 def _p3_without_its_last_vertex():
@@ -96,7 +91,7 @@ def test_omega_one_swap_on_p3():
     state = SearchState(g, {1})
     assert omega_one_swap(state, 0)
     assert state.weight == 5
-    maximize_greedy(state, "by_weight")
+    maximize_greedy(state)
     assert state.weight == 10
 
 
@@ -162,8 +157,7 @@ def test_vnd_monotone_and_locally_optimal(rng):
     # in the first queue alongside the swaps.
     for trial in range(60):
         g = random_graph(rng, rng.randint(3, 12), rng.choice([0.2, 0.4, 0.7]))
-        state = SearchState(g)
-        maximize_greedy(state, "uniform_random", rng)
+        state = SearchState(g, build_initial(g, InitStrategy.RANDOM_MWIS, rng).members)
         for v in sorted(state.members()) if trial % 2 else ():
             if rng.random() < 0.5:
                 state.drop(v)
@@ -203,8 +197,7 @@ def test_perturb_empty_graph(rng):
 def test_tightness_invariants_after_operations(rng):
     for _ in range(30):
         g = random_graph(rng, 10, 0.35)
-        state = SearchState(g)
-        maximize_greedy(state, "uniform_random", rng)
+        state = SearchState(g, build_initial(g, InitStrategy.RANDOM_MWIS, rng).members)
         state.audit()
         outside = [v for v in g.vertices() if not state.in_sol[v]]
         for v in outside[:3]:
@@ -295,8 +288,7 @@ def test_vnd_matches_rescanning_reference():
         for v in rng.sample(range(n), n // 8):
             g.remove_vertex(v)
         g = g.compact()[0]
-        start = SearchState(g)
-        maximize_greedy(start, "uniform_random", rng)
+        start = SearchState(g, build_initial(g, InitStrategy.RANDOM_MWIS, rng).members)
         cap = rng.choice([15_000, rng.randint(0, 3 * n)])
         kept, ref = SearchState(g, start.members()), SearchState(g, start.members())
         spent = vnd(kept, cap)
@@ -313,7 +305,7 @@ def test_greedy_by_weight_matches_max_scan():
         members = [v for v in g.vertices() if rng.random() < 0.1]
         members = [v for i, v in enumerate(members) if not g.adj[v] & set(members[:i])]
         kept, ref = SearchState(g, members), SearchState(g, members)
-        maximize_greedy(kept, "by_weight")
+        maximize_greedy(kept)
         max_scan_greedy(ref)
         assert kept.members() == ref.members()
         assert not kept.free()

@@ -1,11 +1,10 @@
 """Max-flow networks: deep augmenting paths, shortest augmenting paths
-against the Dinic network they replaced, the warm double-cover flow's
-invariants, how much whole-kernel work the warm flow does, how often its
-check finds the flow short, and its cuts against the Dinic phases it used
-to run."""
+against the reference Dinic network in ``conftest``, the warm double-cover
+flow's invariants, how much whole-kernel work the warm flow does, how often
+its check finds the flow short, and its cuts against the Dinic phases it
+used to run."""
 
 import random
-from collections import deque
 from contextlib import contextmanager
 
 import pytest
@@ -15,79 +14,7 @@ from mwis import (InitStrategy, build_graph, build_initial, exact_reduce, is_ind
 from mwis.maxflow import DoubleCoverFlow, FlowNetwork
 from mwis.reductions import (ReductionEvent, Rule, _add_edge, _new_vertex, _rm, _rm_edge,
                              _Scheduler, _set_w, _take, critical_set)
-from conftest import geometric_graph, path, random_graph
-
-
-class DinicNetwork:
-    """``FlowNetwork`` as it was when it ran Dinic phases: BFS levels and an
-    iterative DFS with current arcs."""
-
-    def __init__(self, n):
-        self.n = n
-        self.head = [[] for _ in range(n)]
-        self.to = []
-        self.cap = []
-
-    def add_edge(self, u, v, capacity):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s, t):
-        flow = 0
-        while True:
-            level = self._bfs_levels(s)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
-
-    def _bfs_levels(self, s):
-        level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    q.append(v)
-        return level
-
-    def _dfs(self, s, t, level, it):
-        head, to, cap = self.head, self.to, self.cap
-        path = []  # arcs from s to u
-        u = s
-        while u != t:
-            arcs, i, want = head[u], it[u], level[u] + 1
-            while i < len(arcs) and (cap[arcs[i]] <= 0 or level[to[arcs[i]]] != want):
-                i += 1
-            it[u] = i
-            if i < len(arcs):
-                path.append(arcs[i])
-                u = to[arcs[i]]
-                continue
-            level[u] = -1
-            if not path:
-                return 0
-            u = to[path.pop() ^ 1]
-            it[u] += 1
-        pushed = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= pushed
-            cap[e ^ 1] += pushed
-        return pushed
-
-    def min_cut_source_side(self, s):
-        return {v for v, lv in enumerate(self._bfs_levels(s)) if lv >= 0}
+from conftest import DinicNetwork, geometric_graph, path, random_graph
 
 
 def dinic_levels(flow, g):

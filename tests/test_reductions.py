@@ -25,9 +25,9 @@ from mwis.reductions import (ALL_RULES, ReductionEvent, ReductionOrdering,
                              apply_twin, apply_v_shape, apply_v_shape_min,
                              critical_set, _resolve)
 from mwis import reductions
-from mwis.maxflow import DoubleCoverFlow, FlowNetwork
-from conftest import (clique, cycle, geometric_graph, graph_state, path, random_graph,
-                      star)
+from mwis.maxflow import DoubleCoverFlow
+from conftest import (DinicNetwork, clique, cycle, geometric_graph, graph_state, path,
+                      random_graph, star)
 
 
 def only(rule: Rule) -> ReductionOrdering:
@@ -557,7 +557,7 @@ def cold_critical_set(g):
     ids = g.vertices()
     n = len(ids)
     index = {v: i for i, v in enumerate(ids)}
-    net = FlowNetwork(2 * n + 2)
+    net = DinicNetwork(2 * n + 2)
     s, t = 2 * n, 2 * n + 1
     for v in ids:
         net.add_edge(s, index[v], g.weight[v])
@@ -820,7 +820,7 @@ def koenig(g):
     -> sink with uncapacitated edges (Koenig)."""
     side, live = two_colouring(g), g.vertices()
     s, t = g.capacity, g.capacity + 1
-    net = FlowNetwork(g.capacity + 2)
+    net = DinicNetwork(g.capacity + 2)
     total = sum(g.weight[v] for v in live)
     for v in live:
         if side[v]:
