@@ -7,8 +7,8 @@ then lets the full reduce loop finish the job and rebuilds an optimal
 solution from the event stack.
 """
 
-from mwis import (Kernel, brute_force, build_graph, exact_reduce,
-                  ordering_preset, reconstruct)
+from mwis import (ORDERING_PRESETS, brute_force, build_graph, exact_reduce,
+                  reconstruct)
 from mwis.reductions import apply_degree_one, apply_neighborhood_removal
 
 # A 7-vertex instance: a heavy hub, a triangle, and a pendant hanging
@@ -32,8 +32,9 @@ print(f"hub rule fired={fired}: offset so far "
 fired = apply_degree_one(g, 3, events)
 print(f"pendant rule fired={fired}: vertex 6 now weighs {g.weight[6]}")
 
-# Hand the rest to the exhaustive loop under the default ordering.
-kernel = exact_reduce(g, ordering_preset("baseline"), events)
+# Hand the rest to the exhaustive loop under the default ordering, the
+# baseline preset's tuple of rules.
+kernel = exact_reduce(g, ORDERING_PRESETS["baseline"], events)
 print(f"kernel: {kernel.graph.live_count} vertices, offset {kernel.offset}")
 
 # An empty kernel means the reductions solved the instance outright;

@@ -12,10 +12,9 @@ from .graph import (GraphError, WeightedGraph, build_graph,
 from .metis_io import (GraphFormatError, format_solution, parse_metis,
                        parse_solution, write_metis)
 from .oracle import OracleBudgetError, OracleLimitError, OracleLimits, brute_force
-from .reductions import (ALL_RULES, Kernel, ORDERING_PRESETS, OrderingTrial,
-                         ReductionEvent, ReductionOrdering, Rule, exact_reduce,
-                         ordering_preset, reconstruct, run_ordering_experiment,
-                         undo_event)
+from .reductions import (Kernel, ORDERING_EXPERIMENTS, ORDERING_PRESETS,
+                         OrderingTrial, ReductionEvent, Rule, exact_reduce,
+                         reconstruct, run_ordering_experiment, undo_event)
 from .local_search import (SearchState, maximize_greedy, omega_one_swap,
                            one_two_swap, perturb, vnd)
 from .partition import (Partition, PartitionPool, SEPARATOR, edge_partition,
@@ -32,10 +31,10 @@ from .solver import (RoundStats, SolveResult, SolverConfig, VerifyReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_RULES", "GraphError", "GraphFormatError", "Individual",
-    "InitStrategy", "Kernel", "ORDERING_PRESETS", "OracleBudgetError",
-    "OracleLimitError", "OracleLimits", "OrderingTrial", "Partition",
-    "PartitionPool", "Population", "ReductionEvent", "ReductionOrdering",
+    "GraphError", "GraphFormatError", "Individual",
+    "InitStrategy", "Kernel", "ORDERING_EXPERIMENTS", "ORDERING_PRESETS",
+    "OracleBudgetError", "OracleLimitError", "OracleLimits", "OrderingTrial",
+    "Partition", "PartitionPool", "Population", "ReductionEvent",
     "RoundStats", "Rule", "SEPARATOR", "SearchState", "SelectionStrategy",
     "SolveResult", "SolverConfig", "VerifyReport",
     "WeightedGraph", "brute_force", "build_graph", "build_initial",
@@ -45,7 +44,7 @@ __all__ = [
     "format_solution", "heuristic_reduce", "independence_violations",
     "initial_population", "is_independent", "make_individual",
     "maximize_greedy", "mutate", "omega_one_swap", "one_two_swap",
-    "ordering_preset", "parse_metis", "parse_solution", "perturb", "rate",
+    "parse_metis", "parse_solution", "perturb", "rate",
     "reconstruct", "replace", "run_ordering_experiment", "separator_from",
     "set_weight", "solve", "tournament_select", "undo_event",
     "validate_partition", "verify", "vertex_separator", "vnd", "write_metis",

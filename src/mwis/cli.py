@@ -27,7 +27,7 @@ from .heuristic import SelectionStrategy
 from .metis_io import (GraphFormatError, format_solution, parse_metis,
                        parse_solution, write_metis)
 from .oracle import OracleBudgetError, OracleLimitError, OracleLimits, brute_force
-from .reductions import (ORDERING_PRESETS, exact_reduce, ordering_preset,
+from .reductions import (ORDERING_EXPERIMENTS, ORDERING_PRESETS, exact_reduce,
                          run_ordering_experiment)
 from .solver import SolverConfig, solve, verify
 
@@ -108,8 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("ordering-bench", help="reduction ordering experiments")
     pb.add_argument("instance")
-    pb.add_argument("--mode", default="preset-sweep",
-                    choices=["disable-one", "preset-sweep"])
+    pb.add_argument("--mode", default="preset-sweep", choices=list(ORDERING_EXPERIMENTS))
     return parser
 
 
@@ -132,7 +131,7 @@ def _cmd_solve(args) -> int:
     _write_atomic(out_path, format_solution(result.solution))
     record = {
         "instance": args.instance,
-        "n": g.n_original,
+        "n": g.capacity,
         "m": g.live_edges,
         "seed": result.seed,
         "weight": result.weight,
@@ -151,7 +150,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_reduce(args) -> int:
     g = _load_instance(args.instance)
-    kernel = exact_reduce(g, ordering_preset(args.ordering))
+    kernel = exact_reduce(g, ORDERING_PRESETS[args.ordering])
     kernel_text = write_metis(g)
     decided = sorted(kernel.decided_in())
     sidecar = {
@@ -204,8 +203,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_ordering_bench(args) -> int:
     g = _load_instance(args.instance)
-    mode = args.mode.replace("-", "_")
-    rows = run_ordering_experiment(g, mode)
+    rows = run_ordering_experiment(g, ORDERING_EXPERIMENTS[args.mode])
     header = f"{'ordering':<42} {'kernel_n':>8} {'kernel_m':>8} {'offset':>12} " \
              f"{'|K|/|V|':>8} {'seconds':>9}"
     print(header)

@@ -23,17 +23,15 @@ class WeightedGraph:
     Removed vertices keep their id, weight and a dead flag; adjacency sets
     only ever contain alive vertices, so neighbor iteration needs no
     filtering.  Fold vertices created by reductions are appended with fresh
-    ids >= ``n_original``.
+    ids, which grows ``capacity``.
     """
 
-    __slots__ = ("n_original", "adj", "weight", "alive", "live_count",
-                 "live_edges")
+    __slots__ = ("adj", "weight", "alive", "live_count", "live_edges")
 
     def __init__(self, weights: Sequence[int]):
         for w in weights:
             if w < 0:
                 raise GraphError(f"negative weight {w}")
-        self.n_original = len(weights)
         self.adj: list[set[int]] = [set() for _ in weights]
         self.weight: list[int] = list(weights)
         self.alive: list[bool] = [True] * len(weights)
@@ -164,7 +162,6 @@ class WeightedGraph:
         ids = self.vertices()
         new_id = {v: i for i, v in enumerate(ids)}
         g = WeightedGraph.__new__(WeightedGraph)
-        g.n_original = len(ids)
         g.adj = [tuple(sorted(new_id[u] for u in self.adj[v])) for v in ids]
         g.weight = [self.weight[v] for v in ids]
         g.alive = [True] * len(ids)
@@ -174,7 +171,6 @@ class WeightedGraph:
 
     def copy(self) -> "WeightedGraph":
         g = WeightedGraph.__new__(WeightedGraph)
-        g.n_original = self.n_original
         g.adj = [set(s) for s in self.adj]
         g.weight = list(self.weight)
         g.alive = list(self.alive)
@@ -215,7 +211,7 @@ class WeightedGraph:
 def build_graph(edges: Iterable[tuple[int, int]], weights: Sequence[int]) -> WeightedGraph:
     """Build a graph from an edge list, deduplicating symmetric pairs."""
     g = WeightedGraph(weights)
-    n = g.n_original
+    n = g.capacity
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) out of range for {n} vertices")

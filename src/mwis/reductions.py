@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -57,8 +58,6 @@ class Rule(Enum):
     CWIS = "cwis"
     NEIGHBORHOOD_FOLDING = "neighborhood_folding"
 
-
-ALL_RULES: tuple[Rule, ...] = tuple(Rule)
 
 # Undo primitives recorded while a rule mutates the graph, replayed in
 # reverse by undo_event:
@@ -496,24 +495,6 @@ def apply_neighborhood_folding(g: WeightedGraph, v: int,
 
 # -- orderings --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReductionOrdering:
-    """Named sequence of enabled rules; each rule appears at most once."""
-
-    name: str
-    sequence: tuple[Rule, ...]
-
-    def __post_init__(self):
-        if len(set(self.sequence)) != len(self.sequence):
-            raise ValueError(f"ordering {self.name!r} repeats a rule")
-        if not self.sequence:
-            raise ValueError(f"ordering {self.name!r} is empty")
-
-    def without(self, rule: Rule) -> "ReductionOrdering":
-        return ReductionOrdering(f"{self.name}-without-{rule.value}",
-                                 tuple(r for r in self.sequence if r is not rule))
-
-
 _R = Rule
 ORDERING_PRESETS: dict[str, tuple[Rule, ...]] = {
     "baseline": (
@@ -549,13 +530,15 @@ ORDERING_PRESETS: dict[str, tuple[Rule, ...]] = {
 }
 
 
-def ordering_preset(name: str) -> ReductionOrdering:
-    """Look up a named full ordering of all thirteen rules."""
-    try:
-        return ReductionOrdering(name, ORDERING_PRESETS[name])
-    except KeyError:
-        known = ", ".join(sorted(ORDERING_PRESETS))
-        raise ValueError(f"unknown ordering {name!r}; presets: {known}") from None
+# ``mwis ordering-bench --mode`` name -> the labelled orderings it compares.
+ORDERING_EXPERIMENTS: dict[str, dict[str, tuple[Rule, ...]]] = {
+    "disable-one": {
+        f"baseline-without-{rule.value}":
+            tuple(r for r in ORDERING_PRESETS["baseline"] if r is not rule)
+        for rule in ORDERING_PRESETS["baseline"]
+    },
+    "preset-sweep": ORDERING_PRESETS,
+}
 
 
 # -- the reduce loop ---------------------------------------------------------
@@ -664,9 +647,11 @@ class Kernel:
         return replay_events(self.events, set(), decided_only=True)
 
 
-def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
+def exact_reduce(g: WeightedGraph,
+                 rules: Sequence[Rule] = ORDERING_PRESETS["baseline"],
                  events: list[ReductionEvent] | None = None) -> Kernel:
-    """Apply the rules exhaustively in the given ordering.
+    """Apply ``rules`` exhaustively in their order, the ordering; an empty
+    one applies none.  ``ORDERING_PRESETS`` holds the named orderings.
 
     Each rule drains its dirty-candidate queue; after any firing the rule
     cursor restarts at the front of the ordering (queues keep their state).
@@ -683,10 +668,9 @@ def exact_reduce(g: WeightedGraph, ordering: ReductionOrdering | None = None,
     module's namespace when the call starts (:func:`_resolve`), so a
     wrapper bound there before the call sees every attempt of that rule.
     """
-    ordering = ordering or ordering_preset("baseline")
     if events is None:
         events = []
-    seq = ordering.sequence
+    seq = tuple(rules)
     if Rule.BASIC_SINGLE_EDGE in seq:
         cut = seq.index(Rule.BASIC_SINGLE_EDGE) + 1
         seq = seq[:cut] + tuple(r for r in seq[cut:]
@@ -781,30 +765,20 @@ class OrderingTrial:
     kernel_ratio: float
 
 
-def run_ordering_experiment(g: WeightedGraph, mode: str) -> list[OrderingTrial]:
-    """Reduce copies of ``g`` under a family of orderings.
-
-    Modes: ``disable_one`` drops each baseline rule in turn (13 rows);
-    ``preset_sweep`` runs the five named presets (5 rows).
-    """
-    if mode == "disable_one":
-        base = ordering_preset("baseline")
-        orderings = [base.without(rule) for rule in base.sequence]
-    elif mode == "preset_sweep":
-        orderings = [ordering_preset(name) for name in ORDERING_PRESETS]
-    else:
-        raise ValueError(f"unknown mode {mode!r}; use disable_one or preset_sweep")
-
+def run_ordering_experiment(g: WeightedGraph, orderings: Mapping[str, Sequence[Rule]]
+                            ) -> list[OrderingTrial]:
+    """Reduce a copy of ``g`` under each ordering of ``orderings``, one row
+    per label, in its order; ``ORDERING_EXPERIMENTS`` holds the families."""
     n = g.live_count
     rows = []
-    for ordering in orderings:
+    for label, rules in orderings.items():
         work = g.copy()
         start = time.perf_counter()
-        kernel = exact_reduce(work, ordering)
+        kernel = exact_reduce(work, rules)
         elapsed = time.perf_counter() - start
         rows.append(OrderingTrial(
-            label=ordering.name,
-            rules=tuple(r.value for r in ordering.sequence),
+            label=label,
+            rules=tuple(r.value for r in rules),
             kernel_vertices=work.live_count,
             kernel_edges=work.live_edges,
             offset=kernel.offset,

@@ -26,7 +26,7 @@ from .heuristic import SelectionStrategy, heuristic_reduce
 # binding is patched too.
 from .local_search import maximize_greedy  # noqa: F401
 from .oracle import OracleBudgetError, OracleLimits, brute_force
-from .reductions import (ReductionEvent, exact_reduce, ordering_preset,
+from .reductions import (ORDERING_PRESETS, ReductionEvent, exact_reduce,
                          replay_events)
 
 
@@ -54,7 +54,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.time_limit > 0:  # also rejects NaN
             raise ValueError("time_limit must be positive")
-        ordering_preset(self.ordering)  # validates the name
+        if self.ordering not in ORDERING_PRESETS:
+            known = ", ".join(sorted(ORDERING_PRESETS))
+            raise ValueError(f"unknown ordering {self.ordering!r}; presets: {known}")
         fraction = self.selection_fraction
         if fraction is not None and not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -116,7 +118,7 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
     rounds = 0
     # (full weight, len(events), kernel solution) of the heaviest round.
     best: tuple[int, int, set[int]] = (-1, 0, set())
-    ordering = ordering_preset(config.ordering)
+    rules = ORDERING_PRESETS[config.ordering]
 
     def emit(kind: str, **payload) -> None:
         if progress is not None:
@@ -126,7 +128,7 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
         return time.monotonic() >= deadline or (should_stop is not None and should_stop())
 
     while True:
-        offset = exact_reduce(g, ordering, events).offset
+        offset = exact_reduce(g, rules, events).offset
         emit("reduced", round=rounds, kernel_vertices=g.live_count, offset=offset)
         kernel, ids = g.compact()
         pop = None

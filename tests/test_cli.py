@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from mwis import ORDERING_PRESETS, SelectionStrategy, SolveResult, SolverConfig, cli
+from mwis import (ORDERING_EXPERIMENTS, ORDERING_PRESETS, SelectionStrategy, SolveResult,
+                  SolverConfig, cli)
 from mwis.cli import _build_parser, _write_atomic, main
 from mwis.oracle import OracleLimits
 
@@ -39,6 +40,8 @@ def test_solve_flags_default_to_the_solver_config():
     assert (exact.max_vertices, exact.node_budget) == dataclasses.astuple(OracleLimits())
     for command in ("solve", "reduce"):
         assert _choices(parser, command, "ordering") == list(ORDERING_PRESETS)
+    assert _choices(parser, "ordering-bench", "mode") == list(ORDERING_EXPERIMENTS)
+    assert parser.parse_args(["ordering-bench", "g.graph"]).mode == "preset-sweep"
 
 
 def test_every_solver_setting_has_a_flag(instance, tmp_path, monkeypatch, capsys):

@@ -266,7 +266,7 @@ def test_multiway_combines_match_kxk_scoring(k):
     for trial in range(12):
         g = geometric_graph(rng, rng.randint(40, 90), 6)
         if trial % 2:
-            g = build_graph(g.edges(), [rng.randint(0, 3) for _ in range(g.n_original)])
+            g = build_graph(g.edges(), [rng.randint(0, 3) for _ in range(g.capacity)])
         for v in rng.sample(g.vertices(), 5):
             g.remove_vertex(v)
         g = g.compact()[0]
@@ -414,7 +414,7 @@ def _equivalence_kernels(rng, trials=30):
             g = random_graph(rng, rng.randint(20, 40), 0.15, wlo=wlo, whi=whi)
         else:
             g = geometric_graph(rng, rng.randint(40, 90), 6)
-            g = build_graph(g.edges(), [rng.randint(wlo, whi) for _ in range(g.n_original)])
+            g = build_graph(g.edges(), [rng.randint(wlo, whi) for _ in range(g.capacity)])
             for v in rng.sample(g.vertices(), 5):
                 g.remove_vertex(v)
         if g.live_count >= 8:

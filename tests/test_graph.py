@@ -9,7 +9,7 @@ from conftest import clique, path, random_graph
 
 def test_build_simple_edge():
     g = build_graph([(0, 1)], [3, 4])
-    assert g.n_original == 2
+    assert g.capacity == 2
     assert g.live_edges == 1
     assert g.weight == [3, 4]
 

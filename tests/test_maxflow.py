@@ -9,8 +9,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from mwis import (InitStrategy, build_graph, build_initial, exact_reduce, is_independent,
-                  ordering_preset, reconstruct)
+from mwis import (ORDERING_PRESETS, InitStrategy, build_graph, build_initial, exact_reduce,
+                  is_independent, reconstruct)
 from mwis.maxflow import DoubleCoverFlow, FlowNetwork
 from mwis.reductions import (ReductionEvent, Rule, _add_edge, _new_vertex, _rm, _rm_edge,
                              _Scheduler, _set_w, _take, critical_set)
@@ -218,7 +218,7 @@ def test_warm_flow_ends_most_calls_after_one_search():
     mp.setattr(DoubleCoverFlow, "min_cut", counted_min_cut)
     mp.setattr(DoubleCoverFlow, "_source_side", counted_source_side)
     try:
-        exact_reduce(g, ordering_preset("weight"), [])
+        exact_reduce(g, ORDERING_PRESETS["weight"], [])
     finally:
         mp.undo()
     assert counts["min_cut"] >= 20
@@ -264,7 +264,7 @@ def test_warm_flow_searches_stay_local():
     mp.setattr(DoubleCoverFlow, "min_cut", counted_min_cut)
     mp.setattr(DoubleCoverFlow, "_search", counted_search)
     try:
-        exact_reduce(g, ordering_preset("weight"), [])
+        exact_reduce(g, ORDERING_PRESETS["weight"], [])
     finally:
         mp.undo()
     assert counts["min_cut"] >= 20
@@ -496,7 +496,7 @@ def test_medium_kernel_has_an_empty_critical_set_and_rebuilds():
     # an independent set of the original graph worth offset + its weight.
     original = geometric_graph(random.Random(2000), 2000, 8)
     g = original.copy()
-    kernel = exact_reduce(g, ordering_preset("weight"))
+    kernel = exact_reduce(g, ORDERING_PRESETS["weight"])
     assert 0 < g.live_count < original.live_count
     assert critical_set(g) == (set(), 0)
     assert dinic_min_cut(g) == set()

@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from mwis import (Kernel, ORDERING_PRESETS, Rule, SolverConfig, brute_force, build_graph,
-                  exact_reduce, is_independent, ordering_preset, reconstruct,
+from mwis import (Kernel, ORDERING_EXPERIMENTS, ORDERING_PRESETS, Rule, SolverConfig,
+                  brute_force, build_graph, exact_reduce, is_independent, reconstruct,
                   run_ordering_experiment, set_weight, solve, undo_event, verify)
-from mwis.reductions import (ALL_RULES, ReductionEvent, ReductionOrdering,
+from mwis.reductions import (ReductionEvent,
                              _add_edge, _is_clique, _new_vertex, _rm, _set_w,
                              apply_basic_single_edge, apply_cwis,
                              apply_degree_one, apply_domination,
@@ -28,10 +28,6 @@ from mwis import reductions
 from mwis.maxflow import DoubleCoverFlow
 from conftest import (DinicNetwork, clique, cycle, geometric_graph, graph_state, path,
                       random_graph, star)
-
-
-def only(rule: Rule) -> ReductionOrdering:
-    return ReductionOrdering(f"only-{rule.value}", (rule,))
 
 
 def check_identity(original, kernel: Kernel):
@@ -352,14 +348,15 @@ def test_only_best_perm_lets_the_subsumed_edge_rules_fire(monkeypatch):
     graphs = [random_graph(rng, rng.randint(5, 30), rng.choice([0.1, 0.3, 0.6]),
                            0, rng.choice([3, 20])) for _ in range(60)]
     graphs += [geometric_graph(rng, rng.randint(20, 60), 6) for _ in range(60)]
-    orderings = [ordering_preset(name) for name in sorted(ORDERING_PRESETS)]
-    orderings.append(ordering_preset("baseline").without(Rule.BASIC_SINGLE_EDGE))
+    orderings = {name: ORDERING_PRESETS[name] for name in sorted(ORDERING_PRESETS)}
+    without = "baseline-without-basic_single_edge"
+    orderings[without] = ORDERING_EXPERIMENTS["disable-one"][without]
     seen, tried = {}, {}
-    for ordering in orderings:
+    for name, ordering in orderings.items():
         attempted.clear()
-        seen[ordering.name] = {ev.rule for g in graphs
-                               for ev in exact_reduce(g.copy(), ordering).events} & subsumed
-        tried[ordering.name] = set(attempted)
+        seen[name] = {ev.rule for g in graphs
+                      for ev in exact_reduce(g.copy(), ordering).events} & subsumed
+        tried[name] = set(attempted)
     expected = {"baseline": set(), "best_perm": {Rule.DOMINATION}, "time": set(),
                 "time_weight": set(), "weight": set(),
                 "baseline-without-basic_single_edge": subsumed}
@@ -367,14 +364,13 @@ def test_only_best_perm_lets_the_subsumed_edge_rules_fire(monkeypatch):
     assert tried == expected
 
 
-def reduce_queuing_every_rule(g, ordering):
+def reduce_queuing_every_rule(g, seq):
     """exact_reduce as it was before it left the subsumed edge rules out:
     every rule of the ordering gets a queue and is attempted.  CWIS runs only
     while a flag is up that every firing raises, as the scheduler once
     kept it; the cursor reaches CWIS again only after a firing, so the flag
     never holds it back."""
     events = []
-    seq = ordering.sequence
     queued = [rule for rule in seq if rule is not Rule.CWIS]
     slot = [queued.index(rule) if rule is not Rule.CWIS else -1 for rule in seq]
     attempts = [_resolve(rule) for rule in queued]
@@ -418,7 +414,7 @@ def identity_test_graphs(rng):
     for _ in range(90):
         g = geometric_graph(rng, rng.randint(1, 60), rng.choice([3, 6, 10]))
         if rng.random() < 1 / 3:
-            g = build_graph(g.edges(), [rng.randint(0, 3) for _ in range(g.n_original)])
+            g = build_graph(g.edges(), [rng.randint(0, 3) for _ in range(g.capacity)])
         graphs.append(g)
     return graphs
 
@@ -429,20 +425,21 @@ def test_exact_reduce_matches_the_loop_that_queues_every_rule():
     # single edge, where both rules are queued and fire.
     rng = random.Random(1717)
     graphs = identity_test_graphs(rng)
-    orderings = [ordering_preset(name) for name in sorted(ORDERING_PRESETS)]
-    orderings.append(ordering_preset("baseline").without(Rule.BASIC_SINGLE_EDGE))
-    fired = {ordering.name: collections.Counter() for ordering in orderings}
+    orderings = {name: ORDERING_PRESETS[name] for name in sorted(ORDERING_PRESETS)}
+    without = "baseline-without-basic_single_edge"
+    orderings[without] = ORDERING_EXPERIMENTS["disable-one"][without]
+    fired = {name: collections.Counter() for name in orderings}
     for g in graphs:
-        for ordering in orderings:
+        for name, ordering in orderings.items():
             ref, new = g.copy(), g.copy()
             ref_events = reduce_queuing_every_rule(ref, ordering).events
             new_events = exact_reduce(new, ordering).events
             assert ([(ev.rule, ev.undo_ops, ev.offset_delta, ev.decided, ev.rebuild)
                      for ev in new_events]
                     == [(ev.rule, ev.undo_ops, ev.offset_delta, ev.decided, ev.rebuild)
-                        for ev in ref_events]), ordering.name
-            assert graph_state(new) == graph_state(ref), ordering.name
-            fired[ordering.name].update(ev.rule for ev in ref_events)
+                        for ev in ref_events]), name
+            assert graph_state(new) == graph_state(ref), name
+            fired[name].update(ev.rule for ev in ref_events)
     # The graphs reach the cases where the ordering matters.
     assert fired["best_perm"][Rule.DOMINATION] >= 20
     without = fired["baseline-without-basic_single_edge"]
@@ -620,7 +617,7 @@ def test_nonempty_critical_set_has_positive_surplus():
 def test_warm_critical_set_survives_rule_firings():
     # Every firing reports its touched vertices to the flow, as the reduce
     # loop does; the warm answer must match a cold solve after each one.
-    queued = [r for r in ALL_RULES if r is not Rule.CWIS]
+    queued = [r for r in Rule if r is not Rule.CWIS]
     rng = random.Random(8086)
     for _ in range(25):
         g = random_test_graph(rng, rng.randint(20, 50), rng.choice([0.06, 0.1, 0.15]))
@@ -649,7 +646,7 @@ def test_exact_reduce_matches_cold_critical_set(preset, tied_weights, monkeypatc
     rng = random.Random(preset)
     g = geometric_graph(rng, 200, 8)
     if tied_weights:
-        g = build_graph(g.edges(), [rng.randint(0, 2) for _ in range(g.n_original)])
+        g = build_graph(g.edges(), [rng.randint(0, 2) for _ in range(g.capacity)])
     cold_calls = []
 
     def cold(h, flow=None):
@@ -661,7 +658,7 @@ def test_exact_reduce_matches_cold_critical_set(preset, tied_weights, monkeypatc
         if patched:
             monkeypatch.setattr("mwis.reductions.critical_set", cold)
         work, events = g.copy(), []
-        exact_reduce(work, ordering_preset(preset), events)
+        exact_reduce(work, ORDERING_PRESETS[preset], events)
         runs.append(([(ev.rule, ev.decided, ev.offset_delta) for ev in events],
                      work.adj, work.weight, work.alive))
     assert cold_calls and runs[0] == runs[1]
@@ -703,7 +700,7 @@ def test_exact_reduce_path_to_empty():
 def test_exact_reduce_c5_identity():
     g = cycle([1] * 5)
     original = g.copy()
-    kernel = exact_reduce(g, ordering_preset("baseline"))
+    kernel = exact_reduce(g, ORDERING_PRESETS["baseline"])
     check_identity(original, kernel)  # offset + alpha(kernel) == 2
 
 
@@ -718,16 +715,16 @@ def test_exact_reduce_kernel_has_no_applicable_rule():
     rng = random.Random(4242)
     for _ in range(20):
         g = random_graph(rng, rng.randint(6, 14), 0.3)
-        exact_reduce(g, ordering_preset("baseline"), [])
+        exact_reduce(g, ORDERING_PRESETS["baseline"], [])
         # no single rule fires on the kernel anymore
-        for rule in ALL_RULES:
+        for rule in Rule:
             h = g.copy()
             events = []
-            exact_reduce(h, only(rule), events)
+            exact_reduce(h, (rule,), events)
             assert not events, f"{rule.value} still applicable"
         # and a second full pass leaves the kernel untouched
         before = (g.live_count, g.live_edges, list(g.weight))
-        exact_reduce(g, ordering_preset("baseline"), [])
+        exact_reduce(g, ORDERING_PRESETS["baseline"], [])
         assert (g.live_count, g.live_edges, list(g.weight)) == before
 
 
@@ -787,7 +784,7 @@ def test_master_identity_on_a_thousand_vertex_union_of_components():
     kernel_sizes = []
     for name in ORDERING_PRESETS:
         g = original.copy()
-        kernel = exact_reduce(g, ordering_preset(name))
+        kernel = exact_reduce(g, ORDERING_PRESETS[name])
         alpha_k, witness = alpha_by_components(g)
         assert kernel.offset + alpha_k == alpha0, name
         rebuilt = reconstruct(kernel, witness)
@@ -850,12 +847,13 @@ def test_master_identity_on_thousand_vertex_bipartite_graphs():
         original = build_graph(sorted(pairs), [rng.randint(1, 100) for _ in range(2 * half)])
         alpha0, best = koenig(original)
         assert is_independent(original, best) and set_weight(original, best) == alpha0
-        for preset in ORDERING_PRESETS:
-            for ordering in (ordering_preset(preset), ordering_preset(preset).without(Rule.CWIS)):
+        for preset, rules in ORDERING_PRESETS.items():
+            without_cwis = tuple(r for r in rules if r is not Rule.CWIS)
+            for label, ordering in ((preset, rules), (f"{preset}-without-cwis", without_cwis)):
                 g = original.copy()
                 kernel = exact_reduce(g, ordering)
                 alpha_k, witness = koenig(g)
-                name = (trial, ordering.name)
+                name = (trial, label)
                 assert kernel.offset + alpha_k == alpha0, name
                 rebuilt = reconstruct(kernel, witness)
                 assert is_independent(original, rebuilt), name
@@ -914,7 +912,7 @@ def test_master_identity_on_ten_thousand_vertex_forests():
     alpha0 = forest_alpha(original)
     for preset in ORDERING_PRESETS:
         g = original.copy()
-        kernel = exact_reduce(g, ordering_preset(preset))
+        kernel = exact_reduce(g, ORDERING_PRESETS[preset])
         assert g.live_count == 0, preset
         assert kernel.offset == alpha0, preset
         rebuilt = reconstruct(kernel, set())
@@ -945,7 +943,7 @@ def test_undo_restores_exact_state():
         g = random_graph(rng, rng.randint(4, 14), rng.choice([0.15, 0.35]), wlo=0, whi=30)
         before = graph_state(g)
         events = []
-        exact_reduce(g, ordering_preset(rng.choice(list(ORDERING_PRESETS))), events)
+        exact_reduce(g, ORDERING_PRESETS[rng.choice(list(ORDERING_PRESETS))], events)
         for ev in reversed(events):
             undo_event(g, ev)
         assert graph_state(g) == before
@@ -959,7 +957,7 @@ def test_termination_measure_decreases():
     for _ in range(40):
         g = random_graph(rng, rng.randint(5, 13), 0.3, wlo=0, whi=20)
         events = []
-        exact_reduce(g, ordering_preset("baseline"), events)
+        exact_reduce(g, ORDERING_PRESETS["baseline"], events)
         for ev in events:
             removed = sum(1 for op in ev.undo_ops if op[0] == "rm")
             added = sum(1 for op in ev.undo_ops if op[0] == "nv")
@@ -1410,7 +1408,7 @@ def test_exact_reduce_calls_the_rules_bound_in_the_module(monkeypatch):
     # that looked each rule up on every attempt.
     rng = random.Random(1)
     g = geometric_graph(rng, 200, 10)
-    ordering = ordering_preset("weight")
+    ordering = ORDERING_PRESETS["weight"]
     plain, plain_events = g.copy(), []
     exact_reduce(plain, ordering, plain_events)
     calls, fired = collections.Counter(), collections.Counter()
@@ -1441,31 +1439,36 @@ def test_exact_reduce_calls_the_rules_bound_in_the_module(monkeypatch):
 
 def test_presets_are_permutations():
     for name, seq in ORDERING_PRESETS.items():
-        assert sorted(r.value for r in seq) == sorted(r.value for r in ALL_RULES), name
+        assert sorted(r.value for r in seq) == sorted(r.value for r in Rule), name
 
 
 def test_baseline_prefix_and_best_perm_suffix():
-    base = ordering_preset("baseline").sequence
+    base = ORDERING_PRESETS["baseline"]
     assert base[0] is Rule.NEIGHBORHOOD_REMOVAL
     assert base[1] is Rule.DEGREE_ONE
-    best = ordering_preset("best_perm").sequence
+    best = ORDERING_PRESETS["best_perm"]
     assert best[-3:] == (Rule.BASIC_SINGLE_EDGE, Rule.EXTENDED_SINGLE_EDGE,
                          Rule.NEIGHBORHOOD_FOLDING)
 
 
-def test_unknown_preset_lists_names():
-    with pytest.raises(ValueError, match="baseline"):
-        ordering_preset("nope")
+def test_disable_one_drops_each_baseline_rule_in_turn():
+    base = ORDERING_PRESETS["baseline"]
+    family = ORDERING_EXPERIMENTS["disable-one"]
+    assert list(family) == [f"baseline-without-{rule.value}" for rule in base]
+    for rule, rules in zip(base, family.values()):
+        assert rules == tuple(r for r in base if r is not rule)
+    assert ORDERING_EXPERIMENTS["preset-sweep"] is ORDERING_PRESETS
 
 
-def test_ordering_rejects_duplicates():
-    with pytest.raises(ValueError):
-        ReductionOrdering("dup", (Rule.TWIN, Rule.TWIN))
+def test_exact_reduce_empty_ordering_applies_no_rule():
+    g = path([5, 1, 5])
+    kernel = exact_reduce(g, ())
+    assert kernel.events == [] and g.live_count == 3
 
 
 def test_experiment_disable_one_rows(rng):
     g = random_graph(rng, 14, 0.3)
-    rows = run_ordering_experiment(g, "disable_one")
+    rows = run_ordering_experiment(g, ORDERING_EXPERIMENTS["disable-one"])
     assert len(rows) == 13
     assert len({row.label for row in rows}) == 13
     for row in rows:
@@ -1474,7 +1477,7 @@ def test_experiment_disable_one_rows(rng):
 
 def test_experiment_preset_sweep_rows(rng):
     g = random_graph(rng, 14, 0.3)
-    rows = run_ordering_experiment(g, "preset_sweep")
+    rows = run_ordering_experiment(g, ORDERING_EXPERIMENTS["preset-sweep"])
     assert [row.label for row in rows] == \
         ["baseline", "time", "weight", "time_weight", "best_perm"]
     for row in rows:
@@ -1484,11 +1487,6 @@ def test_experiment_preset_sweep_rows(rng):
 def test_experiment_rows_are_sound(rng):
     g = random_graph(rng, 12, 0.3)
     alpha0, _ = brute_force(g)
-    for row in run_ordering_experiment(g, "disable_one"):
+    for row in run_ordering_experiment(g, ORDERING_EXPERIMENTS["disable-one"]):
         pass  # rows computed on copies; original untouched
     assert brute_force(g)[0] == alpha0
-
-
-def test_experiment_unknown_mode(rng):
-    with pytest.raises(ValueError):
-        run_ordering_experiment(random_graph(rng, 5, 0.3), "bogus")

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from mwis import (OracleLimits, RoundStats, SolverConfig, brute_force,
-                  build_graph, exact_reduce, is_independent, ordering_preset,
+from mwis import (ORDERING_PRESETS, OracleLimits, RoundStats, SolverConfig,
+                  brute_force, build_graph, exact_reduce, is_independent,
                   parse_metis, solve, verify)
 from conftest import cycle, path, random_graph, star
 
@@ -142,7 +142,7 @@ def test_should_stop_cuts_the_run_short():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(population_size=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=", ".join(sorted(ORDERING_PRESETS))):
         SolverConfig(ordering="bogus")
     with pytest.raises(ValueError):
         SolverConfig(time_limit=0)
@@ -371,7 +371,7 @@ def test_road_forcing_config_is_optimal_on_most_small_geometric_graphs():
     optimal = 0
     for i in range(20):
         g = parse_metis(generate(60, 10, 50000 + i))
-        kernel = exact_reduce(g.copy(), ordering_preset("baseline"))
+        kernel = exact_reduce(g.copy(), ORDERING_PRESETS["baseline"])
         alpha, _ = brute_force(kernel.graph, OracleLimits(max_vertices=64))
         result = solve(g, SolverConfig(seed=50000 + i, **ROAD_FORCING))
         assert verify(g, sorted(result.solution)).ok
