@@ -4,7 +4,7 @@ Exact kernelization (thirteen reduction rules with full undo and solution
 reconstruction), a partition-based memetic search over the kernel, and a
 heuristic vertex-forcing loop that alternates the two until the graph is
 gone.  An exact branch-and-bound for small instances finishes every kernel
-of at most 30 vertices and is the test suite's reference.
+of at most 40 vertices and is the test suite's reference.
 """
 
 from .graph import (GraphError, WeightedGraph, build_graph,

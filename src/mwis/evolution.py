@@ -280,14 +280,20 @@ def _heaviest_owners(g: WeightedGraph, part: Partition,
     """Per block, the parent weighing most inside it; ties go to the lowest
     index."""
     block_of, weight = part.block_of, g.weight
-    inside = [[0] * part.k for _ in parents]
-    for row, parent in zip(inside, parents):
-        for v in parent.members:
+    # Equal parents score alike, so each set is scored once, under the
+    # index where it first appears.
+    first: dict[frozenset[int], int] = {}
+    for i, parent in enumerate(parents):
+        first.setdefault(parent.members, i)
+    inside = [[0] * part.k for _ in first]
+    for row, members in zip(inside, first):
+        for v in members:
             b = block_of[v]
             if b != SEPARATOR:
                 row[b] += weight[v]
     # index() finds the first maximum, so ties go to the lowest index.
-    return [col.index(max(col)) for col in zip(*inside)]
+    index = list(first.values())
+    return [index[col.index(max(col))] for col in zip(*inside)]
 
 
 def _min_weight_bipartite_cover(g: WeightedGraph, edges: list[tuple[int, int]],

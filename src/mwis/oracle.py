@@ -1,9 +1,10 @@
 """Exact reference solver for small instances.
 
-Plain include/exclude branch and bound on bitmasks with the trivial
-remaining-weight bound.  Deliberately free of any reduction logic so it
-stays an independent check of the kernelizer and the memetic search;
-``solve`` also calls it to finish a kernel within the default limits.
+Plain include/exclude branch and bound on bitmasks, pruned by a greedy
+weighted clique cover of the vertices still available.  Deliberately free
+of any reduction logic so it stays an independent check of the kernelizer
+and the memetic search; ``solve`` also calls it to finish a kernel within
+the default limits.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class OracleBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleLimits:
-    max_vertices: int = 30
+    max_vertices: int = 40
     node_budget: int = 10_000_000
 
 
@@ -37,19 +38,22 @@ def brute_force(g: WeightedGraph, limits: OracleLimits | None = None) -> tuple[i
     if n == 0:
         return 0, set()
 
-    index = {v: i for i, v in enumerate(ids)}
-    w = [g.weight[v] for v in ids]
-    closed = [1 << i for i in range(n)]
-    for v in ids:
-        i = index[v]
+    # Bits are numbered heaviest first (ties: lower id), so the lowest set
+    # bit of a mask is its heaviest vertex.
+    order = sorted(ids, key=lambda v: (-g.weight[v], v))
+    index = {v: i for i, v in enumerate(order)}
+    w = [g.weight[v] for v in order]
+    adj = [0] * n
+    for v in order:
         for u in g.adj[v]:
-            closed[i] |= 1 << index[u]
+            adj[index[v]] |= 1 << index[u]
+    closed = [adj[i] | 1 << i for i in range(n)]
 
     # Greedy heavy-first start gives the initial lower bound.
     best_mask = 0
     used = 0
-    for i in sorted(range(n), key=lambda i: (-w[i], i)):
-        if not used & (1 << i):
+    for i in range(n):
+        if not used >> i & 1:
             best_mask |= 1 << i
             used |= closed[i]
     best = [sum(w[i] for i in range(n) if best_mask >> i & 1), best_mask]
@@ -64,33 +68,49 @@ def brute_force(g: WeightedGraph, limits: OracleLimits | None = None) -> tuple[i
         while m:
             lsb = m & -m
             i = lsb.bit_length() - 1
-            d = bin(closed[i] & avail).count("1")
+            d = (closed[i] & avail).bit_count()
             if d > top_deg:
                 top, top_deg = i, d
             m -= lsb
         return top
 
-    def dfs(avail: int, cur_w: int, cur_mask: int, rem_w: int) -> None:
+    def covered(avail: int, need: int) -> bool:
+        """Whether a greedy clique cover of ``avail`` weighs at most ``need``:
+        an independent set meets each clique at most once, so then no set
+        in ``avail`` weighs more.  The heaviest vertex left starts a clique,
+        which takes each candidate adjacent to all its members, heaviest
+        first, and adds its starter's weight."""
+        bound = 0
+        rest = avail
+        while rest:
+            lsb = rest & -rest
+            i = lsb.bit_length() - 1
+            bound += w[i]
+            if bound > need:
+                return False
+            clique = lsb
+            cand = rest & adj[i]
+            while cand:
+                lsb = cand & -cand
+                clique |= lsb
+                cand &= adj[lsb.bit_length() - 1]
+            rest &= ~clique
+        return True
+
+    def dfs(avail: int, cur_w: int, cur_mask: int) -> None:
         nodes[0] += 1
         if nodes[0] > budget:
             raise OracleBudgetError(f"node budget {budget} exhausted")
-        if cur_w + rem_w <= best[0]:
-            return
         if avail == 0:
             if cur_w > best[0]:
                 best[0], best[1] = cur_w, cur_mask
             return
+        if covered(avail, best[0] - cur_w):
+            return
         i = pick(avail)
-        removed = closed[i] & avail
-        rem_removed = 0
-        m = removed
-        while m:
-            lsb = m & -m
-            rem_removed += w[lsb.bit_length() - 1]
-            m -= lsb
-        dfs(avail & ~removed, cur_w + w[i], cur_mask | (1 << i), rem_w - rem_removed)
-        dfs(avail & ~(1 << i), cur_w, cur_mask, rem_w - w[i])
+        dfs(avail & ~closed[i], cur_w + w[i], cur_mask | (1 << i))
+        dfs(avail & ~(1 << i), cur_w, cur_mask)
 
-    dfs((1 << n) - 1, 0, 0, sum(w))
-    witness = {ids[i] for i in range(n) if best[1] >> i & 1}
+    dfs((1 << n) - 1, 0, 0)
+    witness = {order[i] for i in range(n) if best[1] >> i & 1}
     return best[0], witness

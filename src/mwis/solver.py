@@ -96,13 +96,14 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None,
 
     Each round reduces exactly and takes one kernel solution: the optimum
     from ``brute_force`` for a kernel of at most
-    ``OracleLimits().max_vertices`` vertices (0 once emptied), or a greedy
-    one when the budget has run out, either of which ends the solve; else
-    the fittest of a population evolved on the kernel, whose vertices are
-    then forced unless the budget ran out meanwhile.  Each round appends
-    one ``RoundStats``, so ``kernel_trace`` has ``rounds + 1`` entries; the
-    heaviest round, the later on a tie, is returned.  Deterministic for a
-    fixed (graph, config) as long as the time limit does not bite.
+    ``OracleLimits().max_vertices`` vertices, 40 by default (0 once
+    emptied), or a greedy one when the budget has run out, either of which
+    ends the solve; else the fittest of a population evolved on the
+    kernel, whose vertices are then forced unless the budget ran out
+    meanwhile.  Each round appends one ``RoundStats``, so
+    ``kernel_trace`` has ``rounds + 1`` entries; the heaviest round, the
+    later on a tie, is returned.  Deterministic for a fixed (graph,
+    config) as long as the time limit does not bite.
     ``should_stop`` is polled after each reduce not finished exactly and
     after each evolve, never inside exact reduction or ``brute_force``, so
     the budget can be slightly overshot.  ``progress`` receives ``reduced``,

@@ -1,4 +1,5 @@
-"""Shared fixtures: graph builders, the naive enumeration oracle and a
+"""Shared fixtures: graph builders, two reference solvers for the exact
+oracle (naive enumeration and a remaining-weight branch and bound) and a
 reference max-flow network."""
 
 from __future__ import annotations
@@ -38,6 +39,34 @@ def enumerate_alpha(g: WeightedGraph) -> tuple[int, set[int]]:
             if w > best_w:
                 best_w, best_set = w, set(combo)
     return best_w, best_set
+
+
+def remaining_weight_alpha(g: WeightedGraph) -> int:
+    """Include/exclude branch and bound on bitmasks, pruned by the weight
+    still available: a reference for graphs too large to enumerate that
+    shares no bound with ``brute_force``."""
+    ids = g.vertices()
+    index = {v: i for i, v in enumerate(ids)}
+    w = [g.weight[v] for v in ids]
+    closed = [1 << index[v] | sum(1 << index[u] for u in g.adj[v]) for v in ids]
+    best = 0
+
+    def dfs(avail: int, cur: int, rem: int) -> None:
+        nonlocal best
+        if cur + rem <= best:
+            return
+        if not avail:
+            best = cur
+            return
+        i = max((i for i in range(len(ids)) if avail >> i & 1),
+                key=lambda i: bin(closed[i] & avail).count("1"))
+        taken = closed[i] & avail
+        dfs(avail & ~taken, cur + w[i],
+            rem - sum(w[j] for j in range(len(ids)) if taken >> j & 1))
+        dfs(avail & ~(1 << i), cur, rem - w[i])
+
+    dfs((1 << len(ids)) - 1, 0, sum(w))
+    return best
 
 
 def geometric_graph(rng: random.Random, n: int, avg_degree: float) -> WeightedGraph:

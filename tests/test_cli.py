@@ -153,8 +153,12 @@ def test_exact_subcommand(instance, capsys):
     assert record["alpha_w"] == 10
 
 
-def test_exact_exhausted_node_budget_exits_2(instance, capsys):
-    assert main(["exact", str(instance), "--node-budget", "1"]) == 2
+def test_exact_exhausted_node_budget_exits_2(tmp_path, capsys):
+    # A 5-cycle of equal weights: its clique cover (two edges and a vertex)
+    # outweighs the greedy start, so the search needs three nodes.
+    c5 = tmp_path / "c5.graph"
+    c5.write_text("5 5 10\n1 2 5\n1 1 3\n1 2 4\n1 3 5\n1 1 4\n", encoding="utf-8")
+    assert main(["exact", str(c5), "--node-budget", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: node budget 1 exhausted\n"
 

@@ -69,15 +69,20 @@ def shifted_petersens(copies: int):
                         for u, v in PETERSEN], [100] + PETERSEN_WEIGHTS * copies)
 
 
+# No rule reduces a Petersen graph, so this many copies keep a kernel above
+# the size that ``solve`` finishes exactly.
+ABOVE_EXACT = OracleLimits().max_vertices // 10 + 1
+
+
 @pytest.mark.parametrize("stop_at_poll", [1, 2, None])
 def test_solve_maps_shifted_kernel_ids_back(stop_at_poll):
     # Vertex 0 is isolated and heavy, so the first reduction takes it and
     # each kernel vertex sits one id lower in the searched compact copy
-    # than in the working graph.  Four Petersen copies keep the kernel at
-    # 40 vertices, above the 30 that are finished exactly.  Stopping at the
-    # first poll ends on the greedy kernel fallback, at the second on the
-    # evolved population.
-    g = shifted_petersens(4)
+    # than in the working graph.  The Petersen copies keep the kernel above
+    # the size that is finished exactly.  Stopping at the first poll ends
+    # on the greedy kernel fallback, at the second on the evolved
+    # population.
+    g = shifted_petersens(ABOVE_EXACT)
     polls = []
 
     def should_stop() -> bool:
@@ -88,8 +93,9 @@ def test_solve_maps_shifted_kernel_ids_back(stop_at_poll):
     assert 0 in result.solution and is_independent(g, result.solution)
     assert all(result.solution & g.adj[v] for v in g.vertices() if v not in result.solution)
     if stop_at_poll != 1:
-        assert result.kernel_trace[0].kernel_vertices == 40
-        assert result.weight == 100 + 4 * brute_force(build_graph(PETERSEN, PETERSEN_WEIGHTS))[0] == 300
+        assert result.kernel_trace[0].kernel_vertices == 10 * ABOVE_EXACT
+        petersen, _ = brute_force(build_graph(PETERSEN, PETERSEN_WEIGHTS))
+        assert petersen == 50 and result.weight == 100 + ABOVE_EXACT * petersen
 
 
 def test_input_graph_is_not_mutated():
@@ -177,8 +183,8 @@ def test_solve_hands_each_setting_to_its_layer(monkeypatch, mutation_prob):
     monkeypatch.setattr(evolution, "mutate", counted("mutate"))
     monkeypatch.setattr(evolution, "replace", counted("replace"))
     monkeypatch.setattr(solver, "heuristic_reduce", heuristic_reduce)
-    # Its kernels keep 50, 42 and 32 vertices, above the 30 that ``solve``
-    # finishes exactly, so three rounds evolve and force.
+    # Its kernels keep 50, 42 and 32 vertices; the first two are above the
+    # 40 that ``solve`` finishes exactly, so two rounds evolve and force.
     g = random_graph(random.Random(12), 50, 0.2, wlo=90, whi=110)
     config = SolverConfig(seed=3, population_size=12, unsuccessful_limit=30,
                           pool_size=3, selection_fraction=0.2)
@@ -238,10 +244,11 @@ def test_trace_offsets_never_decrease():
 
 
 def test_result_is_at_least_every_rounds_full_weight(monkeypatch):
-    # The first kernels keep more than 30 vertices; forcing shrinks them
-    # until one is small enough for ``brute_force``, which ends the solve.
-    # Forcing is heuristic, so an earlier round can still be heavier than
-    # that exact one (seed 1 here is); the heaviest round is returned.
+    # The first kernels keep more vertices than ``solve`` finishes exactly;
+    # forcing shrinks them until one is small enough for ``brute_force``,
+    # which ends the solve.  Forcing is heuristic, so an earlier round can
+    # still be heavier than that exact one (seed 11 here is); the heaviest
+    # round is returned.
     from mwis import solver
 
     kernels = []
@@ -251,10 +258,12 @@ def test_result_is_at_least_every_rounds_full_weight(monkeypatch):
         return _fn(kernel, *args)
 
     monkeypatch.setattr(solver, "brute_force", spy)
+    limit = OracleLimits().max_vertices
+    n = limit + 10
     multi_round = 0
     for seed in range(16):
         kernels.clear()
-        g = random_graph(random.Random(seed), 40, 0.2, wlo=90, whi=110)
+        g = random_graph(random.Random(seed), n, 8 / (n - 1), wlo=90, whi=110)
         result = solve(g, SolverConfig(seed=seed, population_size=30, pool_size=4,
                                        unsuccessful_limit=20, selection_fraction=0.1))
         assert verify(g, result.solution).ok
@@ -263,7 +272,7 @@ def test_result_is_at_least_every_rounds_full_weight(monkeypatch):
         assert result.weight == max(full), seed
         *_, last = result.kernel_trace
         [kernel] = kernels
-        assert last.kernel_vertices == kernel.capacity <= 30 < result.kernel_trace[0].kernel_vertices
+        assert last.kernel_vertices == kernel.capacity <= limit < result.kernel_trace[0].kernel_vertices
         assert last.best_evolve_weight == brute_force(kernel)[0]
         assert result.rounds == len(full) - 1 and not result.proven_optimal
         multi_round += result.rounds >= 2
@@ -302,10 +311,11 @@ def test_proven_optimal_results_are_optimal():
     assert result.kernel_trace[0].kernel_vertices == 10
     assert [kind for kind, _ in events] == ["reduced", "solved"]
     assert events[1][1] == dict(round=0, kernel_vertices=10, weight=50)
-    assert not solve(shifted_petersens(4), SolverConfig(seed=1, **FAST)).proven_optimal
+    assert not solve(shifted_petersens(ABOVE_EXACT), SolverConfig(seed=1, **FAST)).proven_optimal
     rng = random.Random(2207)
     graphs = [path([5, 1, 5]), star(10, [1, 2, 3, 4])]
-    graphs += [random_graph(rng, rng.randint(20, 30), rng.choice([0.1, 0.2, 0.3]),
+    graphs += [random_graph(rng, rng.randint(20, OracleLimits().max_vertices),
+                            rng.choice([0.1, 0.2, 0.3]),
                             wlo=90, whi=110) for _ in range(30)]
     for seed, g in enumerate(graphs):
         result = solve(g, SolverConfig(seed=seed, **FAST))
@@ -324,17 +334,18 @@ def _benchmark_instances():
 
 
 def _emptied_after_forcing():
-    # A reduce after forcing empties this graph, so the last round finishes
-    # an empty kernel.
+    # Its first kernel keeps 51 vertices.  Forcing the whole fittest
+    # solution, a maximal independent set, leaves nothing for the next
+    # reduce, so the last round finishes an empty kernel.
     g = parse_metis(_benchmark_instances().geometric(60, 10, 1))
-    return g, dict(pool_size=4, ordering="weight", selection_fraction=0.1, seed=3)
+    return g, dict(pool_size=4, ordering="weight", selection_fraction=1.0, seed=3)
 
 
 @pytest.mark.parametrize("instance, stop_at_poll", [
     pytest.param(lambda: (path([5, 1, 5]), FAST), None, id="reductions-alone"),
     pytest.param(lambda: (shifted_petersens(1), FAST), None, id="exact-finish"),
-    pytest.param(lambda: (shifted_petersens(4), FAST), 1, id="greedy-fallback"),
-    pytest.param(lambda: (shifted_petersens(4), FAST), 2, id="cut-after-evolve"),
+    pytest.param(lambda: (shifted_petersens(ABOVE_EXACT), FAST), 1, id="greedy-fallback"),
+    pytest.param(lambda: (shifted_petersens(ABOVE_EXACT), FAST), 2, id="cut-after-evolve"),
     pytest.param(_emptied_after_forcing, None, id="emptied-after-forcing"),
 ])
 def test_every_solve_keeps_the_round_invariants(instance, stop_at_poll):
@@ -365,7 +376,7 @@ def test_every_solve_keeps_the_round_invariants(instance, stop_at_poll):
 def test_road_forcing_config_is_optimal_on_most_small_geometric_graphs():
     # The optimum is the first kernel's offset plus its brute-force weight;
     # those kernels have 40-59 vertices.  The solver found it on 18 of the
-    # 20 graphs, in about 7 s on a two-core x86-64 VM with CPython 3.11;
+    # 20 graphs, in about 1 s on a two-core x86-64 VM with CPython 3.11;
     # the bound leaves one instance for a change of search trajectory.
     generate = _benchmark_instances().geometric
     optimal = 0
@@ -395,4 +406,4 @@ def test_disjoint_small_components_reach_their_summed_optimum():
     result = solve(g, SolverConfig(seed=1, **ROAD_FORCING))
     assert verify(g, sorted(result.solution)).ok
     assert 0.999 * optimum <= result.weight <= optimum
-    assert result.kernel_trace[0].kernel_vertices > 30
+    assert result.kernel_trace[0].kernel_vertices > OracleLimits().max_vertices
